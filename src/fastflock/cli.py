@@ -31,15 +31,17 @@ def _load(path: str):
         raise SystemExit(2)
 
 
+def _fmt(value: float | None, spec: str) -> str:
+    """`value` formatted by `spec`, or n/a when a statistic is undefined
+    (a single agent has no neighbour distances)."""
+    return "n/a" if value is None else format(value, spec)
+
+
 def _summary_line(summary) -> str:
-    nd_mean = summary.neighbor_distance_mean
-    nd_std = summary.neighbor_distance_std
     return (
         f"cvr={summary.cvr_mean:.3f} "
-        f"d_n={nd_mean:.2f} " if nd_mean is not None else "d_n=n/a "
-    ) + (
-        f"sigma_d={nd_std:.2f} " if nd_std is not None else ""
-    ) + (
+        f"d_n={_fmt(summary.neighbor_distance_mean, '.2f')} "
+        f"sigma_d={_fmt(summary.neighbor_distance_std, '.2f')} "
         f"collisions={summary.collisions} "
         f"min_gap={summary.min_pairwise_distance:.2f} "
         f"v_g={summary.group_velocity:.2f}"
@@ -86,15 +88,15 @@ def cmd_ablate(args) -> int:
     print("seed   d_n(comm) sigma(comm)   d_n(no)  sigma(no)   dCVR")
     for seed, result in rows:
         print(
-            f"{seed:4d}   {result.comm.neighbor_distance_mean:9.2f} "
-            f"{result.comm.neighbor_distance_std:11.2f} "
-            f"{result.no_comm.neighbor_distance_mean:9.2f} "
-            f"{result.no_comm.neighbor_distance_std:10.2f} "
+            f"{seed:4d}   {_fmt(result.comm.neighbor_distance_mean, '.2f'):>9} "
+            f"{_fmt(result.comm.neighbor_distance_std, '.2f'):>11} "
+            f"{_fmt(result.no_comm.neighbor_distance_mean, '.2f'):>9} "
+            f"{_fmt(result.no_comm.neighbor_distance_std, '.2f'):>10} "
             f"{result.cvr_delta:6.3f}"
         )
     wins = sum(
         1 for _, r in rows
-        if r.no_comm.neighbor_distance_std > r.comm.neighbor_distance_std
+        if r.distance_std_delta is not None and r.distance_std_delta > 0.0
     )
     print(f"sigma_d(no-comm) > sigma_d(comm) in {wins}/{len(rows)} pairs")
     if args.out:

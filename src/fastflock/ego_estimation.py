@@ -19,22 +19,17 @@ from . import kalman
 from .geometry import rotation
 from .tracking import RelativeObservation, TrackView
 
-_H_POS = np.array([[1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0]])
-_H_ACC = np.array([[0, 0, 0, 0, 1.0, 0], [0, 0, 0, 0, 0, 1.0]])
-
 
 def focal_model(dt: float, tau: float, q_diag) -> kalman.LkfModel:
     """Kinematic model with a first-order velocity lag toward the commanded
     velocity: velocity rows decay by exp(-dt/tau) and receive (1 - exp(-dt/tau))
     of the command."""
+    base = kalman.constant_acceleration_model(dt, q_diag)
     e_d = math.exp(-dt / tau)
-    a = np.eye(6)
-    a[0, 2] = a[1, 3] = a[2, 4] = a[3, 5] = dt
-    a[0, 4] = a[1, 5] = dt * dt / 2.0
-    a[2, 2] = a[3, 3] = e_d
+    base.a[2, 2] = base.a[3, 3] = e_d
     b = np.zeros((6, 2))
     b[2, 0] = b[3, 1] = 1.0 - e_d
-    return kalman.LkfModel(a=a, b=b, q=np.diag(np.asarray(q_diag, float)), dt=dt)
+    return kalman.LkfModel(a=base.a, b=b, q=base.q, dt=dt)
 
 
 @dataclass
@@ -86,7 +81,7 @@ class SelfStateFilter:
         if fix is not None:
             meas = kalman.Measurement(
                 z=np.asarray(fix, float),
-                h=_H_POS,
+                h=kalman.H_POS,
                 r=self.params.fix_sigma**2 * np.eye(2),
             )
             self.state, self.cov = kalman.correct(
@@ -95,7 +90,7 @@ class SelfStateFilter:
         if accel is not None:
             meas = kalman.Measurement(
                 z=np.asarray(accel, float),
-                h=_H_ACC,
+                h=kalman.H_ACC,
                 r=self.params.accel_sigma**2 * np.eye(2),
             )
             self.state, self.cov = kalman.correct(

@@ -291,8 +291,18 @@ def flocking_command(
     offset_rate: np.ndarray | None = None,
 ) -> FlockingCommand:
     """Evaluate the control law for one tick (stateless)."""
-    members_eff = _with_target(members, target_rel, gains)
-    offset = desired_offset(members_eff, psi, gains)
+    offset = desired_offset(_with_target(members, target_rel, gains), psi, gains)
+    return _command_from_offset(offset, psi, target_rel, gains, offset_rate)
+
+
+def _command_from_offset(
+    offset: np.ndarray,
+    psi: float,
+    target_rel: np.ndarray | None,
+    gains: ControllerGains,
+    offset_rate: np.ndarray | None,
+) -> FlockingCommand:
+    """The control law once the formation offset is known."""
     rate = np.zeros(2) if offset_rate is None else np.asarray(offset_rate, float)
     if target_rel is None:
         feedforward = np.zeros(2)
@@ -352,6 +362,6 @@ class FlockingController:
             alpha = dt / (dt + 1.0 / (2.0 * math.pi * self.rate_cutoff_hz))
             self._rate = self._rate + alpha * (raw_rate - self._rate)
         self._prev_offset = offset
-        return flocking_command(
-            members, self.psi, target_rel, self.gains, offset_rate=self._rate
+        return _command_from_offset(
+            offset, self.psi, target_rel, self.gains, self._rate
         )

@@ -4,11 +4,25 @@ State ordering is fixed as (x, y, vx, vy, ax, ay): position east/north [m],
 velocity [m/s], and acceleration [m/s^2] in the horizontal plane. The engine
 is a set of pure functions over (state, covariance) pairs, parameterized by
 an LkfModel; both the neighbor tracker and the self-state estimator run on it.
+
+The arithmetic works on stacks: `predict_stack` and `correct_stack` update K
+independent filters at once, states (K, 6) and covariances (K, 6, 6), which
+is how a neighbor bank runs all its tracks in one call (the block form of
+independent filters, Grewal & Andrews, *Kalman Filtering: Theory and
+Practice*). `predict` and `correct` are the K = 1 case of the same code.
+
+Measurement models are validated once: the selector matrices H_POS, H_VEL
+and H_ACC are checked at import and are read-only, so a Measurement built on
+one of them only checks its R, in closed form. Non-finite inputs, a singular
+innovation covariance and a non-finite gain are checked on every call; inside
+a stack the fault names the first offending row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -19,14 +33,66 @@ class NumericalFaultError(RuntimeError):
     """Non-finite filter values or a degenerate innovation covariance."""
 
 
-def _require_finite(name: str, **arrays: np.ndarray) -> None:
+def _check_h(h: np.ndarray) -> None:
+    for row in h:
+        nonzero = row[row != 0.0]
+        if nonzero.size != 1 or nonzero[0] != 1.0:
+            raise ValueError(
+                "each H row must have exactly one nonzero entry equal to 1"
+            )
+
+
+def _check_r(r00: float, r01: float, r10: float, r11: float) -> None:
+    """R must be symmetric (to the tolerance of `np.allclose`) and positive
+    definite; for a symmetric 2x2 that is r00 > 0 and det > 0."""
+    if not (
+        abs(r01 - r10) <= 1e-8 + 1e-5 * abs(r10)
+        and abs(r10 - r01) <= 1e-8 + 1e-5 * abs(r01)
+    ):
+        raise ValueError("R must be 2x2 symmetric")
+    det = r00 * r11 - r10 * r10
+    if not (r00 > 0.0 and det > 0.0 and math.isfinite(det)):
+        raise ValueError("R must be positive definite")
+
+
+def _selector(i: int, j: int) -> np.ndarray:
+    h = np.zeros((2, STATE_DIM))
+    h[0, i] = h[1, j] = 1.0
+    _check_h(h)
+    h.setflags(write=False)
+    return h
+
+
+H_POS = _selector(0, 1)
+H_VEL = _selector(2, 3)
+H_ACC = _selector(4, 5)
+_VALIDATED_H = (H_POS, H_VEL, H_ACC)
+
+
+def _validate_h(h: np.ndarray) -> None:
+    if not any(h is known for known in _VALIDATED_H):
+        _check_h(h)
+
+
+def _require_finite(names: Sequence[str], **arrays: np.ndarray) -> None:
+    """Arrays are stacks with one row per name; the fault names the first
+    row holding a non-finite entry."""
     for label, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise NumericalFaultError(f"{name}: non-finite entries in {label}")
+        ok = np.isfinite(arr)
+        if not ok.all():
+            row = int(np.argmin(ok.reshape(len(arr), -1).all(axis=1)))
+            raise NumericalFaultError(
+                f"{names[row]}: non-finite entries in {label}"
+            )
 
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:
-    return (p + p.T) / 2.0
+    return (p + p.swapaxes(-1, -2)) / 2.0
+
+
+def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x row by row for a stack of vectors x (..., n)."""
+    return (m @ x[..., None])[..., 0]
 
 
 @dataclass
@@ -71,7 +137,8 @@ class Measurement:
     """A 2-channel measurement z = H x + v, v ~ N(0, R), taken at `stamp`.
 
     H rows must each select exactly one state component (one entry equal
-    to 1, the rest 0); R must be symmetric positive definite.
+    to 1, the rest 0); R must be symmetric positive definite. H_POS, H_VEL
+    and H_ACC were checked at import and are not checked again.
     """
 
     z: np.ndarray
@@ -85,16 +152,10 @@ class Measurement:
         self.r = np.asarray(self.r, dtype=float)
         if self.z.shape != (2,) or self.h.shape != (2, STATE_DIM):
             raise ValueError("measurement must be 2-vector with 2x6 H")
-        for row in self.h:
-            nonzero = row[row != 0.0]
-            if nonzero.size != 1 or nonzero[0] != 1.0:
-                raise ValueError(
-                    "each H row must have exactly one nonzero entry equal to 1"
-                )
-        if self.r.shape != (2, 2) or not np.allclose(self.r, self.r.T):
+        _validate_h(self.h)
+        if self.r.shape != (2, 2):
             raise ValueError("R must be 2x2 symmetric")
-        if np.linalg.eigvalsh(self.r).min() <= 0.0:
-            raise ValueError("R must be positive definite")
+        _check_r(*self.r.ravel().tolist())
 
 
 def constant_acceleration_model(
@@ -105,6 +166,97 @@ def constant_acceleration_model(
     a[0, 2] = a[1, 3] = a[2, 4] = a[3, 5] = dt
     a[0, 4] = a[1, 5] = dt * dt / 2.0
     return LkfModel(a=a, b=None, q=np.diag(np.asarray(q_diag, dtype=float)), dt=dt)
+
+
+def predict_stack(
+    states: np.ndarray,
+    covs: np.ndarray,
+    model: LkfModel,
+    controls: np.ndarray | None = None,
+    names: Sequence[str] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate K independent filters one step through the same model.
+
+    states is (K, 6), covs (K, 6, 6), controls (K, 2) and given exactly
+    when the model carries an input matrix; names label the rows in faults.
+    """
+    states = np.asarray(states, dtype=float)
+    covs = np.asarray(covs, dtype=float)
+    names = names or ["lkf"] * len(states)
+    _require_finite(names, state=states, cov=covs)
+    if (controls is None) != (model.b is None):
+        if model.b is None:
+            raise ValueError(
+                f"{names[0]}: control given but model has no input matrix"
+            )
+        raise ValueError(
+            f"{names[0]}: model has an input matrix but no control given"
+        )
+    x = _apply(model.a, states)
+    if model.b is not None:
+        x = x + _apply(model.b, np.asarray(controls, dtype=float))
+    p = _symmetrize(model.a @ covs @ model.a.T + model.q)
+    return x, p
+
+
+def _correct_rows(
+    states: np.ndarray,
+    covs: np.ndarray,
+    h: np.ndarray,
+    z: np.ndarray,
+    r: np.ndarray,
+    names: Sequence[str],
+) -> tuple[np.ndarray, np.ndarray]:
+    _require_finite(names, state=states, cov=covs)
+    ph_t = covs @ h.T
+    s = h @ ph_t + r
+    try:
+        # K = P H^T S^-1, computed via a solve on S^T (S is symmetric).
+        gain = np.linalg.solve(s, ph_t.swapaxes(-1, -2)).swapaxes(-1, -2)
+    except np.linalg.LinAlgError as exc:
+        # The solve fails on an exact zero pivot of the same LU that det uses.
+        row = int(np.argmax(np.linalg.det(s) == 0.0))
+        raise NumericalFaultError(
+            f"{names[row]}: singular innovation covariance"
+        ) from exc
+    finite = np.isfinite(gain)
+    if not finite.all():
+        row = int(np.argmin(finite.reshape(len(gain), -1).all(axis=1)))
+        raise NumericalFaultError(f"{names[row]}: non-finite Kalman gain")
+    x = states + _apply(gain, z - _apply(h, states))
+    p = _symmetrize(covs - gain @ h @ covs)
+    return x, p
+
+
+def correct_stack(
+    states: np.ndarray,
+    covs: np.ndarray,
+    h: np.ndarray,
+    z: np.ndarray,
+    r: np.ndarray,
+    names: Sequence[str] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply one measurement to each of K independent filters.
+
+    states is (K, 6), covs (K, 6, 6), h a 2x6 selector shared by all rows,
+    z (K, 2) and r (K, 2, 2) per row; names label the rows in faults. H and
+    each R are held to the same rules as in a Measurement.
+    """
+    states = np.asarray(states, dtype=float)
+    covs = np.asarray(covs, dtype=float)
+    h = np.asarray(h, dtype=float)
+    z = np.asarray(z, dtype=float)
+    r = np.asarray(r, dtype=float)
+    k = len(states)
+    names = names or ["lkf"] * k
+    if h.shape != (2, STATE_DIM) or z.shape != (k, 2):
+        raise ValueError("measurements must be (K, 2) with a 2x6 H")
+    _validate_h(h)
+    if r.shape != (k, 2, 2):
+        raise ValueError("R must be a (K, 2, 2) stack")
+    for row in r.reshape(k, 4).tolist():
+        _check_r(*row)
+    return _correct_rows(states, covs, h, z, r, names)
 
 
 def predict(
@@ -118,16 +270,14 @@ def predict(
 
     `control` must be given exactly when the model carries an input matrix.
     """
-    _require_finite(name, state=state, cov=cov)
-    if (control is None) != (model.b is None):
-        if model.b is None:
-            raise ValueError(f"{name}: control given but model has no input matrix")
-        raise ValueError(f"{name}: model has an input matrix but no control given")
-    x = model.a @ state
-    if model.b is not None:
-        x = x + model.b @ np.asarray(control, dtype=float)
-    p = _symmetrize(model.a @ cov @ model.a.T + model.q)
-    return x, p
+    x, p = predict_stack(
+        np.asarray(state, dtype=float)[None],
+        np.asarray(cov, dtype=float)[None],
+        model,
+        None if control is None else np.asarray(control, dtype=float)[None],
+        (name,),
+    )
+    return x[0], p[0]
 
 
 def correct(
@@ -137,19 +287,15 @@ def correct(
     name: str = "lkf",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply one measurement: standard gain update, simple covariance form."""
-    _require_finite(name, state=state, cov=cov)
-    ph_t = cov @ meas.h.T
-    s = meas.h @ ph_t + meas.r
-    try:
-        # K = P H^T S^-1, computed via a solve on S^T (S is symmetric).
-        gain = np.linalg.solve(s, ph_t.T).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFaultError(f"{name}: singular innovation covariance") from exc
-    if not np.all(np.isfinite(gain)):
-        raise NumericalFaultError(f"{name}: non-finite Kalman gain")
-    x = state + gain @ (meas.z - meas.h @ state)
-    p = _symmetrize(cov - gain @ meas.h @ cov)
-    return x, p
+    x, p = _correct_rows(
+        np.asarray(state, dtype=float)[None],
+        np.asarray(cov, dtype=float)[None],
+        meas.h,
+        meas.z[None],
+        meas.r[None],
+        (name,),
+    )
+    return x[0], p[0]
 
 
 def nees(
@@ -168,15 +314,3 @@ def nees(
     if not np.all(np.isfinite(sol)):
         raise NumericalFaultError(f"{name}: non-finite NEES solve")
     return float(e @ sol)
-
-
-@dataclass
-class FilterState:
-    """A (state, covariance) pair owned by one filter instance."""
-
-    x: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.p = np.asarray(self.p, dtype=float)

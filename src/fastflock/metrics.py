@@ -100,7 +100,9 @@ def neighbor_distance_stats(
 ) -> tuple[float, float, int] | None:
     """Mean/population-std of true distances over every (tick, neighbor-pair)
     sample; the neighbor relation comes from each agent's own selection, the
-    distances from ground truth. None when no pair was ever selected."""
+    distances from ground truth. None when no pair was ever selected.
+    Pairs are folded in ascending id order, whatever the key order of the
+    records, so a replayed log sums exactly as the live run did."""
     samples = []
     for record in ticks:
         agents = record["agents"]
@@ -109,7 +111,7 @@ def neighbor_distance_stats(
             for nid in fragment["neighbors"]:
                 if str(nid) in agents and int(aid) != nid:
                     pairs.add((min(int(aid), nid), max(int(aid), nid)))
-        for a, b in pairs:
+        for a, b in sorted(pairs):
             pa = np.asarray(agents[str(a)]["p"])
             pb = np.asarray(agents[str(b)]["p"])
             samples.append(float(np.linalg.norm(pa - pb)))
@@ -177,7 +179,7 @@ def summarize(
             estimates = fragment.get("vel_est")
             if not estimates:
                 continue
-            for nid, est_v in estimates.items():
+            for nid, est_v in sorted(estimates.items(), key=lambda e: int(e[0])):
                 if nid in r["agents"]:
                     true_v = np.asarray(r["agents"][nid]["v"])
                     vel_est_sq.append(
@@ -221,8 +223,13 @@ class AblationResult:
     no_comm: MetricsSummary
 
     @property
-    def distance_std_delta(self) -> float:
-        return self.no_comm.neighbor_distance_std - self.comm.neighbor_distance_std
+    def distance_std_delta(self) -> float | None:
+        """None when either run never selected a neighbor pair."""
+        comm = self.comm.neighbor_distance_std
+        no_comm = self.no_comm.neighbor_distance_std
+        if comm is None or no_comm is None:
+            return None
+        return no_comm - comm
 
     @property
     def cvr_delta(self) -> float:

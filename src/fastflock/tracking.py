@@ -4,24 +4,27 @@ Each observable agent gets its own constant-acceleration filter fed by
 bearing/range observations (converted into the observer's local frame) and by
 communicated or inferred velocities. Mutation happens only in the owning
 agent's tick.
+
+The filters are independent, so the bank runs them as stacks: `step` makes
+one stacked predict of every track, and `apply_tick` one stacked correction
+per measurement kind (positions, then velocities), each in ascending id
+order. Tracks stay in a dict keyed by id; a stack is gathered from it and the
+results written back.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kalman
-from .geometry import rotation, wrap_angle
+from .geometry import rotation
 
 log = logging.getLogger(__name__)
-
-_H_POS = np.array([[1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0]])
-_H_VEL = np.array([[0, 0, 1.0, 0, 0, 0], [0, 0, 0, 1.0, 0, 0]])
 
 
 @dataclass
@@ -121,51 +124,7 @@ class TrackBank:
         The first sighting of an id spawns a track at the measured position
         with zero velocity/acceleration and wide initial covariance.
         """
-        local = obs.distance * np.array(
-            [math.cos(obs.bearing), math.sin(obs.bearing)]
-        )
-        z = np.asarray(observer_position, dtype=float) + rotation(
-            observer_heading
-        ) @ local
-        sigma = self.params.pos_sigma(obs.distance)
-        track = self.tracks.get(obs.observed_id)
-        if track is None:
-            cov = np.diag(
-                [
-                    sigma**2,
-                    sigma**2,
-                    self.params.init_vel_var,
-                    self.params.init_vel_var,
-                    self.params.init_acc_var,
-                    self.params.init_acc_var,
-                ]
-            )
-            state = np.concatenate([z, np.zeros(4)])
-            self.tracks[obs.observed_id] = NeighborTrack(
-                agent_id=obs.observed_id,
-                state=state,
-                cov=cov,
-                last_pos_stamp=obs.stamp,
-                last_vel_stamp=-math.inf,
-            )
-            return
-        if obs.stamp < track.last_pos_stamp:
-            self.dropped_stale += 1
-            log.debug(
-                "dropping stale observation of %d (stamp %.3f < %.3f)",
-                obs.observed_id,
-                obs.stamp,
-                track.last_pos_stamp,
-            )
-            return
-        meas = kalman.Measurement(
-            z=z, h=_H_POS, r=sigma**2 * np.eye(2), stamp=obs.stamp
-        )
-        track.state, track.cov = kalman.correct(
-            track.state, track.cov, meas, name=f"track-{obs.observed_id}"
-        )
-        track.last_pos_stamp = obs.stamp
-        track.staleness = 0.0
+        self._ingest_positions([obs], observer_position, observer_heading)
 
     def ingest_velocity(
         self,
@@ -175,23 +134,7 @@ class TrackBank:
         sigma: float | None = None,
     ) -> None:
         """Apply a velocity correction; velocities for unseen ids are dropped."""
-        track = self.tracks.get(agent_id)
-        if track is None:
-            self.dropped_unknown += 1
-            log.debug("dropping velocity for untracked agent %d", agent_id)
-            return
-        s = self.params.vel_sigma if sigma is None else sigma
-        meas = kalman.Measurement(
-            z=np.asarray(velocity, dtype=float),
-            h=_H_VEL,
-            r=s**2 * np.eye(2),
-            stamp=stamp,
-        )
-        track.state, track.cov = kalman.correct(
-            track.state, track.cov, meas, name=f"track-{agent_id}"
-        )
-        track.last_vel_stamp = stamp
-        track.staleness = 0.0
+        self._ingest_velocities([VelocityReport(agent_id, velocity, stamp, sigma)])
 
     def step(self, dt: float) -> None:
         """Predict every track forward and retire the stale ones."""
@@ -201,11 +144,17 @@ class TrackBank:
             self.model = kalman.constant_acceleration_model(
                 dt, np.asarray(self.params.q_rate) * dt
             )
-        for track in self.tracks.values():
-            track.state, track.cov = kalman.predict(
-                track.state, track.cov, self.model, name=f"track-{track.agent_id}"
+        tracks = list(self.tracks.values())
+        if tracks:
+            states, covs = kalman.predict_stack(
+                np.array([t.state for t in tracks]),
+                np.array([t.cov for t in tracks]),
+                self.model,
+                names=[f"track-{t.agent_id}" for t in tracks],
             )
-            track.staleness += dt
+            for track, x, p in zip(tracks, states, covs):
+                track.state, track.cov = x, p
+                track.staleness += dt
         for tid in [t for t, tr in self.tracks.items() if tr.staleness > self.params.drop_after]:
             del self.tracks[tid]
 
@@ -218,13 +167,107 @@ class TrackBank:
     ) -> None:
         """Apply one tick's inputs in the canonical order: position
         corrections by ascending id, then velocity corrections by ascending
-        id. Makes the bank state independent of input-list permutations."""
-        for obs in sorted(observations, key=lambda o: o.observed_id):
-            self.ingest_position(obs, observer_position, observer_heading)
-        for report in sorted(velocities, key=lambda r: r.agent_id):
-            self.ingest_velocity(
-                report.agent_id, report.velocity, report.stamp, report.sigma
-            )
+        id. Makes the bank state independent of input-list permutations.
+
+        Each kind runs as one stacked correction; an id that repeats within
+        the tick goes into a later stack, so its inputs apply in order."""
+        for batch in _rounds(observations, lambda o: o.observed_id):
+            self._ingest_positions(batch, observer_position, observer_heading)
+        for batch in _rounds(velocities, lambda r: r.agent_id):
+            self._ingest_velocities(batch)
+
+    def _ingest_positions(
+        self,
+        batch: list[RelativeObservation],
+        observer_position: np.ndarray,
+        observer_heading: float,
+    ) -> None:
+        """Spawn, drop as stale, or correct each observation; the ids in
+        `batch` are distinct."""
+        local = np.array(
+            [
+                [o.distance * math.cos(o.bearing), o.distance * math.sin(o.bearing)]
+                for o in batch
+            ]
+        )
+        zs = np.asarray(observer_position, dtype=float) + (
+            rotation(observer_heading) @ local[..., None]
+        )[..., 0]
+        hits, rows, variances = [], [], []
+        for obs, z in zip(batch, zs):
+            var = self.params.pos_sigma(obs.distance) ** 2
+            track = self.tracks.get(obs.observed_id)
+            if track is None:
+                cov = np.diag(
+                    [
+                        var,
+                        var,
+                        self.params.init_vel_var,
+                        self.params.init_vel_var,
+                        self.params.init_acc_var,
+                        self.params.init_acc_var,
+                    ]
+                )
+                self.tracks[obs.observed_id] = NeighborTrack(
+                    agent_id=obs.observed_id,
+                    state=np.concatenate([z, np.zeros(4)]),
+                    cov=cov,
+                    last_pos_stamp=obs.stamp,
+                    last_vel_stamp=-math.inf,
+                )
+            elif obs.stamp < track.last_pos_stamp:
+                self.dropped_stale += 1
+                log.debug(
+                    "dropping stale observation of %d (stamp %.3f < %.3f)",
+                    obs.observed_id,
+                    obs.stamp,
+                    track.last_pos_stamp,
+                )
+            else:
+                hits.append(track)
+                rows.append(z)
+                variances.append(var)
+                track.last_pos_stamp = obs.stamp
+        self._correct(hits, kalman.H_POS, rows, variances)
+
+    def _ingest_velocities(self, batch: list[VelocityReport]) -> None:
+        """Correct each report's track or count it dropped; the ids in
+        `batch` are distinct."""
+        hits, rows, variances = [], [], []
+        for report in batch:
+            track = self.tracks.get(report.agent_id)
+            if track is None:
+                self.dropped_unknown += 1
+                log.debug("dropping velocity for untracked agent %d", report.agent_id)
+                continue
+            s = self.params.vel_sigma if report.sigma is None else report.sigma
+            hits.append(track)
+            rows.append(report.velocity)
+            variances.append(s**2)
+            track.last_vel_stamp = report.stamp
+        self._correct(hits, kalman.H_VEL, rows, variances)
+
+    def _correct(
+        self,
+        tracks: list[NeighborTrack],
+        h: np.ndarray,
+        z: list[np.ndarray],
+        variances: list[float],
+    ) -> None:
+        """One stacked correction with R = variance * I per track."""
+        if not tracks:
+            return
+        states, covs = kalman.correct_stack(
+            np.array([t.state for t in tracks]),
+            np.array([t.cov for t in tracks]),
+            h,
+            np.array(z, dtype=float),
+            np.array(variances)[:, None, None] * np.eye(2),
+            names=[f"track-{t.agent_id}" for t in tracks],
+        )
+        for track, x, p in zip(tracks, states, covs):
+            track.state, track.cov = x, p
+            track.staleness = 0.0
 
     def snapshot(self) -> list[TrackView]:
         """Read-only view for the controller and velocity inference, sorted
@@ -238,3 +281,17 @@ class TrackBank:
             )
             for tid, track in sorted(self.tracks.items())
         ]
+
+
+def _rounds(items, key) -> list[list]:
+    """Sort `items` by key and split them into successive batches in which
+    each key appears once: the k-th item with a given key lands in batch k."""
+    batches: list[list] = []
+    seen: dict[int, int] = {}
+    for item in sorted(items, key=key):
+        k = seen.get(key(item), 0)
+        seen[key(item)] = k + 1
+        if k == len(batches):
+            batches.append([])
+        batches[k].append(item)
+    return batches

@@ -82,6 +82,28 @@ def test_ablate_prints_pairs(tiny_config, capsys):
     assert "sigma_d(no-comm)" in out
 
 
+@pytest.fixture
+def single_agent_config(tiny_config):
+    data = yaml.safe_load(tiny_config.read_text())
+    data.update(n_agents=1, duration=1.0)
+    tiny_config.write_text(yaml.safe_dump(data))
+    return tiny_config
+
+
+def test_run_single_agent_prints_na(single_agent_config, capsys):
+    assert main(["run", str(single_agent_config)]) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert line.startswith("cvr=")
+    assert "d_n=n/a" in line and "sigma_d=n/a" in line
+
+
+def test_ablate_single_agent_prints_na(single_agent_config, capsys):
+    assert main(["ablate", str(single_agent_config), "--pairs", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "n/a" in out
+    assert "in 0/1 pairs" in out
+
+
 def test_fit_model_recovers_plant_response(tiny_config, capsys):
     import math
 

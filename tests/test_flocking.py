@@ -288,3 +288,30 @@ def test_controller_holds_heading_when_goal_on_center():
     assert ctrl.psi == 0.0
     ctrl.update([], np.zeros(2), np.zeros(2), np.zeros(2), 0.1)
     assert ctrl.psi == 0.0
+
+
+def test_controller_evaluates_offset_once_and_matches_stateless_law(monkeypatch):
+    from fastflock import flocking
+
+    calls = []
+    original = flocking.desired_offset
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flocking, "desired_offset", counting)
+    ctrl = FlockingController(GAINS)
+    views = [view(1, 10.0, 4.0), view(2, 9.0, -6.0), view(3, -12.0, 1.0)]
+    target = np.array([60.0, 10.0])
+    for step in range(3):
+        calls.clear()
+        own = np.array([0.5 * step, 0.0])
+        cmd = ctrl.update(views, own, np.array([1.0, 0.0]), target, 0.1)
+        assert len(calls) == 1
+        expected = original(flocking._with_target(ctrl.members, target, GAINS),
+                            ctrl.psi, GAINS)
+        reference = flocking_command(ctrl.members, ctrl.psi, target, GAINS,
+                                     offset_rate=ctrl._rate)
+        assert np.array_equal(cmd.offset, expected)
+        assert np.array_equal(cmd.velocity, reference.velocity)

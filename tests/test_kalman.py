@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fastflock import kalman
 from fastflock.kalman import (
     LkfModel,
     Measurement,
     NumericalFaultError,
     constant_acceleration_model,
     correct,
+    correct_stack,
     nees,
     predict,
+    predict_stack,
 )
 
 from .kalman_oracle import oracle_correct, oracle_predict
@@ -194,3 +197,129 @@ def test_nees_monte_carlo_consistency():
     lo = stats.chi2.ppf(0.025, dof * n_runs) / n_runs
     hi = stats.chi2.ppf(0.975, dof * n_runs) / n_runs
     assert lo < values.mean() < hi
+
+
+def random_stack(rng, k):
+    states = rng.standard_normal((k, 6))
+    covs = np.array([random_spd(rng) for _ in range(k)])
+    return states, covs
+
+
+@pytest.mark.parametrize("k", [1, 5, 19])
+@pytest.mark.parametrize("with_input", [False, True])
+def test_predict_stack_matches_oracle_per_row(k, with_input):
+    rng = np.random.default_rng(k)
+    model = constant_acceleration_model(0.05, rng.uniform(0.0, 0.5, size=6))
+    controls = None
+    if with_input:
+        b = np.zeros((6, 2))
+        b[2, 0] = b[3, 1] = 0.3
+        model = LkfModel(a=model.a, b=b, q=model.q, dt=model.dt)
+        controls = rng.standard_normal((k, 2))
+    states, covs = random_stack(rng, k)
+    xs, ps = predict_stack(states, covs, model, controls)
+    assert xs.shape == (k, 6) and ps.shape == (k, 6, 6)
+    for i in range(k):
+        u = None if controls is None else controls[i]
+        ox, op = oracle_predict(states[i], covs[i], model.a, model.q, b=model.b, u=u)
+        assert np.max(np.abs(xs[i] - ox)) < 1e-10
+        assert np.max(np.abs(ps[i] - op)) < 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 5, 19])
+@pytest.mark.parametrize("h", [kalman.H_POS, kalman.H_VEL, kalman.H_ACC])
+def test_correct_stack_matches_oracle_per_row(k, h):
+    rng = np.random.default_rng(100 + k)
+    states, covs = random_stack(rng, k)
+    z = rng.standard_normal((k, 2))
+    r = np.array([np.diag(rng.uniform(0.05, 2.0, size=2)) for _ in range(k)])
+    xs, ps = correct_stack(states, covs, h, z, r)
+    for i in range(k):
+        ox, op = oracle_correct(states[i], covs[i], z[i], h, r[i])
+        assert np.max(np.abs(xs[i] - ox)) < 1e-10
+        assert np.max(np.abs(ps[i] - op)) < 1e-10
+
+
+def test_single_calls_equal_their_stack_rows():
+    rng = np.random.default_rng(8)
+    model = constant_acceleration_model(0.05, rng.uniform(0.0, 0.5, size=6))
+    states, covs = random_stack(rng, 7)
+    z = rng.standard_normal((7, 2))
+    r = np.array([0.3 * np.eye(2)] * 7)
+    xs, ps = predict_stack(states, covs, model)
+    cx, cp = correct_stack(xs, ps, kalman.H_VEL, z, r)
+    for i in range(7):
+        x, p = predict(states[i], covs[i], model)
+        assert np.array_equal(x, xs[i]) and np.array_equal(p, ps[i])
+        x, p = correct(x, p, Measurement(z=z[i], h=kalman.H_VEL, r=r[i]))
+        assert np.array_equal(x, cx[i]) and np.array_equal(p, cp[i])
+
+
+def test_selector_constants_are_read_only():
+    assert np.array_equal(kalman.H_POS, H_POS)
+    assert np.array_equal(kalman.H_VEL, H_VEL)
+    for h in (kalman.H_POS, kalman.H_VEL, kalman.H_ACC):
+        with pytest.raises(ValueError):
+            h[0, 0] = 5.0
+
+
+@pytest.mark.parametrize(
+    "r",
+    [
+        np.array([[1.0, 0.5], [0.0, 1.0]]),  # asymmetric
+        np.array([[1.0, 2.0], [2.0, 1.0]]),  # symmetric, indefinite
+        np.array([[0.0, 0.0], [0.0, 1.0]]),  # singular
+        np.array([[-1.0, 0.0], [0.0, -1.0]]),  # negative definite
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    ],
+)
+def test_bad_r_rejected_by_measurement_and_stack(r):
+    with pytest.raises(ValueError):
+        Measurement(z=np.zeros(2), h=H_POS, r=r)
+    with pytest.raises(ValueError):
+        Measurement(z=np.zeros(2), h=kalman.H_POS, r=r)
+    rs = np.array([np.eye(2), r])
+    with pytest.raises(ValueError):
+        correct_stack(np.zeros((2, 6)), np.array([np.eye(6)] * 2), kalman.H_POS,
+                      np.zeros((2, 2)), rs)
+
+
+def test_r_within_allclose_asymmetry_accepted():
+    r = np.array([[1.0, 1e-9], [0.0, 1.0]])
+    assert np.allclose(r, r.T)
+    Measurement(z=np.zeros(2), h=kalman.H_POS, r=r)
+
+
+def test_stack_rejects_bad_h():
+    h = H_POS.copy()
+    h[1, :] = 0.0
+    with pytest.raises(ValueError):
+        correct_stack(np.zeros((1, 6)), np.eye(6)[None], h, np.zeros((1, 2)),
+                      np.eye(2)[None])
+
+
+def test_stack_faults_name_the_offending_row():
+    names = ["track-1", "track-4", "track-9"]
+    model = constant_acceleration_model(0.1, np.ones(6))
+    states, covs = np.zeros((3, 6)), np.array([np.eye(6)] * 3)
+    bad = states.copy()
+    bad[1, 3] = np.nan
+    with pytest.raises(NumericalFaultError, match="track-4: non-finite .* state"):
+        predict_stack(bad, covs, model, names=names)
+    r = np.array([np.eye(2)] * 3)
+    # A (non-PSD) prior that cancels R exactly makes S singular.
+    singular = covs.copy()
+    singular[2, 0, 0] = -1.0
+    with pytest.raises(NumericalFaultError, match="track-9: singular innovation"):
+        correct_stack(states, singular, kalman.H_POS, np.zeros((3, 2)), r,
+                      names=names)
+    # A tiny but valid R on a zero position variance gives an infinite gain.
+    huge = covs.copy()
+    huge[0] = 0.0
+    huge[0, 2, 0] = 1e10
+    tiny_r = r.copy()
+    tiny_r[0] = np.diag([1e-300, 1.0])
+    with pytest.raises(NumericalFaultError, match="track-1: non-finite Kalman gain"):
+        correct_stack(states, huge, kalman.H_POS, np.zeros((3, 2)), tiny_r,
+                      names=names)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fastflock.config import scenario_from_dict
-from fastflock.engine import run_scenario
+from fastflock.engine import read_log, run_scenario, write_log
 from fastflock.metrics import (
     compute_cvr,
     neighbor_distance_stats,
@@ -145,6 +145,15 @@ class TestSummarize:
         again = summarize([r for r in art.records if r["record"] != "summary"])
         assert again.as_dict() == art.summary.as_dict()
 
+    def test_replay_equals_live_beyond_ten_agents(self, tmp_path):
+        # The log sorts keys as strings ("10" before "2"); the replayed
+        # summary must still fold agents, pairs and estimates in id order.
+        art = run_scenario(small_scenario(n_agents=12, duration=1.0, comm=False))
+        write_log(art.records, tmp_path / "log.jsonl")
+        replayed = summarize(read_log(tmp_path / "log.jsonl"))
+        assert art.summary.collisions == 0
+        assert replayed.as_dict() == art.summary.as_dict()
+
     def test_velocity_estimate_rmse_only_without_comm(self):
         with_comm = run_scenario(small_scenario()).summary
         without = run_scenario(small_scenario(comm=False)).summary
@@ -160,3 +169,8 @@ class TestAblation:
         assert result.comm.as_dict() == plain.as_dict()
         assert result.no_comm.as_dict() != plain.as_dict()
         assert isinstance(result.distance_std_delta, float)
+
+    def test_distance_std_delta_none_without_neighbors(self):
+        result = run_ablation(small_scenario(n_agents=1, duration=1.0))
+        assert result.comm.neighbor_distance_std is None
+        assert result.distance_std_delta is None

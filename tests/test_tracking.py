@@ -160,6 +160,78 @@ def test_step_matches_per_track_predict():
         assert np.array_equal(bank.tracks[tid].cov, p)
 
 
+def test_apply_tick_matches_sequential_ingest():
+    # Spawns, stale drops, repeated ids and unknown velocities in one tick:
+    # the stacked tick must equal ingesting one input at a time in the
+    # canonical order (positions by id, then velocities by id).
+    rng = np.random.default_rng(21)
+    position = np.array([3.0, -2.0])
+    heading = 0.7
+
+    def seeded():
+        init = np.random.default_rng(4)
+        bank = make_bank()
+        for tid in (1, 2, 3, 5, 8):
+            bank.ingest_position(
+                obs(tid, float(init.uniform(-3, 3)), 8.0 + tid, stamp=0.2),
+                position, heading,
+            )
+        bank.step(0.1)
+        return bank
+
+    bank, twin = seeded(), seeded()
+    observations = [
+        obs(tid, float(rng.uniform(-3, 3)), float(rng.uniform(5, 30)), stamp=stamp)
+        for tid, stamp in [(5, 0.3), (2, 0.3), (7, 0.3), (3, 0.1), (2, 0.35),
+                           (7, 0.3), (1, 0.3), (2, 0.32)]
+    ]
+    reports = [
+        VelocityReport(agent_id=tid, velocity=rng.standard_normal(2), stamp=0.3,
+                       sigma=sigma)
+        for tid, sigma in [(8, None), (1, 0.2), (4, None), (8, 0.5), (7, None)]
+    ]
+    bank.apply_tick(observations, reports, position, heading)
+    for o in sorted(observations, key=lambda o: o.observed_id):
+        twin.ingest_position(o, position, heading)
+    for rep in sorted(reports, key=lambda r: r.agent_id):
+        twin.ingest_velocity(rep.agent_id, rep.velocity, rep.stamp, rep.sigma)
+    assert sorted(bank.tracks) == sorted(twin.tracks) == [1, 2, 3, 5, 7, 8]
+    for tid, track in bank.tracks.items():
+        other = twin.tracks[tid]
+        assert np.array_equal(track.state, other.state)
+        assert np.array_equal(track.cov, other.cov)
+        assert track.last_pos_stamp == other.last_pos_stamp
+        assert track.last_vel_stamp == other.last_vel_stamp
+        assert track.staleness == other.staleness
+    assert bank.dropped_stale == twin.dropped_stale == 2
+    assert bank.dropped_unknown == twin.dropped_unknown == 1
+
+
+def test_stacked_fault_names_the_track():
+    bank = make_bank()
+    for tid in (2, 6, 9):
+        bank.ingest_position(obs(tid, 0.0, 10.0 + tid), np.zeros(2), 0.0)
+    bank.tracks[6].cov[0, 0] = np.nan
+    with pytest.raises(kalman.NumericalFaultError, match="track-6"):
+        bank.step(0.1)
+    with pytest.raises(kalman.NumericalFaultError, match="track-6"):
+        bank.apply_tick(
+            [obs(tid, 0.0, 10.0 + tid, stamp=0.1) for tid in (9, 6, 2)],
+            [], np.zeros(2), 0.0,
+        )
+
+
+def test_zero_velocity_sigma_rejected():
+    bank = make_bank()
+    bank.ingest_position(obs(1, 0.0, 10.0), np.zeros(2), 0.0)
+    with pytest.raises(ValueError, match="positive definite"):
+        bank.apply_tick(
+            [], [VelocityReport(agent_id=1, velocity=np.ones(2), stamp=0.0,
+                                sigma=0.0)],
+            np.zeros(2), 0.0,
+        )
+
+
 def test_snapshot_sorted_and_pure():
     bank = make_bank()
     for tid in (5, 2, 9):
