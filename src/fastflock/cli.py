@@ -59,8 +59,7 @@ def cmd_run(args) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        artifacts = run_scenario(config, parallel=args.parallel,
-                                 log_path=log_path)
+        artifacts = run_scenario(config, log_path=log_path)
     except SimulationFault as exc:
         print(f"simulation fault: {exc}", file=sys.stderr)
         return 3
@@ -212,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable the communication channel")
     p_run.add_argument("--out", default=None, metavar="DIR",
                        help="write log, summary, and plot data here")
-    p_run.add_argument("--parallel", action="store_true",
-                       help="run agent stages in a thread pool")
     p_run.set_defaults(func=cmd_run)
 
     p_ablate = sub.add_parser("ablate", help="paired comm vs no-comm runs")

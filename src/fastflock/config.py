@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import numpy as np
 import yaml
 
 from .flocking import ControllerGains
+from .geometry import pairwise
 from .sensors import CommConfig, SensorConfig, VioConfig
 from .velocity_inference import ResponseModel
 
@@ -88,21 +90,40 @@ class ScenarioConfig:
     response_model: ResponseModel | None = None
 
 
+# The dataclass that each nested section of a scenario mapping builds, by path.
 _SECTIONS = {
     "layout": LayoutConfig,
     "gains": ControllerGains,
+    "sensors": SensorConfig,
+    "sensors.vio": VioConfig,
+    "sensors.comm": CommConfig,
     "plant": PlantConfig,
     "filters": FilterConfig,
     "target": TargetConfig,
+    "response_model": ResponseModel,
 }
 
 
-def _build(cls, data: dict, errors: list[str], prefix: str):
+def _build(cls, data, errors: list[str], prefix: str = ""):
+    """`cls` built from the mapping `data`, each nested section built the
+    same way; None, with every reason appended to `errors`, when it cannot
+    be built. A null section keeps its default."""
+    if not isinstance(data, Mapping):
+        errors.append(f"{prefix or 'scenario'}: must be a mapping")
+        return None
     known = {f.name for f in dataclasses.fields(cls)}
-    for key in data:
+    kwargs = {}
+    for key, value in data.items():
+        path = f"{prefix}.{key}" if prefix else key
         if key not in known:
-            errors.append(f"{prefix}: unknown field '{key}'")
-    kwargs = {k: v for k, v in data.items() if k in known}
+            errors.append(f"{prefix}: unknown field '{key}'" if prefix
+                          else f"unknown top-level field '{key}'")
+        elif path not in _SECTIONS:
+            kwargs[key] = value
+        elif value is not None:
+            built = _build(_SECTIONS[path], value, errors, path)
+            if built is not None:
+                kwargs[key] = built
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:
@@ -114,60 +135,40 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build and validate a ScenarioConfig; raises ConfigError listing every
     violated field."""
     errors: list[str] = []
-    data = dict(data)
-    config = ScenarioConfig()
-
-    for key in ("name", "seed", "dt", "duration", "n_agents", "comm",
-                "safety_radius"):
-        if key in data:
-            setattr(config, key, data.pop(key))
-
-    for section, cls in _SECTIONS.items():
-        if section in data:
-            built = _build(cls, data.pop(section), errors, section)
-            if built is not None:
-                setattr(config, section, built)
-
-    if "sensors" in data:
-        sensor_data = dict(data.pop("sensors"))
-        vio = _build(VioConfig, sensor_data.pop("vio", {}), errors, "sensors.vio")
-        comm = _build(CommConfig, sensor_data.pop("comm", {}), errors,
-                      "sensors.comm")
-        sensors = _build(SensorConfig, sensor_data, errors, "sensors")
-        if sensors is not None:
-            if vio is not None:
-                sensors.vio = vio
-            if comm is not None:
-                sensors.comm = comm
-            config.sensors = sensors
-
-    if "response_model" in data:
-        model_data = data.pop("response_model")
-        if model_data is not None:
-            model = _build(ResponseModel, model_data, errors, "response_model")
-            if model is not None:
-                config.response_model = model
-
-    for key in data:
-        errors.append(f"unknown top-level field '{key}'")
-
-    errors.extend(validate(config))
+    config = _build(ScenarioConfig, data, errors)
+    if config is not None:
+        errors.extend(validate(config))
     if errors:
         raise ConfigError(errors)
     return config
 
 
+def _int_at_least(value, least: int) -> bool:
+    """An int >= least; a bool does not count as a number."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _positive(value) -> bool:
+    """A finite real number > 0; a bool does not count as a number."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
+
+
 def validate(config: ScenarioConfig) -> list[str]:
     """Semantic checks across the whole scenario; returns every violation."""
     errors = []
-    if not config.dt > 0:
-        errors.append("dt must be > 0")
-    if not config.duration > 0:
-        errors.append("duration must be > 0")
-    if config.n_agents < 1:
-        errors.append("n_agents must be >= 1")
-    if not config.safety_radius > 0:
-        errors.append("safety_radius must be > 0")
+    if not isinstance(config.name, str):
+        errors.append("name must be a string")
+    if not _int_at_least(config.seed, 0):
+        errors.append("seed must be an integer >= 0")
+    agents_ok = _int_at_least(config.n_agents, 1)
+    if not agents_ok:
+        errors.append("n_agents must be an integer >= 1")
+    if not isinstance(config.comm, bool):
+        errors.append("comm must be true or false")
+    for name in ("dt", "duration", "safety_radius"):
+        if not _positive(getattr(config, name)):
+            errors.append(f"{name} must be a finite number > 0")
     sensors = config.sensors
     for name, value in (("bearing_sigma", sensors.bearing_sigma),
                         ("range_sigma_rel", sensors.range_sigma_rel),
@@ -192,22 +193,24 @@ def validate(config: ScenarioConfig) -> list[str]:
             errors.append("target.waypoints needs at least two points")
         if config.target.speed <= 0:
             errors.append("target.speed must be > 0 for a waypoint target")
-    if config.layout.kind not in ("grid", "ring", "explicit"):
+    layout = config.layout
+    if layout.kind not in ("grid", "ring", "explicit"):
         errors.append("layout.kind must be grid, ring, or explicit")
-    elif config.n_agents >= 1:
+    elif layout.kind != "explicit" and not _positive(layout.spacing):
+        errors.append("layout.spacing must be a finite number > 0")
+    elif agents_ok and _positive(config.safety_radius):
         try:
             positions = initial_positions(config)
         except ValueError as exc:
             errors.append(f"layout: {exc}")
         else:
-            for i in range(len(positions)):
-                for j in range(i + 1, len(positions)):
-                    gap = float(np.linalg.norm(positions[i] - positions[j]))
-                    if gap < config.safety_radius:
-                        errors.append(
-                            f"layout: agents {i} and {j} start {gap:.2f} m apart, "
-                            f"inside the safety radius {config.safety_radius}"
-                        )
+            _, dist = pairwise(positions)
+            close = np.argwhere(np.triu(dist < config.safety_radius, 1))
+            errors.extend(
+                f"layout: agents {i} and {j} start {dist[i, j]:.2f} m apart, "
+                f"inside the safety radius {config.safety_radius}"
+                for i, j in close.tolist()
+            )
     return errors
 
 

@@ -2,17 +2,18 @@
 orchestration, collision detection, and ground-truth bookkeeping.
 
 Every tick advances all agents synchronously on the previous tick's ground
-truth. Each agent's stage runs on its own state plus that read-only snapshot,
-so stages may execute in parallel; broadcasts and plant integration happen
-after the barrier, in id order. All randomness flows from per-(agent, sensor)
-generator streams spawned off the scenario seed.
+truth. The tick works out the swarm's pairwise geometry once
+(`geometry.pairwise`); collision detection reads its distance matrix and each
+agent's stage reads its own row for sensing. Stages run one after another in
+id order, and broadcasts and plant integration follow once every stage has
+run. All randomness flows from per-(agent, sensor) generator streams spawned
+off the scenario seed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .ego_estimation import (
     position_fix,
 )
 from .flocking import FlockingCommand, FlockingController
-from .geometry import wrap_angle
+from .geometry import pairwise
 from .sensors import CommChannel, CommConfig, VioEmulator, observe
 from .tracking import TrackBank, TrackParams, VelocityReport
 from .velocity_inference import VelocityEstimator
@@ -47,16 +48,13 @@ class RunArtifacts:
 
 
 def detect_collisions(
-    positions: dict[int, np.ndarray], safety_radius: float
+    dist: np.ndarray, safety_radius: float
 ) -> list[tuple[int, int]]:
-    """All unordered agent pairs closer than the safety radius."""
-    ids = sorted(positions)
-    out = []
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            if np.linalg.norm(positions[a] - positions[b]) < safety_radius:
-                out.append((a, b))
-    return out
+    """All agent pairs (i, j), i < j, closer than the safety radius, in
+    ascending order; `dist` is the distance matrix of `geometry.pairwise`
+    over the agents, indexed by id."""
+    rows, cols = np.nonzero(np.triu(dist < safety_radius, 1))
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 class AgentPlant:
@@ -223,16 +221,18 @@ class Simulation:
         ]
         self.tick_index = 0
 
-    def _stage(self, agent: Agent, snapshot: dict[int, np.ndarray],
+    def _stage(self, agent: Agent, rel: np.ndarray, dist: np.ndarray,
                target_position: np.ndarray, t: float) -> dict:
+        """One agent's tick; `rel` and `dist` are its row of the tick's
+        pairwise geometry. Plants advance only after every stage has run."""
         config = self.config
         dt = config.dt
-        truth_pos = snapshot[agent.id]
+        truth_pos = agent.plant.position
         truth_vel = agent.plant.velocity
         stage = "sense"
         try:
             observations = observe(
-                snapshot, agent.id, agent.heading, config.sensors,
+                rel, dist, agent.id, agent.heading, config.sensors,
                 agent.rng_perception, stamp=t,
             )
             vio_sample = agent.vio.sample(
@@ -253,9 +253,8 @@ class Simulation:
             )
 
             stage = "self-state"
-            fix = position_fix(
-                agent.bank.snapshot(), observations, agent.heading
-            )
+            views = agent.bank.snapshot()
+            fix = position_fix(views, observations, agent.heading)
             own_state = agent.self_filter.step(
                 agent.last_command.velocity, fix, imu_accel, dt
             )
@@ -277,7 +276,7 @@ class Simulation:
                 ]
             else:
                 estimates = agent.vel_estimator.update(
-                    agent.bank.snapshot(), fused.position, fused.velocity,
+                    views, fused.position, fused.velocity,
                     target_rel, agent.controller.psi,
                 )
                 reports = [
@@ -292,10 +291,11 @@ class Simulation:
                 }
             agent.bank.apply_tick([], reports, agent.fused_position,
                                   agent.heading)
+            views = agent.bank.snapshot()
 
             stage = "controller"
             command = agent.controller.update(
-                agent.bank.snapshot(), fused.position, fused.velocity,
+                views, fused.position, fused.velocity,
                 target_rel, dt,
             )
             agent.last_command = command
@@ -340,34 +340,24 @@ class Simulation:
                     "v": _vec(view.velocity),
                     "stale": float(view.staleness),
                 }
-                for view in agent.bank.snapshot()
+                for view in views
             },
             **({"vel_est": estimates_log} if estimates_log is not None else {}),
         }
 
-    def tick(self, parallel: bool = False) -> dict:
+    def tick(self) -> dict:
         """Advance the world one step; returns the tick record."""
         config = self.config
         t = self.tick_index * config.dt
-        snapshot = {a.id: a.plant.position.copy() for a in self.agents}
+        rel, dist = pairwise([a.plant.position for a in self.agents])
         target_position = self.trajectory.position(t)
-        collisions = detect_collisions(snapshot, config.safety_radius)
+        collisions = detect_collisions(dist, config.safety_radius)
+        fragments = [
+            self._stage(a, rel[a.id], dist[a.id], target_position, t)
+            for a in self.agents
+        ]
 
-        if parallel and len(self.agents) > 1:
-            with ThreadPoolExecutor(max_workers=len(self.agents)) as pool:
-                fragments = list(
-                    pool.map(
-                        lambda a: self._stage(a, snapshot, target_position, t),
-                        self.agents,
-                    )
-                )
-        else:
-            fragments = [
-                self._stage(a, snapshot, target_position, t)
-                for a in self.agents
-            ]
-
-        # Barrier: broadcasts and plant integration in id order.
+        # After every stage: broadcasts and plant integration in id order.
         for sender in self.agents:
             for receiver in self.agents:
                 if receiver.id != sender.id:
@@ -399,7 +389,6 @@ def _vec(value) -> list[float]:
 
 def run_scenario(
     config: ScenarioConfig,
-    parallel: bool = False,
     log_path: str | Path | None = None,
 ) -> RunArtifacts:
     """Execute duration/dt ticks and return records plus the metrics summary."""
@@ -412,10 +401,10 @@ def run_scenario(
     }
     records = [header]
     for _ in range(n_ticks):
-        records.append(sim.tick(parallel=parallel))
+        records.append(sim.tick())
     # Final collision check on the post-advance world.
-    final_positions = {a.id: a.plant.position for a in sim.agents}
-    final = detect_collisions(final_positions, config.safety_radius)
+    _, final_dist = pairwise([a.plant.position for a in sim.agents])
+    final = detect_collisions(final_dist, config.safety_radius)
     summary = metrics_mod.summarize(records, final_collisions=final)
     records.append(summary_record(summary))
     if log_path is not None:

@@ -132,13 +132,15 @@ class LkfModel:
             raise ValueError("dt must be > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Measurement:
     """A 2-channel measurement z = H x + v, v ~ N(0, R), taken at `stamp`.
 
     H rows must each select exactly one state component (one entry equal
     to 1, the rest 0); R must be symmetric positive definite. H_POS, H_VEL
-    and H_ACC were checked at import and are not checked again.
+    and H_ACC were checked at import and are not checked again. The
+    measurement is immutable and holds read-only copies of z and R, so the
+    R that `correct` uses is the R checked here.
     """
 
     z: np.ndarray
@@ -147,15 +149,20 @@ class Measurement:
     stamp: float = 0.0
 
     def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=float)
-        self.h = np.asarray(self.h, dtype=float)
-        self.r = np.asarray(self.r, dtype=float)
-        if self.z.shape != (2,) or self.h.shape != (2, STATE_DIM):
+        z = np.array(self.z, dtype=float)
+        h = np.asarray(self.h, dtype=float)
+        r = np.array(self.r, dtype=float)
+        z.setflags(write=False)
+        r.setflags(write=False)
+        if z.shape != (2,) or h.shape != (2, STATE_DIM):
             raise ValueError("measurement must be 2-vector with 2x6 H")
-        _validate_h(self.h)
-        if self.r.shape != (2, 2):
+        _validate_h(h)
+        if r.shape != (2, 2):
             raise ValueError("R must be 2x2 symmetric")
-        _check_r(*self.r.ravel().tolist())
+        _check_r(*r.ravel().tolist())
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "r", r)
 
 
 def constant_acceleration_model(

@@ -236,7 +236,7 @@ class AblationResult:
         return self.no_comm.cvr_mean - self.comm.cvr_mean
 
 
-def run_ablation(config, parallel: bool = False) -> AblationResult:
+def run_ablation(config) -> AblationResult:
     """Run the identical scenario and seed twice, toggling communication."""
     from . import engine
     import dataclasses as dc
@@ -244,8 +244,8 @@ def run_ablation(config, parallel: bool = False) -> AblationResult:
     with_comm = dc.replace(config, comm=True)
     without = dc.replace(config, comm=False)
     return AblationResult(
-        comm=engine.run_scenario(with_comm, parallel=parallel).summary,
-        no_comm=engine.run_scenario(without, parallel=parallel).summary,
+        comm=engine.run_scenario(with_comm).summary,
+        no_comm=engine.run_scenario(without).summary,
     )
 
 

@@ -2,9 +2,10 @@
 
 Relative localization: bearing/range observations with a rear blind spot,
 per-tick dropouts, additive bearing noise, and multiplicative range noise
-(range inaccuracy grows with distance). VIO: drifting pose whose feature
-population starves with ground speed. Communication: an optional broadcast
-channel with latency and drops. Everything is deterministic given the RNG
+(range inaccuracy grows with distance), read from the observer's row of the
+tick's pairwise geometry (`geometry.pairwise`). VIO: drifting pose whose
+feature population starves with ground speed. Communication: an optional
+broadcast channel with latency and drops. Everything is deterministic given the RNG
 streams handed in by the simulation engine.
 """
 
@@ -91,7 +92,8 @@ class SensorConfig:
 
 
 def observe(
-    true_positions: dict[int, np.ndarray],
+    rel: np.ndarray,
+    dist: np.ndarray,
     observer_id: int,
     observer_heading: float,
     config: SensorConfig,
@@ -99,18 +101,19 @@ def observe(
     stamp: float,
 ) -> list[RelativeObservation]:
     """Bearing/range observations of every agent inside range and field of
-    view, each surviving an independent dropout draw. Bearings are reported
-    in the observer's body frame."""
-    own = true_positions[observer_id]
+    view, each surviving an independent dropout draw. `rel` (N, 2) and
+    `dist` (N,) are the observer's row of `geometry.pairwise` over the true
+    positions, indexed by agent id. Bearings are reported in the observer's
+    body frame."""
+    # The observer's own distance is 0, so the coincidence floor drops it.
+    in_range = (dist <= config.max_range) & (dist >= 1e-9)
     out = []
-    for agent_id in sorted(true_positions):
-        if agent_id == observer_id:
-            continue
-        rel = true_positions[agent_id] - own
-        distance = float(np.linalg.norm(rel))
-        if distance > config.max_range or distance < 1e-9:
-            continue
-        body_bearing = wrap_angle(math.atan2(rel[1], rel[0]) - observer_heading)
+    for agent_id in np.flatnonzero(in_range).tolist():
+        distance = float(dist[agent_id])
+        offset = rel[agent_id]
+        body_bearing = wrap_angle(
+            math.atan2(offset[1], offset[0]) - observer_heading
+        )
         if abs(body_bearing) > config.fov / 2.0:
             continue
         if rng.random() < config.dropout_prob:

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .flocking import ControllerGains, NeighborInfo, flocking_command, group_heading
+from .flocking import (ControllerGains, NeighborInfo, flocking_command,
+                       group_heading, select_neighbors)
 from .geometry import wrap_angle
 from .tracking import TrackView
 
@@ -73,7 +74,7 @@ def fit_response_model(
 
 def estimate_view(
     views: Sequence[TrackView],
-    agent_id: int,
+    target: TrackView,
     own_position: np.ndarray,
     own_velocity: np.ndarray,
     psi: float,
@@ -82,7 +83,8 @@ def estimate_view(
     max_neighbors: int,
     in_focal_neighborhood: bool,
 ) -> list[NeighborInfo]:
-    """The neighborhood the focal agent believes `agent_id` can see.
+    """The neighborhood the focal agent believes the tracked neighbor
+    `target`, one of `views`, can see.
 
     Built purely from the focal agent's own tracks: every other tracked
     agent within sensor range and inside the field of view around the
@@ -91,14 +93,13 @@ def estimate_view(
     neighbor is in its own neighborhood. Known to overestimate: occlusions
     and the neighbor's actual sensor state are invisible from here.
     """
-    target = next(v for v in views if v.agent_id == agent_id)
     speed = float(np.linalg.norm(target.velocity))
     heading = (
         math.atan2(target.velocity[1], target.velocity[0]) if speed > 0.1 else psi
     )
     candidates = []
     for v in views:
-        if v.agent_id == agent_id:
+        if v.agent_id == target.agent_id:
             continue
         rel = v.position - target.position
         dist = float(np.linalg.norm(rel))
@@ -153,13 +154,15 @@ def estimate_velocities(
     own_position = np.asarray(own_position, dtype=float)
     focal_ids = {
         m.agent_id
-        for m in _focal_neighbors(views, own_position, own_velocity, gains)
+        for m in select_neighbors(
+            views, own_position, own_velocity, gains.max_neighbors
+        )
     }
     out = []
     for v in sorted(views, key=lambda t: t.agent_id):
         members = estimate_view(
             views,
-            v.agent_id,
+            v,
             own_position,
             own_velocity,
             psi,
@@ -190,12 +193,6 @@ def estimate_velocities(
         estimate = model.a * np.asarray(prev, float) + model.b * desired.velocity
         out.append((v.agent_id, estimate))
     return out
-
-
-def _focal_neighbors(views, own_position, own_velocity, gains):
-    from .flocking import select_neighbors
-
-    return select_neighbors(views, own_position, own_velocity, gains.max_neighbors)
 
 
 class VelocityEstimator:

@@ -41,6 +41,14 @@ def test_validate_reports_all_errors(tmp_path, capsys):
     assert "dt" in err and "n_agents" in err
 
 
+def test_validate_rejects_mistyped_values(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text('n_agents: "6"\nduration: .inf\nsensors: [1]\n')
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "n_agents" in err and "duration" in err and "sensors" in err
+
+
 def test_run_writes_artifacts(tiny_config, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", str(tiny_config), "--out", str(out)]) == 0

@@ -43,6 +43,37 @@ def test_errors_are_collected_not_first_only():
         assert expected in message
 
 
+@pytest.mark.parametrize("data, field", [
+    ({"n_agents": "6"}, "n_agents"),
+    ({"n_agents": 2.5}, "n_agents"),
+    ({"n_agents": True}, "n_agents"),
+    ({"dt": "0.05"}, "dt"),
+    ({"dt": True}, "dt"),
+    ({"duration": math.inf}, "duration"),
+    ({"safety_radius": math.nan}, "safety_radius"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.0}, "seed"),
+    ({"comm": "no"}, "comm"),
+    ({"name": 7}, "name"),
+    ({"sensors": [1]}, "sensors"),
+    ({"sensors": {"vio": 3}}, "sensors.vio"),
+    ({"gains": "x"}, "gains"),
+    ({"response_model": [0.9, 0.1]}, "response_model"),
+    ({"layout": {"kind": "grid", "spacing": -13.0}}, "spacing"),
+    ({"layout": {"kind": "ring", "spacing": -13.0}}, "spacing"),
+])
+def test_bad_values_raise_config_error(data, field):
+    with pytest.raises(ConfigError) as excinfo:
+        scenario_from_dict(data)
+    assert field in str(excinfo.value)
+
+
+def test_null_section_keeps_its_default():
+    config = scenario_from_dict({"layout": None, "sensors": {"vio": None}})
+    assert config.layout == ScenarioConfig().layout
+    assert config.sensors == ScenarioConfig().sensors
+
+
 def test_unknown_fields_reported():
     with pytest.raises(ConfigError, match="unknown"):
         scenario_from_dict({"gains": {"kp": 1.0, "bogus": 2}})

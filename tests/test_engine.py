@@ -19,6 +19,7 @@ from fastflock.engine import (
     run_scenario,
     write_log,
 )
+from fastflock.geometry import pairwise
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -82,14 +83,44 @@ class TestTrajectories:
         assert np.allclose(target.position(10.5), [1.0, 0.0])
 
 
+def brute_force_collisions(points, radius):
+    return [
+        (i, j)
+        for i in range(len(points))
+        for j in range(i + 1, len(points))
+        if np.linalg.norm(points[i] - points[j]) < radius
+    ]
+
+
 class TestDetectCollisions:
     def test_all_separated(self):
-        positions = {0: np.zeros(2), 1: np.array([5.0, 0.0])}
-        assert detect_collisions(positions, 2.0) == []
+        _, dist = pairwise(np.array([[0.0, 0.0], [5.0, 0.0]]))
+        assert detect_collisions(dist, 2.0) == []
 
     def test_coincident_pair(self):
-        positions = {0: np.zeros(2), 1: np.zeros(2), 2: np.array([10.0, 0.0])}
-        assert detect_collisions(positions, 2.0) == [(0, 1)]
+        _, dist = pairwise(np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 0.0]]))
+        assert detect_collisions(dist, 2.0) == [(0, 1)]
+
+    @pytest.mark.parametrize("points", [
+        # Coincident agents, including three on one spot.
+        [[0.0, 0.0], [7.0, 1.0], [0.0, 0.0], [7.0, 1.0], [0.0, 0.0]],
+        # Pairs exactly at the radius (3-4-5 triangles): not collisions.
+        [[0.0, 0.0], [3.0, 4.0], [-3.0, -4.0], [3.0, 4.0 - 1e-9], [6.0, 8.0]],
+    ])
+    def test_matches_brute_force(self, points):
+        points = np.array(points)
+        _, dist = pairwise(points)
+        pairs = detect_collisions(dist, 5.0)
+        assert pairs == brute_force_collisions(points, 5.0)
+        assert pairs
+        assert all(type(i) is int and type(j) is int for i, j in pairs)
+
+    def test_tick_record_with_collision_serializes(self):
+        sim = Simulation(small_scenario())
+        sim.agents[2].plant.position = sim.agents[0].plant.position.copy()
+        record = sim.tick()
+        assert record["collisions"] == [[0, 2]]
+        json.dumps(record)
 
 
 class TestDeterminism:
@@ -98,14 +129,6 @@ class TestDeterminism:
         a = run_scenario(config, log_path=tmp_path / "a.jsonl")
         b = run_scenario(config, log_path=tmp_path / "b.jsonl")
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
-
-    def test_parallel_matches_sequential(self, tmp_path):
-        config = small_scenario()
-        run_scenario(config, parallel=False, log_path=tmp_path / "seq.jsonl")
-        run_scenario(config, parallel=True, log_path=tmp_path / "par.jsonl")
-        assert (tmp_path / "seq.jsonl").read_bytes() == (
-            tmp_path / "par.jsonl"
-        ).read_bytes()
 
     def test_different_seed_differs(self, tmp_path):
         run_scenario(small_scenario(), log_path=tmp_path / "a.jsonl")

@@ -84,10 +84,22 @@ def test_measurement_rejects_non_unit_h_entry():
 
 def test_correct_singular_innovation_raises():
     meas = Measurement(z=np.zeros(2), h=H_POS, r=1e-9 * np.eye(2), stamp=0.0)
-    # Zero prior covariance + near-zero R: force an exactly singular S.
-    meas.r[:] = 0.0
+    # A position block of -R in the prior makes S = H P H^T + R exactly zero.
+    prior = np.zeros((6, 6))
+    prior[:2, :2] = -1e-9 * np.eye(2)
     with pytest.raises(NumericalFaultError):
-        correct(np.zeros(6), np.zeros((6, 6)), meas)
+        correct(np.zeros(6), prior, meas)
+
+
+def test_measurement_arrays_are_read_only_copies():
+    r = 1e-9 * np.eye(2)
+    meas = Measurement(z=np.zeros(2), h=H_POS, r=r, stamp=0.0)
+    r[:] = 0.0
+    assert meas.r[0, 0] == 1e-9
+    with pytest.raises(ValueError):
+        meas.r[:] = 0.0
+    with pytest.raises(ValueError):
+        meas.z[0] = 1.0
 
 
 def test_correct_never_increases_trace():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fastflock.ego_estimation import slew_weight, vio_weight_target
-from fastflock.geometry import rotation, wrap_angle
+from fastflock.geometry import pairwise, rotation, wrap_angle
 from fastflock.sensors import (
     CommChannel,
     CommConfig,
@@ -25,15 +25,15 @@ def noiseless_config(**overrides):
     return SensorConfig(**base)
 
 
-POSITIONS = {0: np.array([0.0, 0.0]), 1: np.array([10.0, 0.0]),
-             2: np.array([0.0, 20.0]), 3: np.array([-30.0, 0.0])}
+POSITIONS = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 20.0], [-30.0, 0.0]])
+REL, DIST = pairwise(POSITIONS)
 
 
 class TestObserve:
     def test_agent_behind_is_in_blind_spot(self):
         config = noiseless_config()
         rng = np.random.default_rng(0)
-        seen = observe(POSITIONS, 0, 0.0, config, rng, stamp=0.0)
+        seen = observe(REL[0], DIST[0], 0, 0.0, config, rng, stamp=0.0)
         ids = [o.observed_id for o in seen]
         assert 3 not in ids  # bearing pi relative to heading 0: blind spot
         assert set(ids) == {1, 2}
@@ -41,7 +41,10 @@ class TestObserve:
     def test_noiseless_exact_geometry(self):
         config = noiseless_config()
         rng = np.random.default_rng(0)
-        seen = {o.observed_id: o for o in observe(POSITIONS, 0, 0.0, config, rng, 0.0)}
+        seen = {
+            o.observed_id: o
+            for o in observe(REL[0], DIST[0], 0, 0.0, config, rng, 0.0)
+        }
         assert seen[1].distance == pytest.approx(10.0)
         assert seen[1].bearing == pytest.approx(0.0)
         assert seen[2].distance == pytest.approx(20.0)
@@ -50,13 +53,13 @@ class TestObserve:
     def test_max_range_enforced(self):
         config = noiseless_config(max_range=15.0)
         rng = np.random.default_rng(0)
-        seen = observe(POSITIONS, 0, 0.0, config, rng, 0.0)
+        seen = observe(REL[0], DIST[0], 0, 0.0, config, rng, 0.0)
         assert [o.observed_id for o in seen] == [1]
 
     def test_same_seed_same_tick_identical(self):
         config = SensorConfig()
-        a = observe(POSITIONS, 0, 0.3, config, np.random.default_rng(42), 0.0)
-        b = observe(POSITIONS, 0, 0.3, config, np.random.default_rng(42), 0.0)
+        a = observe(REL[0], DIST[0], 0, 0.3, config, np.random.default_rng(42), 0.0)
+        b = observe(REL[0], DIST[0], 0, 0.3, config, np.random.default_rng(42), 0.0)
         assert len(a) == len(b)
         for oa, ob in zip(a, b):
             assert oa == ob
@@ -64,10 +67,11 @@ class TestObserve:
     def test_rotation_invariance_of_observation_set(self):
         config = noiseless_config()
         alpha = 1.234
-        rot = rotation(alpha)
-        turned = {k: rot @ v for k, v in POSITIONS.items()}
-        base = observe(POSITIONS, 0, 0.5, config, np.random.default_rng(0), 0.0)
-        moved = observe(turned, 0, 0.5 + alpha, config, np.random.default_rng(0), 0.0)
+        turned_rel, turned_dist = pairwise(POSITIONS @ rotation(alpha).T)
+        base = observe(REL[0], DIST[0], 0, 0.5, config,
+                       np.random.default_rng(0), 0.0)
+        moved = observe(turned_rel[0], turned_dist[0], 0, 0.5 + alpha, config,
+                        np.random.default_rng(0), 0.0)
         assert [o.observed_id for o in base] == [o.observed_id for o in moved]
         for oa, ob in zip(base, moved):
             assert oa.distance == pytest.approx(ob.distance, abs=1e-9)
@@ -76,7 +80,7 @@ class TestObserve:
     def test_heading_shifts_blind_spot(self):
         config = noiseless_config()
         rng = np.random.default_rng(0)
-        seen = observe(POSITIONS, 0, math.pi, config, rng, 0.0)
+        seen = observe(REL[0], DIST[0], 0, math.pi, config, rng, 0.0)
         ids = {o.observed_id for o in seen}
         assert 1 not in ids  # now directly behind
         assert 3 in ids

@@ -78,7 +78,7 @@ class TestEstimateView:
     def test_lone_neighbor_sees_only_focal(self):
         views = [view(1, 13.0, 0.0)]
         members = estimate_view(
-            views, 1, np.zeros(2), np.zeros(2), 0.0,
+            views, views[0], np.zeros(2), np.zeros(2), 0.0,
             SENSOR_RANGE, FOV, 4, in_focal_neighborhood=True,
         )
         assert len(members) == 1
@@ -88,9 +88,9 @@ class TestEstimateView:
     def test_equilateral_views_contain_both_others(self):
         side = 13.0
         views = [view(1, side, 0.0), view(2, side / 2, side * math.sqrt(3) / 2)]
-        for target_id, other_id in ((1, 2), (2, 1)):
+        for target, other_id in ((views[0], 2), (views[1], 1)):
             members = estimate_view(
-                views, target_id, np.zeros(2), np.zeros(2), 0.0,
+                views, target, np.zeros(2), np.zeros(2), 0.0,
                 SENSOR_RANGE, FOV, 4, in_focal_neighborhood=True,
             )
             ids = {m.agent_id for m in members}
@@ -100,7 +100,7 @@ class TestEstimateView:
     def test_out_of_range_agent_excluded(self):
         views = [view(1, 13.0, 0.0), view(2, 13.0 + SENSOR_RANGE + 5.0, 0.0)]
         members = estimate_view(
-            views, 1, np.zeros(2), np.zeros(2), 0.0,
+            views, views[0], np.zeros(2), np.zeros(2), 0.0,
             SENSOR_RANGE, FOV, 4, in_focal_neighborhood=False,
         )
         assert [m.agent_id for m in members] == []
@@ -111,13 +111,13 @@ class TestEstimateView:
         # when 1 moves west.
         views_east = [view(1, 20.0, 0.0, vx=2.0), view(2, 0.0, 0.0)]
         members = estimate_view(
-            views_east, 1, np.array([100.0, 100.0]), np.zeros(2), 0.0,
+            views_east, views_east[0], np.array([100.0, 100.0]), np.zeros(2), 0.0,
             SENSOR_RANGE, FOV, 4, in_focal_neighborhood=False,
         )
         assert [m.agent_id for m in members] == []
         views_west = [view(1, 20.0, 0.0, vx=-2.0), view(2, 0.0, 0.0)]
         members = estimate_view(
-            views_west, 1, np.array([100.0, 100.0]), np.zeros(2), 0.0,
+            views_west, views_west[0], np.array([100.0, 100.0]), np.zeros(2), 0.0,
             SENSOR_RANGE, FOV, 4, in_focal_neighborhood=False,
         )
         assert [m.agent_id for m in members] == [2]
@@ -128,7 +128,7 @@ class TestEstimateView:
         # neighbor, even if the neighbor could not actually see it.
         views = [view(1, 20.0, 0.0, vx=-1.0), view(2, -5.0, 0.0)]
         members = estimate_view(
-            views, 1, np.zeros(2), np.zeros(2), 0.0,
+            views, views[0], np.zeros(2), np.zeros(2), 0.0,
             SENSOR_RANGE, FOV, 4, in_focal_neighborhood=False,
         )
         assert 2 in {m.agent_id for m in members}
