@@ -21,14 +21,27 @@ from .engine import SimulationFault, run_scenario, read_log, write_log
 from .velocity_inference import FitError, fit_response_model
 
 
+def _invalid(path: str, errors: list[str]) -> int:
+    """Report a config's errors; the exit code for a configuration error."""
+    print(f"invalid config {path}:", file=sys.stderr)
+    for error in errors:
+        print(f"  - {error}", file=sys.stderr)
+    return 2
+
+
 def _load(path: str):
     try:
         return load_scenario(path)
     except ConfigError as exc:
-        print(f"invalid config {path}:", file=sys.stderr)
-        for error in exc.errors:
-            print(f"  - {error}", file=sys.stderr)
-        raise SystemExit(2)
+        raise SystemExit(_invalid(path, exc.errors))
+
+
+def _at_least_one(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _fmt(value: float | None, spec: str) -> str:
@@ -54,6 +67,9 @@ def cmd_run(args) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     if args.no_comm:
         config = dataclasses.replace(config, comm=False)
+    errors = validate(config)
+    if errors:
+        return _invalid(args.config, errors)
     out_dir = Path(args.out) if args.out else None
     log_path = out_dir / "log.jsonl" if out_dir else None
     if out_dir:
@@ -75,6 +91,9 @@ def cmd_run(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _load(args.config)
+    errors = validate(dataclasses.replace(config, comm=False))
+    if errors:
+        return _invalid(args.config, errors)
     rows = []
     for k in range(args.pairs):
         paired = dataclasses.replace(config, seed=config.seed + k)
@@ -215,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ablate = sub.add_parser("ablate", help="paired comm vs no-comm runs")
     p_ablate.add_argument("config")
-    p_ablate.add_argument("--pairs", type=int, default=4)
+    p_ablate.add_argument("--pairs", type=_at_least_one, default=4)
     p_ablate.add_argument("--out", default=None, metavar="DIR")
     p_ablate.set_defaults(func=cmd_ablate)
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import types
+import typing
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -102,32 +104,89 @@ _SECTIONS = {
     "target": TargetConfig,
     "response_model": ResponseModel,
 }
+# Each buildable class's field annotations, resolved once.
+_HINTS = {cls: typing.get_type_hints(cls)
+          for cls in (ScenarioConfig, *_SECTIONS.values())}
+
+
+def _is_number(value) -> bool:
+    """A finite real number; a bool does not count as a number."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _fits(value, hint) -> bool:
+    """Whether `value` has the type a field annotation `hint` asks for:
+    `float` a finite real, `int` an int, `bool` and `str` their own type, a
+    tuple or list a sequence of fitting entries (a fixed-size tuple of its
+    exact length). Other types, such as the sections, are not checked here."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, arg) for arg in args)
+    if origin in (tuple, list):
+        if not isinstance(value, (tuple, list)):
+            return False
+        if origin is tuple and args[-1] is not Ellipsis:
+            return len(value) == len(args) and all(map(_fits, value, args))
+        return all(_fits(item, args[0]) for item in value)
+    if hint is type(None):
+        return value is None
+    if hint is float:
+        return _is_number(value)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint in (bool, str):
+        return isinstance(value, hint)
+    return True
+
+
+def _describe(hint) -> str:
+    """What `_fits` asks of a value for the annotation `hint`."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return " or ".join(_describe(arg) for arg in args)
+    if origin is tuple and args[-1] is not Ellipsis:
+        return f"a list of {len(args)} entries, each {_describe(args[0])}"
+    if origin in (tuple, list):
+        return f"a list, each entry {_describe(args[0])}"
+    return {type(None): "null", float: "a finite number", int: "an integer",
+            bool: "true or false", str: "a string"}[hint]
 
 
 def _build(cls, data, errors: list[str], prefix: str = ""):
     """`cls` built from the mapping `data`, each nested section built the
     same way; None, with every reason appended to `errors`, when it cannot
-    be built. A null section keeps its default."""
+    be built. A null section keeps its default, and so does a field whose
+    value does not fit its annotation (which is reported)."""
     if not isinstance(data, Mapping):
         errors.append(f"{prefix or 'scenario'}: must be a mapping")
         return None
+    hints = _HINTS[cls]
     known = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
+    mistyped = False
     for key, value in data.items():
         path = f"{prefix}.{key}" if prefix else key
         if key not in known:
             errors.append(f"{prefix}: unknown field '{key}'" if prefix
                           else f"unknown top-level field '{key}'")
-        elif path not in _SECTIONS:
+        elif path in _SECTIONS:
+            if value is not None:
+                built = _build(_SECTIONS[path], value, errors, path)
+                if built is not None:
+                    kwargs[key] = built
+        elif _fits(value, hints[key]):
             kwargs[key] = value
-        elif value is not None:
-            built = _build(_SECTIONS[path], value, errors, path)
-            if built is not None:
-                kwargs[key] = built
+        else:
+            errors.append(f"{path} must be {_describe(hints[key])}")
+            mistyped = True
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:
-        errors.append(f"{prefix}: {exc}")
+        # A dropped mistyped field may leave a required one missing; its
+        # own error already explains that.
+        if not mistyped:
+            errors.append(f"{prefix}: {exc}")
         return None
 
 
@@ -150,8 +209,7 @@ def _int_at_least(value, least: int) -> bool:
 
 def _positive(value) -> bool:
     """A finite real number > 0; a bool does not count as a number."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0)
+    return _is_number(value) and value > 0
 
 
 def validate(config: ScenarioConfig) -> list[str]:
@@ -166,6 +224,8 @@ def validate(config: ScenarioConfig) -> list[str]:
         errors.append("n_agents must be an integer >= 1")
     if not isinstance(config.comm, bool):
         errors.append("comm must be true or false")
+    elif not config.comm and config.response_model is None:
+        errors.append("comm: false needs a response_model to infer velocities")
     for name in ("dt", "duration", "safety_radius"):
         if not _positive(getattr(config, name)):
             errors.append(f"{name} must be a finite number > 0")
@@ -182,10 +242,21 @@ def validate(config: ScenarioConfig) -> list[str]:
             errors.append(f"sensors.{name} must be in [0, 1]")
     if sensors.comm.latency_ticks < 0:
         errors.append("sensors.comm.latency_ticks must be >= 0")
+    if config.gains.max_neighbors < 1:
+        errors.append("gains.max_neighbors must be >= 1")
     if config.plant.tau <= 0 or config.plant.v_max <= 0 or config.plant.a_max <= 0:
         errors.append("plant tau/v_max/a_max must be > 0")
-    if config.filters.fusion_rate <= 0:
+    filters = config.filters
+    if filters.fusion_rate <= 0:
         errors.append("filters.fusion_rate must be > 0")
+    for name in ("track_pos_sigma_floor", "vel_sigma_comm",
+                 "vel_sigma_inferred", "fix_sigma"):
+        if getattr(filters, name) <= 0:
+            errors.append(f"filters.{name} must be > 0")
+    for name in ("track_q_rate", "focal_q_rate"):
+        rates = getattr(filters, name)
+        if len(rates) != 6 or min(rates) < 0:
+            errors.append(f"filters.{name} must hold six entries >= 0")
     if config.target.kind not in ("static", "waypoints"):
         errors.append("target.kind must be 'static' or 'waypoints'")
     elif config.target.kind == "waypoints":
@@ -251,8 +322,13 @@ def initial_positions(config: ScenarioConfig) -> list[np.ndarray]:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    with open(path) as handle:
-        data = yaml.safe_load(handle)
+    """Read, build and validate a scenario file; an unreadable or malformed
+    file is a ConfigError like any invalid field."""
+    try:
+        with open(path) as handle:
+            data = yaml.safe_load(handle)
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigError([f"{path}: {exc}"]) from exc
     if not isinstance(data, dict):
         raise ConfigError([f"{path}: expected a mapping at the top level"])
     return scenario_from_dict(data)

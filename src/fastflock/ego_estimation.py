@@ -188,16 +188,16 @@ class OdometryFusion:
         self.vio_weight = weight
         self.rate = rate
         self._prev_vio: np.ndarray | None = None
-        self._prev_own: np.ndarray | None = None
+        self._prev_state: np.ndarray | None = None
 
     def fuse(
         self,
         vio_position: np.ndarray,
         vio_velocity: np.ndarray,
         vio_acceleration: np.ndarray,
-        own_position: np.ndarray,
-        own_velocity: np.ndarray,
-        own_acceleration: np.ndarray,
+        state_position: np.ndarray,
+        state_velocity: np.ndarray,
+        state_acceleration: np.ndarray,
         weight: float,
     ) -> FusionState:
         """Blend one tick of both sources with a given weight."""
@@ -205,22 +205,22 @@ class OdometryFusion:
             # First sample anchors the integration constant.
             self.position = weight * np.asarray(vio_position, float) + (
                 1.0 - weight
-            ) * np.asarray(own_position, float)
+            ) * np.asarray(state_position, float)
         else:
             delta_vio = vio_position - self._prev_vio
-            delta_own = own_position - self._prev_own
+            delta_state = state_position - self._prev_state
             self.position = self.position + weight * delta_vio + (
                 1.0 - weight
-            ) * delta_own
+            ) * delta_state
         self._prev_vio = np.asarray(vio_position, dtype=float).copy()
-        self._prev_own = np.asarray(own_position, dtype=float).copy()
+        self._prev_state = np.asarray(state_position, dtype=float).copy()
         self.vio_weight = weight
         return FusionState(
             position=self.position.copy(),
             velocity=weight * np.asarray(vio_velocity, float)
-            + (1.0 - weight) * np.asarray(own_velocity, float),
+            + (1.0 - weight) * np.asarray(state_velocity, float),
             acceleration=weight * np.asarray(vio_acceleration, float)
-            + (1.0 - weight) * np.asarray(own_acceleration, float),
+            + (1.0 - weight) * np.asarray(state_acceleration, float),
             vio_weight=weight,
             weight_target=weight,
         )

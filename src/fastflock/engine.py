@@ -269,19 +269,18 @@ class Simulation:
             if config.comm:
                 reports = [
                     VelocityReport(
-                        agent_id=sender, velocity=velocity, stamp=t,
+                        agent_id=sender, velocity=velocity,
                         sigma=config.filters.vel_sigma_comm,
                     )
                     for sender, velocity in delivered
                 ]
             else:
                 estimates = agent.vel_estimator.update(
-                    views, fused.position, fused.velocity,
-                    target_rel, agent.controller.psi,
+                    views, fused.position, target_rel, agent.controller.psi,
                 )
                 reports = [
                     VelocityReport(
-                        agent_id=nid, velocity=velocity, stamp=t,
+                        agent_id=nid, velocity=velocity,
                         sigma=config.filters.vel_sigma_inferred,
                     )
                     for nid, velocity in estimates
@@ -295,8 +294,7 @@ class Simulation:
 
             stage = "controller"
             command = agent.controller.update(
-                views, fused.position, fused.velocity,
-                target_rel, dt,
+                views, fused.position, target_rel, dt
             )
             agent.last_command = command
 

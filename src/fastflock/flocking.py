@@ -19,6 +19,9 @@ from .geometry import heading_vector, wrap_angle
 from .tracking import TrackView
 
 TARGET_MEMBER_ID = -1
+# Velocity inference's replay tags the focal agent with this id when it sits
+# in the replayed neighbour's neighbourhood.
+FOCAL_MEMBER_ID = -2
 
 
 @dataclass
@@ -77,13 +80,12 @@ class ControllerGains:
 
 
 class NeighborInfo(NamedTuple):
-    """One neighborhood member: bearing/distance in the local frame plus
-    velocity relative to the focal agent."""
+    """One neighborhood member: bearing and distance of its offset from the
+    agent whose neighborhood it belongs to. Built only by `_member`."""
 
     agent_id: int
     bearing: float
     distance: float
-    velocity: np.ndarray
 
 
 @dataclass
@@ -98,27 +100,26 @@ class FlockingCommand:
     offset: np.ndarray
 
 
+def _member(agent_id: int, rel: np.ndarray) -> NeighborInfo:
+    """The member at offset `rel` from the agent whose neighborhood it is."""
+    return NeighborInfo(agent_id, math.atan2(rel[1], rel[0]),
+                        float(np.linalg.norm(rel)))
+
+
+def _nearest(members: Sequence[NeighborInfo], k: int) -> list[NeighborInfo]:
+    """The k nearest members, ties broken by ascending id."""
+    return sorted(members, key=lambda m: (m.distance, m.agent_id))[:k]
+
+
 def select_neighbors(
-    views: Sequence[TrackView],
-    own_position: np.ndarray,
-    own_velocity: np.ndarray,
-    max_neighbors: int,
+    views: Sequence[TrackView], own_position: np.ndarray, max_neighbors: int
 ) -> list[NeighborInfo]:
-    """Nearest-N selection by distance, ties broken by ascending id."""
-    candidates = []
-    for v in views:
-        rel = v.position - own_position
-        dist = float(np.linalg.norm(rel))
-        candidates.append(
-            NeighborInfo(
-                agent_id=v.agent_id,
-                bearing=math.atan2(rel[1], rel[0]),
-                distance=dist,
-                velocity=v.velocity - own_velocity,
-            )
-        )
-    candidates.sort(key=lambda m: (m.distance, m.agent_id))
-    return candidates[:max_neighbors]
+    """The agent's neighborhood: its nearest `max_neighbors` tracks by
+    distance from `own_position`, ties broken by ascending id."""
+    return _nearest(
+        [_member(v.agent_id, v.position - own_position) for v in views],
+        max_neighbors,
+    )
 
 
 def group_heading(
@@ -130,6 +131,18 @@ def group_heading(
     if np.linalg.norm(d) < 1e-9:
         return previous
     return math.atan2(d[1], d[0])
+
+
+def neighborhood_heading(
+    members: Sequence[NeighborInfo], goal: np.ndarray | None, previous: float
+) -> float:
+    """Group heading from the members' center (the origin when there are
+    none) to `goal`; `previous` when there is no goal."""
+    if goal is None:
+        return previous
+    offsets = [m.distance * heading_vector(m.bearing) for m in members]
+    center = np.mean(offsets, axis=0) if offsets else np.zeros(2)
+    return group_heading(center, goal, previous)
 
 
 def blend_weights(
@@ -272,14 +285,7 @@ def _with_target(
         return out
     r = float(np.linalg.norm(target_rel))
     if 1e-9 < r <= gains.d_min:
-        out.append(
-            NeighborInfo(
-                agent_id=TARGET_MEMBER_ID,
-                bearing=math.atan2(target_rel[1], target_rel[0]),
-                distance=r,
-                velocity=np.zeros(2),
-            )
-        )
+        out.append(_member(TARGET_MEMBER_ID, target_rel))
     return out
 
 
@@ -338,22 +344,12 @@ class FlockingController:
         self,
         views: Sequence[TrackView],
         own_position: np.ndarray,
-        own_velocity: np.ndarray,
         target_rel: np.ndarray | None,
         dt: float,
     ) -> FlockingCommand:
-        members = select_neighbors(
-            views, own_position, own_velocity, self.gains.max_neighbors
-        )
+        members = select_neighbors(views, own_position, self.gains.max_neighbors)
         self.members = members
-        if members:
-            center = np.mean(
-                [m.distance * heading_vector(m.bearing) for m in members], axis=0
-            )
-        else:
-            center = np.zeros(2)
-        if target_rel is not None:
-            self.psi = group_heading(center, target_rel, self.psi)
+        self.psi = neighborhood_heading(members, target_rel, self.psi)
         offset = desired_offset(
             _with_target(members, target_rel, self.gains), self.psi, self.gains
         )

@@ -65,8 +65,8 @@ class CommConfig:
 class SensorConfig:
     """Relative-localization, IMU, and target-perception noise settings.
 
-    The horizontal field of view plus the rear blind spot always cover the
-    full circle; the blind spot is derived from the field of view.
+    The rear blind spot is whatever part of the circle the horizontal
+    field of view leaves out.
     """
 
     bearing_sigma: float = math.radians(1.0)
@@ -85,10 +85,6 @@ class SensorConfig:
             raise ValueError("fov must lie in (0, 2*pi]")
         if self.heading_mode not in ("velocity", "goal"):
             raise ValueError("heading_mode must be 'velocity' or 'goal'")
-
-    @property
-    def blind_spot(self) -> float:
-        return TWO_PI - self.fov
 
 
 def observe(

@@ -53,7 +53,6 @@ class VelocityReport(NamedTuple):
 
     agent_id: int
     velocity: np.ndarray
-    stamp: float
     sigma: float | None = None
 
 
@@ -70,7 +69,6 @@ class NeighborTrack:
     state: np.ndarray
     cov: np.ndarray
     last_pos_stamp: float
-    last_vel_stamp: float
     staleness: float = 0.0
 
 
@@ -130,11 +128,10 @@ class TrackBank:
         self,
         agent_id: int,
         velocity: np.ndarray,
-        stamp: float,
         sigma: float | None = None,
     ) -> None:
         """Apply a velocity correction; velocities for unseen ids are dropped."""
-        self._ingest_velocities([VelocityReport(agent_id, velocity, stamp, sigma)])
+        self._ingest_velocities([VelocityReport(agent_id, velocity, sigma)])
 
     def step(self, dt: float) -> None:
         """Predict every track forward and retire the stale ones."""
@@ -213,7 +210,6 @@ class TrackBank:
                     state=np.concatenate([z, np.zeros(4)]),
                     cov=cov,
                     last_pos_stamp=obs.stamp,
-                    last_vel_stamp=-math.inf,
                 )
             elif obs.stamp < track.last_pos_stamp:
                 self.dropped_stale += 1
@@ -244,7 +240,6 @@ class TrackBank:
             hits.append(track)
             rows.append(report.velocity)
             variances.append(s**2)
-            track.last_vel_stamp = report.stamp
         self._correct(hits, kalman.H_VEL, rows, variances)
 
     def _correct(

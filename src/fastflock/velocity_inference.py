@@ -3,7 +3,9 @@
 Assuming a homogeneous swarm, the focal agent replays the flocking law from
 each tracked neighbor's estimated viewpoint to obtain that neighbor's desired
 velocity, then maps desired to actual velocity through a fitted first-order
-response model v(k+1) = a * v(k) + b * v_cmd(k+1).
+response model v(k+1) = a * v(k) + b * v_cmd(k+1). The replay uses the law's
+own neighborhood model from `flocking`: its members, nearest-K selection and
+group heading, evaluated from the neighbor's estimated position.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .flocking import (ControllerGains, NeighborInfo, flocking_command,
-                       group_heading, select_neighbors)
+from .flocking import (FOCAL_MEMBER_ID, ControllerGains, NeighborInfo,
+                       _member, _nearest, flocking_command,
+                       neighborhood_heading, select_neighbors)
 from .geometry import wrap_angle
 from .tracking import TrackView
 
@@ -76,7 +79,6 @@ def estimate_view(
     views: Sequence[TrackView],
     target: TrackView,
     own_position: np.ndarray,
-    own_velocity: np.ndarray,
     psi: float,
     sensor_range: float,
     fov: float,
@@ -86,57 +88,39 @@ def estimate_view(
     """The neighborhood the focal agent believes the tracked neighbor
     `target`, one of `views`, can see.
 
-    Built purely from the focal agent's own tracks: every other tracked
-    agent within sensor range and inside the field of view around the
-    neighbor's estimated heading (its tracked velocity direction, falling
-    back to the group heading). The focal agent appends itself when the
-    neighbor is in its own neighborhood. Known to overestimate: occlusions
-    and the neighbor's actual sensor state are invisible from here.
+    Built purely from the focal agent's own tracks, with the members made
+    as the flocking law makes them but measured from `target`: the nearest
+    `max_neighbors` other tracked agents within sensor range and inside the
+    field of view around the neighbor's estimated heading (its tracked
+    velocity direction, falling back to the group heading). The focal agent
+    is then appended as `FOCAL_MEMBER_ID` when the neighbor is in its own
+    neighborhood. Known to overestimate: occlusions and the neighbor's
+    actual sensor state are invisible from here.
     """
     speed = float(np.linalg.norm(target.velocity))
     heading = (
         math.atan2(target.velocity[1], target.velocity[0]) if speed > 0.1 else psi
     )
-    candidates = []
-    for v in views:
-        if v.agent_id == target.agent_id:
-            continue
-        rel = v.position - target.position
-        dist = float(np.linalg.norm(rel))
-        if dist > sensor_range or dist < 1e-9:
-            continue
-        bearing = math.atan2(rel[1], rel[0])
-        if abs(wrap_angle(bearing - heading)) > fov / 2.0:
-            continue
-        candidates.append(
-            NeighborInfo(
-                agent_id=v.agent_id,
-                bearing=bearing,
-                distance=dist,
-                velocity=v.velocity - target.velocity,
-            )
-        )
-    candidates.sort(key=lambda m: (m.distance, m.agent_id))
-    members = candidates[:max_neighbors]
+    visible = [
+        m
+        for m in (_member(v.agent_id, v.position - target.position)
+                  for v in views if v.agent_id != target.agent_id)
+        if 1e-9 <= m.distance <= sensor_range
+        and abs(wrap_angle(m.bearing - heading)) <= fov / 2.0
+    ]
+    members = _nearest(visible, max_neighbors)
     if in_focal_neighborhood:
-        rel = np.asarray(own_position, float) - target.position
-        dist = float(np.linalg.norm(rel))
-        if dist > 1e-9:
-            members.append(
-                NeighborInfo(
-                    agent_id=-2,
-                    bearing=math.atan2(rel[1], rel[0]),
-                    distance=dist,
-                    velocity=np.asarray(own_velocity, float) - target.velocity,
-                )
-            )
+        focal = _member(
+            FOCAL_MEMBER_ID, np.asarray(own_position, float) - target.position
+        )
+        if focal.distance > 1e-9:
+            members.append(focal)
     return members
 
 
 def estimate_velocities(
     views: Sequence[TrackView],
     own_position: np.ndarray,
-    own_velocity: np.ndarray,
     target_rel: np.ndarray | None,
     psi: float,
     gains: ControllerGains,
@@ -154,40 +138,19 @@ def estimate_velocities(
     own_position = np.asarray(own_position, dtype=float)
     focal_ids = {
         m.agent_id
-        for m in select_neighbors(
-            views, own_position, own_velocity, gains.max_neighbors
-        )
+        for m in select_neighbors(views, own_position, gains.max_neighbors)
     }
     out = []
     for v in sorted(views, key=lambda t: t.agent_id):
         members = estimate_view(
-            views,
-            v,
-            own_position,
-            own_velocity,
-            psi,
-            sensor_range,
-            fov,
-            gains.max_neighbors,
+            views, v, own_position, psi, sensor_range, fov, gains.max_neighbors,
             in_focal_neighborhood=v.agent_id in focal_ids,
         )
         if target_rel is None:
             neighbor_target = None
         else:
             neighbor_target = own_position + np.asarray(target_rel, float) - v.position
-        if members:
-            center = np.mean(
-                [m.distance * np.array([math.cos(m.bearing), math.sin(m.bearing)])
-                 for m in members],
-                axis=0,
-            )
-        else:
-            center = np.zeros(2)
-        neighbor_psi = (
-            group_heading(center, neighbor_target, psi)
-            if neighbor_target is not None
-            else psi
-        )
+        neighbor_psi = neighborhood_heading(members, neighbor_target, psi)
         desired = flocking_command(members, neighbor_psi, neighbor_target, gains)
         prev = previous.get(v.agent_id, v.velocity)
         estimate = model.a * np.asarray(prev, float) + model.b * desired.velocity
@@ -215,7 +178,6 @@ class VelocityEstimator:
         self,
         views: Sequence[TrackView],
         own_position: np.ndarray,
-        own_velocity: np.ndarray,
         target_rel: np.ndarray | None,
         psi: float,
     ) -> list[tuple[int, np.ndarray]]:
@@ -224,16 +186,8 @@ class VelocityEstimator:
                 "no response model configured; fit one before estimating"
             )
         out = estimate_velocities(
-            views,
-            own_position,
-            own_velocity,
-            target_rel,
-            psi,
-            self.gains,
-            self.model,
-            self.sensor_range,
-            self.fov,
-            self.estimates,
+            views, own_position, target_rel, psi, self.gains, self.model,
+            self.sensor_range, self.fov, self.estimates,
         )
         self.estimates = {agent_id: estimate for agent_id, estimate in out}
         return out

@@ -133,3 +133,61 @@ def test_fit_model_writes_file(tiny_config, tmp_path):
     data = json.loads(out_file.read_text())
     assert 0.0 < data["a"] < 1.0
     assert data["b"] > 0.0
+
+
+def exit_code(argv) -> int:
+    """What `fastflock <argv>` exits with, whether main returns the code or
+    raises SystemExit with it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture
+def modelless_config(tiny_config):
+    data = yaml.safe_load(tiny_config.read_text())
+    del data["response_model"]
+    tiny_config.write_text(yaml.safe_dump(data))
+    return tiny_config
+
+
+def test_run_rejects_negative_seed_override(tiny_config, capsys):
+    assert exit_code(["run", str(tiny_config), "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_comm_off_without_response_model_is_invalid(modelless_config, capsys):
+    data = yaml.safe_load(modelless_config.read_text())
+    data["comm"] = False
+    modelless_config.write_text(yaml.safe_dump(data))
+    assert exit_code(["validate", str(modelless_config)]) == 2
+    assert "response_model" in capsys.readouterr().err
+    assert exit_code(["run", str(modelless_config)]) == 2
+
+
+def test_run_no_comm_without_response_model_is_invalid(modelless_config, capsys):
+    assert exit_code(["run", str(modelless_config), "--no-comm"]) == 2
+    assert "response_model" in capsys.readouterr().err
+
+
+def test_ablate_without_response_model_is_invalid(modelless_config, capsys):
+    assert exit_code(["ablate", str(modelless_config), "--pairs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "response_model" in captured.err
+    assert "sigma_d" not in captured.out
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_ablate_rejects_fewer_than_one_pair(tiny_config, pairs):
+    assert exit_code(["ablate", str(tiny_config), "--pairs", pairs]) == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unreadable_configs_exit_2(tmp_path, command, capsys):
+    malformed = tmp_path / "malformed.yaml"
+    malformed.write_text("name: [unclosed\n")
+    assert exit_code([command, str(malformed)]) == 2
+    assert exit_code([command, str(tmp_path / "missing.yaml")]) == 2
+    err = capsys.readouterr().err
+    assert "malformed.yaml" in err and "missing.yaml" in err

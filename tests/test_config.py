@@ -1,8 +1,10 @@
+import copy
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from fastflock.config import (
     ConfigError,
@@ -16,6 +18,8 @@ from fastflock.config import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+GAINS = {"kp": 0.8, "kv": 0.5, "cruise_speed": 5.0, "d_min": 15.0,
+         "d_max": 40.0, "spacing": 13.0}
 
 
 def test_all_shipped_configs_valid():
@@ -61,11 +65,75 @@ def test_errors_are_collected_not_first_only():
     ({"response_model": [0.9, 0.1]}, "response_model"),
     ({"layout": {"kind": "grid", "spacing": -13.0}}, "spacing"),
     ({"layout": {"kind": "ring", "spacing": -13.0}}, "spacing"),
+    ({"sensors": {"bearing_sigma": "x"}}, "sensors.bearing_sigma"),
+    ({"plant": {"tau": "x"}}, "plant.tau"),
+    ({"sensors": {"comm": {"latency_ticks": "x"}}}, "latency_ticks"),
+    ({"filters": {"track_q_rate": [1, 2]}}, "filters.track_q_rate"),
+    ({"filters": {"focal_q_rate": [0, 0, 0, 0, 0, -1]}}, "filters.focal_q_rate"),
+    ({"target": {"position": [1, 2, 3]}}, "target.position"),
+    ({"gains": {**GAINS, "max_neighbors": 2.5}}, "gains.max_neighbors"),
+    ({"filters": {"fix_sigma": 0}}, "filters.fix_sigma"),
+    ({"filters": {"vel_sigma_comm": 0}}, "filters.vel_sigma_comm"),
+    ({"gains": {**GAINS, "kp": math.nan}}, "gains.kp"),
+    ({"sensors": {"max_range": "x"}}, "sensors.max_range"),
+    ({"gains": {**GAINS, "max_neighbors": -1}}, "gains.max_neighbors"),
+    ({"sensors": {"comm": {"latency_ticks": 1.5}}}, "latency_ticks"),
+    ({"response_model": {"a": "x", "b": 0.1}}, "response_model.a"),
+    ({"comm": False}, "response_model"),
 ])
 def test_bad_values_raise_config_error(data, field):
     with pytest.raises(ConfigError) as excinfo:
         scenario_from_dict(data)
     assert field in str(excinfo.value)
+
+
+def _numeric_leaves(node, path=()):
+    """Paths to every number (not a bool) inside nested mappings and lists."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield path
+        return
+    for key, child in items:
+        yield from _numeric_leaves(child, path + (key,))
+
+
+@pytest.mark.parametrize("bad", ["x", math.nan])
+def test_every_numeric_leaf_rejects_non_numbers(bad):
+    data = yaml.safe_load((CONFIG_DIR / "ablation.yaml").read_text())
+    leaves = list(_numeric_leaves(data))
+    assert len(leaves) >= 20
+    accepted = []
+    for path in leaves:
+        broken = copy.deepcopy(data)
+        node = broken
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        try:
+            scenario_from_dict(broken)
+        except ConfigError as exc:
+            name = next(k for k in reversed(path) if isinstance(k, str))
+            assert name in str(exc), (path, str(exc))
+        else:
+            accepted.append(path)
+    assert accepted == []
+
+
+@pytest.mark.parametrize("text", ["name: [unclosed\n", "dt: 0.05\n  - x: 1\n"])
+def test_malformed_yaml_raises_config_error(tmp_path, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="bad.yaml"):
+        load_scenario(path)
+
+
+def test_missing_file_raises_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="missing.yaml"):
+        load_scenario(tmp_path / "missing.yaml")
 
 
 def test_null_section_keeps_its_default():

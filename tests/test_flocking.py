@@ -14,6 +14,7 @@ from fastflock.flocking import (
     flocking_command,
     group_heading,
     group_velocity,
+    neighborhood_heading,
     select_neighbors,
 )
 from fastflock.geometry import heading_vector, rotation, wrap_angle
@@ -24,13 +25,8 @@ GAINS = ControllerGains(
 )
 
 
-def member(bearing, distance, agent_id=1, velocity=(0.0, 0.0)):
-    return NeighborInfo(
-        agent_id=agent_id,
-        bearing=bearing,
-        distance=distance,
-        velocity=np.asarray(velocity, dtype=float),
-    )
+def member(bearing, distance, agent_id=1):
+    return NeighborInfo(agent_id=agent_id, bearing=bearing, distance=distance)
 
 
 def view(agent_id, x, y):
@@ -45,27 +41,18 @@ def view(agent_id, x, y):
 class TestSelectNeighbors:
     def test_all_selected_when_few(self):
         views = [view(1, 10, 0), view(2, 0, 10)]
-        chosen = select_neighbors(views, np.zeros(2), np.zeros(2), max_neighbors=3)
+        chosen = select_neighbors(views, np.zeros(2), max_neighbors=3)
         assert [m.agent_id for m in chosen] == [1, 2]
 
     def test_nearest_win(self):
         views = [view(i, 5.0 + i, 0.0) for i in range(5)]  # distances 5..9
-        chosen = select_neighbors(views, np.zeros(2), np.zeros(2), max_neighbors=3)
+        chosen = select_neighbors(views, np.zeros(2), max_neighbors=3)
         assert [m.agent_id for m in chosen] == [0, 1, 2]
 
     def test_ties_broken_by_id(self):
         views = [view(7, 10, 0), view(3, 0, 10), view(5, -10, 0)]
-        chosen = select_neighbors(views, np.zeros(2), np.zeros(2), max_neighbors=2)
+        chosen = select_neighbors(views, np.zeros(2), max_neighbors=2)
         assert [m.agent_id for m in chosen] == [3, 5]
-
-    def test_relative_velocity(self):
-        views = [
-            TrackView(1, np.array([10.0, 0.0]), np.array([2.0, 1.0]), 0.0)
-        ]
-        chosen = select_neighbors(
-            views, np.zeros(2), np.array([1.0, 1.0]), max_neighbors=4
-        )
-        assert np.allclose(chosen[0].velocity, [1.0, 0.0])
 
 
 class TestGroupHeading:
@@ -83,6 +70,26 @@ class TestGroupHeading:
 
     def test_coincident_holds_previous(self):
         assert group_heading(np.ones(2), np.ones(2) + 1e-12, 0.77) == 0.77
+
+
+class TestNeighborhoodHeading:
+    def test_no_goal_holds_previous(self):
+        members = [member(0.0, 10.0), member(math.pi / 2, 10.0, agent_id=2)]
+        assert neighborhood_heading(members, None, 0.42) == 0.42
+
+    def test_no_members_heads_from_origin(self):
+        psi = neighborhood_heading([], np.array([0.0, -5.0]), 0.3)
+        assert psi == pytest.approx(-math.pi / 2)
+
+    def test_heads_from_members_center(self):
+        # Center (5, 5); the goal (5, 20) lies due north of it.
+        members = [member(0.0, 10.0), member(math.pi / 2, 10.0, agent_id=2)]
+        psi = neighborhood_heading(members, np.array([5.0, 20.0]), 0.0)
+        assert psi == pytest.approx(math.pi / 2)
+
+    def test_goal_on_center_holds_previous(self):
+        members = [member(0.0, 10.0), member(math.pi, 10.0, agent_id=2)]
+        assert neighborhood_heading(members, np.zeros(2), -1.1) == -1.1
 
 
 class TestWeights:
@@ -258,8 +265,7 @@ class TestFlockingCommand:
         ]
         rot = rotation(alpha)
         members_rot = [
-            NeighborInfo(m.agent_id, wrap_angle(m.bearing + alpha), m.distance,
-                         rot @ m.velocity)
+            NeighborInfo(m.agent_id, wrap_angle(m.bearing + alpha), m.distance)
             for m in members
         ]
         base = flocking_command(members, psi, target, GAINS, offset_rate=rate)
@@ -276,17 +282,17 @@ class TestFlockingCommand:
 def test_controller_rate_filtering_starts_at_zero():
     ctrl = FlockingController(GAINS)
     views = [view(1, GAINS.spacing + 4.0, 0.0)]
-    cmd = ctrl.update(views, np.zeros(2), np.zeros(2), np.array([100.0, 0.0]), 0.1)
+    cmd = ctrl.update(views, np.zeros(2), np.array([100.0, 0.0]), 0.1)
     assert np.allclose(cmd.velocity_term, 0.0)
-    cmd2 = ctrl.update(views, np.zeros(2), np.zeros(2), np.array([100.0, 0.0]), 0.1)
+    cmd2 = ctrl.update(views, np.zeros(2), np.array([100.0, 0.0]), 0.1)
     assert np.allclose(cmd2.velocity_term, 0.0, atol=1e-9)  # offset unchanged
 
 
 def test_controller_holds_heading_when_goal_on_center():
     ctrl = FlockingController(GAINS)
-    ctrl.update([], np.zeros(2), np.zeros(2), np.array([50.0, 0.0]), 0.1)
+    ctrl.update([], np.zeros(2), np.array([50.0, 0.0]), 0.1)
     assert ctrl.psi == 0.0
-    ctrl.update([], np.zeros(2), np.zeros(2), np.zeros(2), 0.1)
+    ctrl.update([], np.zeros(2), np.zeros(2), 0.1)
     assert ctrl.psi == 0.0
 
 
@@ -307,7 +313,7 @@ def test_controller_evaluates_offset_once_and_matches_stateless_law(monkeypatch)
     for step in range(3):
         calls.clear()
         own = np.array([0.5 * step, 0.0])
-        cmd = ctrl.update(views, own, np.array([1.0, 0.0]), target, 0.1)
+        cmd = ctrl.update(views, own, target, 0.1)
         assert len(calls) == 1
         expected = original(flocking._with_target(ctrl.members, target, GAINS),
                             ctrl.psi, GAINS)
@@ -315,3 +321,22 @@ def test_controller_evaluates_offset_once_and_matches_stateless_law(monkeypatch)
                                      offset_rate=ctrl._rate)
         assert np.array_equal(cmd.offset, expected)
         assert np.array_equal(cmd.velocity, reference.velocity)
+
+
+def test_controller_computes_heading_once_per_tick(monkeypatch):
+    from fastflock import flocking
+
+    calls = []
+    original = flocking.neighborhood_heading
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flocking, "neighborhood_heading", counting)
+    ctrl = FlockingController(GAINS)
+    views = [view(1, 10.0, 4.0), view(2, 9.0, -6.0), view(3, -12.0, 1.0)]
+    for target in (np.array([60.0, 10.0]), None):
+        calls.clear()
+        ctrl.update(views, np.zeros(2), target, 0.1)
+        assert len(calls) == 1

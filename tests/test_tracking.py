@@ -70,14 +70,14 @@ def test_stale_observation_dropped_with_count():
 def test_velocity_dominant_measurement():
     bank = make_bank()
     bank.ingest_position(obs(1, 0.0, 10.0), np.zeros(2), 0.0)
-    bank.ingest_velocity(1, np.array([5.0, 0.0]), stamp=0.0, sigma=1e-5)
+    bank.ingest_velocity(1, np.array([5.0, 0.0]), sigma=1e-5)
     view = bank.snapshot()[0]
     assert np.allclose(view.velocity, [5.0, 0.0], atol=1e-4)
 
 
 def test_velocity_for_unknown_id_dropped():
     bank = make_bank()
-    bank.ingest_velocity(9, np.array([1.0, 0.0]), stamp=0.0)
+    bank.ingest_velocity(9, np.array([1.0, 0.0]))
     assert len(bank.tracks) == 0
     assert bank.dropped_unknown == 1
 
@@ -91,11 +91,11 @@ def test_simultaneous_corrections_position_first():
     twin.ingest_position(obs(1, 0.0, 10.0, stamp=0.0), np.zeros(2), 0.0)
     twin.step(0.1)
     twin.ingest_position(obs(1, 0.01, 10.5, stamp=0.1), np.zeros(2), 0.0)
-    twin.ingest_velocity(1, np.array([2.0, 0.0]), stamp=0.1)
+    twin.ingest_velocity(1, np.array([2.0, 0.0]))
 
     bank.apply_tick(
         [obs(1, 0.01, 10.5, stamp=0.1)],
-        [VelocityReport(agent_id=1, velocity=np.array([2.0, 0.0]), stamp=0.1)],
+        [VelocityReport(agent_id=1, velocity=np.array([2.0, 0.0]))],
         np.zeros(2),
         0.0,
     )
@@ -110,7 +110,7 @@ def test_tick_permutation_invariance():
         for i in (4, 1, 3, 2)
     ]
     reports = [
-        VelocityReport(agent_id=i, velocity=rng.standard_normal(2), stamp=0.0)
+        VelocityReport(agent_id=i, velocity=rng.standard_normal(2))
         for i in (3, 1, 4)
     ]
     banks = []
@@ -186,7 +186,7 @@ def test_apply_tick_matches_sequential_ingest():
                            (7, 0.3), (1, 0.3), (2, 0.32)]
     ]
     reports = [
-        VelocityReport(agent_id=tid, velocity=rng.standard_normal(2), stamp=0.3,
+        VelocityReport(agent_id=tid, velocity=rng.standard_normal(2),
                        sigma=sigma)
         for tid, sigma in [(8, None), (1, 0.2), (4, None), (8, 0.5), (7, None)]
     ]
@@ -194,14 +194,13 @@ def test_apply_tick_matches_sequential_ingest():
     for o in sorted(observations, key=lambda o: o.observed_id):
         twin.ingest_position(o, position, heading)
     for rep in sorted(reports, key=lambda r: r.agent_id):
-        twin.ingest_velocity(rep.agent_id, rep.velocity, rep.stamp, rep.sigma)
+        twin.ingest_velocity(rep.agent_id, rep.velocity, rep.sigma)
     assert sorted(bank.tracks) == sorted(twin.tracks) == [1, 2, 3, 5, 7, 8]
     for tid, track in bank.tracks.items():
         other = twin.tracks[tid]
         assert np.array_equal(track.state, other.state)
         assert np.array_equal(track.cov, other.cov)
         assert track.last_pos_stamp == other.last_pos_stamp
-        assert track.last_vel_stamp == other.last_vel_stamp
         assert track.staleness == other.staleness
     assert bank.dropped_stale == twin.dropped_stale == 2
     assert bank.dropped_unknown == twin.dropped_unknown == 1
@@ -226,8 +225,7 @@ def test_zero_velocity_sigma_rejected():
     bank.ingest_position(obs(1, 0.0, 10.0), np.zeros(2), 0.0)
     with pytest.raises(ValueError, match="positive definite"):
         bank.apply_tick(
-            [], [VelocityReport(agent_id=1, velocity=np.ones(2), stamp=0.0,
-                                sigma=0.0)],
+            [], [VelocityReport(agent_id=1, velocity=np.ones(2), sigma=0.0)],
             np.zeros(2), 0.0,
         )
 

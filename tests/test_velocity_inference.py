@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fastflock.flocking import ControllerGains
+from fastflock.flocking import FOCAL_MEMBER_ID, ControllerGains
 from fastflock.tracking import TrackView
 from fastflock.velocity_inference import (
     FitError,
@@ -78,19 +78,28 @@ class TestEstimateView:
     def test_lone_neighbor_sees_only_focal(self):
         views = [view(1, 13.0, 0.0)]
         members = estimate_view(
-            views, views[0], np.zeros(2), np.zeros(2), 0.0,
+            views, views[0], np.zeros(2), 0.0,
             SENSOR_RANGE, FOV, 4, in_focal_neighborhood=True,
         )
         assert len(members) == 1
         assert members[0].distance == pytest.approx(13.0)
         assert members[0].bearing == pytest.approx(math.pi)
 
+    def test_focal_agent_tagged(self):
+        views = [view(1, 13.0, 0.0), view(2, 20.0, 5.0)]
+        members = estimate_view(
+            views, views[0], np.zeros(2), 0.0,
+            SENSOR_RANGE, FOV, 4, in_focal_neighborhood=True,
+        )
+        assert [m.agent_id for m in members] == [2, FOCAL_MEMBER_ID]
+        assert members[-1].distance == pytest.approx(13.0)
+
     def test_equilateral_views_contain_both_others(self):
         side = 13.0
         views = [view(1, side, 0.0), view(2, side / 2, side * math.sqrt(3) / 2)]
         for target, other_id in ((views[0], 2), (views[1], 1)):
             members = estimate_view(
-                views, target, np.zeros(2), np.zeros(2), 0.0,
+                views, target, np.zeros(2), 0.0,
                 SENSOR_RANGE, FOV, 4, in_focal_neighborhood=True,
             )
             ids = {m.agent_id for m in members}
@@ -100,7 +109,7 @@ class TestEstimateView:
     def test_out_of_range_agent_excluded(self):
         views = [view(1, 13.0, 0.0), view(2, 13.0 + SENSOR_RANGE + 5.0, 0.0)]
         members = estimate_view(
-            views, views[0], np.zeros(2), np.zeros(2), 0.0,
+            views, views[0], np.zeros(2), 0.0,
             SENSOR_RANGE, FOV, 4, in_focal_neighborhood=False,
         )
         assert [m.agent_id for m in members] == []
@@ -111,13 +120,13 @@ class TestEstimateView:
         # when 1 moves west.
         views_east = [view(1, 20.0, 0.0, vx=2.0), view(2, 0.0, 0.0)]
         members = estimate_view(
-            views_east, views_east[0], np.array([100.0, 100.0]), np.zeros(2), 0.0,
+            views_east, views_east[0], np.array([100.0, 100.0]), 0.0,
             SENSOR_RANGE, FOV, 4, in_focal_neighborhood=False,
         )
         assert [m.agent_id for m in members] == []
         views_west = [view(1, 20.0, 0.0, vx=-2.0), view(2, 0.0, 0.0)]
         members = estimate_view(
-            views_west, views_west[0], np.array([100.0, 100.0]), np.zeros(2), 0.0,
+            views_west, views_west[0], np.array([100.0, 100.0]), 0.0,
             SENSOR_RANGE, FOV, 4, in_focal_neighborhood=False,
         )
         assert [m.agent_id for m in members] == [2]
@@ -128,7 +137,7 @@ class TestEstimateView:
         # neighbor, even if the neighbor could not actually see it.
         views = [view(1, 20.0, 0.0, vx=-1.0), view(2, -5.0, 0.0)]
         members = estimate_view(
-            views, views[0], np.zeros(2), np.zeros(2), 0.0,
+            views, views[0], np.zeros(2), 0.0,
             SENSOR_RANGE, FOV, 4, in_focal_neighborhood=False,
         )
         assert 2 in {m.agent_id for m in members}
@@ -138,7 +147,7 @@ class TestEstimateVelocities:
     def test_empty_surroundings(self):
         model = ResponseModel(a=0.8, b=0.2)
         out = estimate_velocities(
-            [], np.zeros(2), np.zeros(2), np.array([100.0, 0.0]), 0.0,
+            [], np.zeros(2), np.array([100.0, 0.0]), 0.0,
             GAINS, model, SENSOR_RANGE, FOV, {},
         )
         assert out == []
@@ -151,7 +160,7 @@ class TestEstimateVelocities:
         expected_err = GAINS.cruise_speed
         for _ in range(25):
             out = estimate_velocities(
-                views, np.zeros(2), np.zeros(2), target, 0.0,
+                views, np.zeros(2), target, 0.0,
                 GAINS, model, SENSOR_RANGE, FOV, prev,
             )
             (agent_id, estimate), = out
@@ -170,7 +179,7 @@ class TestEstimateVelocities:
         last = prev[1]
         for _ in range(30):
             out = estimate_velocities(
-                views, np.zeros(2), np.zeros(2), target, 0.0,
+                views, np.zeros(2), target, 0.0,
                 GAINS, model, SENSOR_RANGE, FOV, prev,
             )
             estimate = out[0][1]
@@ -190,7 +199,7 @@ class TestEstimateVelocities:
         ]
         prev = {i: rng.uniform(-1, 1, size=2) for i in range(1, 5)}
         args = (
-            views, np.zeros(2), np.array([1.0, 0.5]), np.array([60.0, 10.0]),
+            views, np.zeros(2), np.array([60.0, 10.0]),
             0.3, GAINS, model, SENSOR_RANGE, FOV, dict(prev),
         )
         first = estimate_velocities(*args)
@@ -203,32 +212,56 @@ class TestEstimateVelocities:
         model = ResponseModel(a=0.8, b=0.2)
         views = [view(5, 10.0, 0.0), view(2, 0.0, 10.0), view(9, -10.0, 0.0)]
         out = estimate_velocities(
-            views, np.zeros(2), np.zeros(2), np.array([80.0, 0.0]), 0.0,
+            views, np.zeros(2), np.array([80.0, 0.0]), 0.0,
             GAINS, model, SENSOR_RANGE, FOV, {},
         )
         assert [i for i, _ in out] == [2, 5, 9]
+
+    def test_each_replay_computes_heading_once(self, monkeypatch):
+        from fastflock import flocking, velocity_inference
+
+        # The replay calls the controller's own heading function.
+        assert velocity_inference.neighborhood_heading is flocking.neighborhood_heading
+        model = ResponseModel(a=0.8, b=0.2)
+        views = [view(5, 10.0, 0.0, vx=1.0), view(2, 0.0, 10.0),
+                 view(9, -10.0, 0.0)]
+        args = (views, np.zeros(2), np.array([80.0, 0.0]), 0.0,
+                GAINS, model, SENSOR_RANGE, FOV, {})
+        expected = estimate_velocities(*args)
+        calls = []
+        original = flocking.neighborhood_heading
+
+        def counting(*a, **kw):
+            calls.append(1)
+            return original(*a, **kw)
+
+        monkeypatch.setattr(velocity_inference, "neighborhood_heading", counting)
+        out = estimate_velocities(*args)
+        assert len(calls) == len(views)
+        for (i, a), (j, b) in zip(out, expected):
+            assert i == j and np.array_equal(a, b)
 
 
 class TestVelocityEstimator:
     def test_unfitted_model_rejected(self):
         est = VelocityEstimator(GAINS, None, SENSOR_RANGE, FOV)
         with pytest.raises(NotFittedError):
-            est.update([view(1, 10.0, 0.0)], np.zeros(2), np.zeros(2),
+            est.update([view(1, 10.0, 0.0)], np.zeros(2),
                        np.array([50.0, 0.0]), 0.0)
 
     def test_state_initialized_from_track_velocity(self):
         model = ResponseModel(a=1.0 - 1e-12, b=1e-12)  # hold previous value
         est = VelocityEstimator(GAINS, model, SENSOR_RANGE, FOV)
         out = est.update([view(1, 20.0, 0.0, vx=3.0, vy=1.0)], np.zeros(2),
-                         np.zeros(2), np.array([50.0, 0.0]), 0.0)
+                         np.array([50.0, 0.0]), 0.0)
         assert np.allclose(out[0][1], [3.0, 1.0], atol=1e-6)
 
     def test_dropped_tracks_pruned(self):
         model = ResponseModel(a=0.8, b=0.2)
         est = VelocityEstimator(GAINS, model, SENSOR_RANGE, FOV)
-        est.update([view(1, 20.0, 0.0)], np.zeros(2), np.zeros(2),
+        est.update([view(1, 20.0, 0.0)], np.zeros(2),
                    np.array([50.0, 0.0]), 0.0)
         assert 1 in est.estimates
-        est.update([view(2, 10.0, 0.0)], np.zeros(2), np.zeros(2),
+        est.update([view(2, 10.0, 0.0)], np.zeros(2),
                    np.array([50.0, 0.0]), 0.0)
         assert 1 not in est.estimates
