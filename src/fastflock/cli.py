@@ -1,7 +1,8 @@
 """Command-line front end: run scenarios, paired ablations, response-model
 fitting, metric recomputation, and config validation.
 
-Exit codes: 0 success, 2 configuration errors, 3 simulation faults.
+Exit codes: 0 success, 2 configuration errors and unreadable logs, 3
+simulation faults.
 """
 
 from __future__ import annotations
@@ -196,7 +197,15 @@ def cmd_fit_model(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    records = read_log(args.log)
+    try:
+        records = read_log(args.log)
+    except (OSError, ValueError) as exc:
+        print(f"cannot read log {args.log}: {exc}", file=sys.stderr)
+        return 2
+    if not all(isinstance(r, dict) for r in records):
+        print(f"cannot read log {args.log}: a record is not a JSON object",
+              file=sys.stderr)
+        return 2
     body = [r for r in records if r.get("record") != "summary"]
     summary = metrics_mod.summarize(body)
     print(json.dumps(summary.as_dict(), sort_keys=True, indent=2))

@@ -196,7 +196,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     errors: list[str] = []
     config = _build(ScenarioConfig, data, errors)
     if config is not None:
-        errors.extend(validate(config))
+        # `_build` has type-checked every field it took.
+        errors.extend(_semantic_errors(config))
     if errors:
         raise ConfigError(errors)
     return config
@@ -212,30 +213,62 @@ def _positive(value) -> bool:
     return _is_number(value) and value > 0
 
 
-def validate(config: ScenarioConfig) -> list[str]:
-    """Semantic checks across the whole scenario; returns every violation."""
+def _type_errors(obj, prefix: str = "") -> list[str]:
+    """The fields of a built dataclass, its sections included, whose values
+    do not fit their annotations (see `_fits`)."""
     errors = []
-    if not isinstance(config.name, str):
-        errors.append("name must be a string")
+    hints = _HINTS[type(obj)]
+    for f in dataclasses.fields(obj):
+        path = f"{prefix}.{f.name}" if prefix else f.name
+        value = getattr(obj, f.name)
+        section = _SECTIONS.get(path)
+        if section is None:
+            if not _fits(value, hints[f.name]):
+                errors.append(f"{path} must be {_describe(hints[f.name])}")
+        elif isinstance(value, section):
+            errors.extend(_type_errors(value, path))
+        elif not (value is None and type(None) in typing.get_args(hints[f.name])):
+            errors.append(f"{path} must be a {section.__name__}")
+    return errors
+
+
+def validate(config: ScenarioConfig) -> list[str]:
+    """Every violation in a scenario. A config built in code is type-checked
+    first, the way `scenario_from_dict` checks a mapping; mistyped fields
+    are then the only errors returned."""
+    return _type_errors(config) or _semantic_errors(config)
+
+
+def _semantic_errors(config: ScenarioConfig) -> list[str]:
+    """Semantic checks across a well-typed scenario."""
+    errors = []
     if not _int_at_least(config.seed, 0):
         errors.append("seed must be an integer >= 0")
     agents_ok = _int_at_least(config.n_agents, 1)
     if not agents_ok:
         errors.append("n_agents must be an integer >= 1")
-    if not isinstance(config.comm, bool):
-        errors.append("comm must be true or false")
-    elif not config.comm and config.response_model is None:
+    if not config.comm and config.response_model is None:
         errors.append("comm: false needs a response_model to infer velocities")
     for name in ("dt", "duration", "safety_radius"):
         if not _positive(getattr(config, name)):
             errors.append(f"{name} must be a finite number > 0")
     sensors = config.sensors
+    vio = sensors.vio
     for name, value in (("bearing_sigma", sensors.bearing_sigma),
                         ("range_sigma_rel", sensors.range_sigma_rel),
                         ("imu_accel_sigma", sensors.imu_accel_sigma),
-                        ("target_sigma", sensors.target_sigma)):
-        if value < 0:
-            errors.append(f"sensors.{name} must be >= 0")
+                        ("target_sigma", sensors.target_sigma),
+                        *((f"vio.{name}", getattr(vio, name)) for name in (
+                            "pos_sigma", "vel_sigma", "accel_sigma",
+                            "drift_rate", "count_sigma", "max_features"))):
+        # numpy rejects a noise scale of -0.0 as negative.
+        if math.copysign(1.0, value) < 0:
+            errors.append(f"sensors.{name} must be >= 0 (and not -0)")
+    for name in ("starve_speed", "stable_life", "transient_life"):
+        if getattr(vio, name) <= 0:
+            errors.append(f"sensors.vio.{name} must be > 0")
+    if not 0.0 <= vio.stable_share <= 1.0:
+        errors.append("sensors.vio.stable_share must be in [0, 1]")
     for name, value in (("dropout_prob", sensors.dropout_prob),
                         ("comm.drop_prob", sensors.comm.drop_prob)):
         if not 0.0 <= value <= 1.0:
@@ -244,15 +277,26 @@ def validate(config: ScenarioConfig) -> list[str]:
         errors.append("sensors.comm.latency_ticks must be >= 0")
     if config.gains.max_neighbors < 1:
         errors.append("gains.max_neighbors must be >= 1")
+    if config.gains.v_max <= 0:
+        errors.append("gains.v_max must be > 0")
+    # Below pi/700 every blend weight can underflow to zero (exp(-700) is
+    # still a normal float), and the weights become 0/0.
+    if not config.gains.bearing_scale >= math.pi / 700:
+        errors.append("gains.bearing_scale must be >= pi/700")
     if config.plant.tau <= 0 or config.plant.v_max <= 0 or config.plant.a_max <= 0:
         errors.append("plant tau/v_max/a_max must be > 0")
     filters = config.filters
     if filters.fusion_rate <= 0:
         errors.append("filters.fusion_rate must be > 0")
     for name in ("track_pos_sigma_floor", "vel_sigma_comm",
-                 "vel_sigma_inferred", "fix_sigma"):
+                 "vel_sigma_inferred", "fix_sigma", "focal_tau"):
         if getattr(filters, name) <= 0:
             errors.append(f"filters.{name} must be > 0")
+    if (_positive(config.dt) and filters.focal_tau > 0
+            and not 1.0 - math.exp(-config.dt / filters.focal_tau) > 0.0):
+        # The self-state filter's command input would round to zero.
+        errors.append("dt is too small against filters.focal_tau: "
+                      "1 - exp(-dt / focal_tau) rounds to 0")
     for name in ("track_q_rate", "focal_q_rate"):
         rates = getattr(filters, name)
         if len(rates) != 6 or min(rates) < 0:

@@ -4,18 +4,34 @@ orchestration, collision detection, and ground-truth bookkeeping.
 Every tick advances all agents synchronously on the previous tick's ground
 truth. The tick works out the swarm's pairwise geometry once
 (`geometry.pairwise`); collision detection reads its distance matrix and each
-agent's stage reads its own row for sensing. Stages run one after another in
-id order, and broadcasts and plant integration follow once every stage has
-run. All randomness flows from per-(agent, sensor) generator streams spawned
-off the scenario seed.
+agent's stage reads its own row for sensing. The tick then runs in phases
+across the swarm:
+1. per agent, in id order, `Simulation._stage`: sense, tracker, self-state
+   and fusion;
+2. velocity-ingest: with comm off, one call of
+   `velocity_inference.update_estimators` replays the flocking law for every
+   tracked neighbour of every agent; then, per agent, the bank takes the
+   communicated or inferred velocities;
+3. controller: one call of `flocking.update_controllers` for all agents;
+4. per agent: heading, the finiteness checks and the tick record;
+then broadcasts and plant integration.
+
+Agent order cannot change the result. Within a tick an agent reads only
+the previous tick's ground truth and its own filters, random streams,
+controller and inbox, and nothing another agent writes before the
+broadcasts; the stacked law rounds each row exactly as the row alone. All
+randomness flows from per-(agent, sensor) generator streams spawned off the
+scenario seed.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,15 +39,16 @@ from . import metrics as metrics_mod
 from .config import ScenarioConfig, initial_positions, scenario_to_dict
 from .ego_estimation import (
     FocalParams,
+    FusionState,
     OdometryFusion,
     SelfStateFilter,
     position_fix,
 )
-from .flocking import FlockingCommand, FlockingController
+from .flocking import FlockingCommand, FlockingController, update_controllers
 from .geometry import pairwise
 from .sensors import CommChannel, CommConfig, VioEmulator, observe
-from .tracking import TrackBank, TrackParams, VelocityReport
-from .velocity_inference import VelocityEstimator
+from .tracking import TrackBank, TrackParams, TrackView, VelocityReport
+from .velocity_inference import VelocityEstimator, update_estimators
 
 LOG_FORMAT_VERSION = 1
 
@@ -205,6 +222,29 @@ class Agent:
         )
 
 
+class Sensed(NamedTuple):
+    """What one agent's stage hands the later phases of its tick: the ground
+    truth it started from, its target sighting, its inbox, its tracks before
+    velocity ingest, and its self-state and fusion results."""
+
+    truth_pos: np.ndarray
+    truth_vel: np.ndarray
+    target_rel: np.ndarray
+    delivered: list
+    views: list[TrackView]
+    own_state: np.ndarray
+    fused: FusionState
+
+
+@contextmanager
+def _fault(agent_id: int, stage: str):
+    """Report any error raised inside as a SimulationFault of one agent."""
+    try:
+        yield
+    except Exception as exc:
+        raise SimulationFault(f"agent {agent_id} stage {stage}: {exc}") from exc
+
+
 class Simulation:
     """One scenario instance; owns the world state and the tick loop."""
 
@@ -222,9 +262,9 @@ class Simulation:
         self.tick_index = 0
 
     def _stage(self, agent: Agent, rel: np.ndarray, dist: np.ndarray,
-               target_position: np.ndarray, t: float) -> dict:
-        """One agent's tick; `rel` and `dist` are its row of the tick's
-        pairwise geometry. Plants advance only after every stage has run."""
+               target_position: np.ndarray, t: float) -> Sensed:
+        """One agent's sense, tracker, self-state and fusion stages; `rel`
+        and `dist` are its row of the tick's pairwise geometry."""
         config = self.config
         dt = config.dt
         truth_pos = agent.plant.position
@@ -263,66 +303,75 @@ class Simulation:
             fused = agent.fusion.advance(vio_sample, own_state, dt)
             agent.fused_position = fused.position
             agent.fused_velocity = fused.velocity
-
-            stage = "velocity-ingest"
-            estimates_log = None
-            if config.comm:
-                reports = [
-                    VelocityReport(
-                        agent_id=sender, velocity=velocity,
-                        sigma=config.filters.vel_sigma_comm,
-                    )
-                    for sender, velocity in delivered
-                ]
-            else:
-                estimates = agent.vel_estimator.update(
-                    views, fused.position, target_rel, agent.controller.psi,
-                )
-                reports = [
-                    VelocityReport(
-                        agent_id=nid, velocity=velocity,
-                        sigma=config.filters.vel_sigma_inferred,
-                    )
-                    for nid, velocity in estimates
-                ]
-                estimates_log = {
-                    str(nid): _vec(velocity) for nid, velocity in estimates
-                }
-            agent.bank.apply_tick([], reports, agent.fused_position,
-                                  agent.heading)
-            views = agent.bank.snapshot()
-
-            stage = "controller"
-            command = agent.controller.update(
-                views, fused.position, target_rel, dt
-            )
-            agent.last_command = command
-
-            stage = "heading"
-            if config.sensors.heading_mode == "goal":
-                agent.heading = math.atan2(target_rel[1], target_rel[0])
-            elif float(np.linalg.norm(command.velocity)) > 0.2:
-                agent.heading = math.atan2(
-                    command.velocity[1], command.velocity[0]
-                )
         except Exception as exc:
             raise SimulationFault(
                 f"agent {agent.id} stage {stage}: {exc}"
             ) from exc
+        return Sensed(truth_pos, truth_vel, target_rel, delivered, views,
+                      own_state, fused)
 
+    def _ingest_velocities(self, sensed: list[Sensed]) -> list[dict | None]:
+        """The velocity-ingest phase: every bank takes its communicated
+        velocities, or with comm off the velocities inferred for all agents
+        in one replay. Returns each agent's logged estimates (None with
+        comm on)."""
+        config = self.config
+        agents = self.agents
+        if config.comm:
+            sigma = config.filters.vel_sigma_comm
+            reports = [s.delivered for s in sensed]
+            logs = [None] * len(agents)
+        else:
+            sigma = config.filters.vel_sigma_inferred
+            # The estimators share one model, so a fault here is every
+            # agent's; it is reported against the first, whose stage the
+            # serial tick failed in.
+            with _fault(agents[0].id, "velocity-ingest"):
+                reports = update_estimators(
+                    [a.vel_estimator for a in agents],
+                    [s.views for s in sensed],
+                    [a.fused_position for a in agents],
+                    [s.target_rel for s in sensed],
+                    [a.controller.psi for a in agents],
+                )
+            logs = [{str(nid): _vec(velocity) for nid, velocity in estimates}
+                    for estimates in reports]
+        for agent, agent_reports in zip(agents, reports):
+            with _fault(agent.id, "velocity-ingest"):
+                agent.bank.apply_tick(
+                    [],
+                    [VelocityReport(agent_id=nid, velocity=velocity, sigma=sigma)
+                     for nid, velocity in agent_reports],
+                    agent.fused_position, agent.heading,
+                )
+        return logs
+
+    def _fragment(self, agent: Agent, sensed: Sensed, command: FlockingCommand,
+                  views: list[TrackView], estimates_log: dict | None) -> dict:
+        """The heading stage, the finiteness checks and the agent's part of
+        the tick record."""
+        with _fault(agent.id, "heading"):
+            agent.last_command = command
+            if self.config.sensors.heading_mode == "goal":
+                agent.heading = math.atan2(sensed.target_rel[1],
+                                           sensed.target_rel[0])
+            elif float(np.linalg.norm(command.velocity)) > 0.2:
+                agent.heading = math.atan2(
+                    command.velocity[1], command.velocity[0]
+                )
         for label, value in (("command", command.velocity),
-                             ("fused", fused.position)):
+                             ("fused", agent.fused_position)):
             if not np.all(np.isfinite(value)):
                 raise SimulationFault(
-                    f"agent {agent.id} stage {stage}: non-finite {label}"
+                    f"agent {agent.id} stage heading: non-finite {label}"
                 )
-
+        fused = sensed.fused
         return {
-            "p": _vec(truth_pos),
-            "v": _vec(truth_vel),
+            "p": _vec(sensed.truth_pos),
+            "v": _vec(sensed.truth_vel),
             "est_p": _vec(fused.position),
             "est_v": _vec(fused.velocity),
-            "own_p": _vec(own_state[:2]),
+            "own_p": _vec(sensed.own_state[:2]),
             "own_int": _vec(agent.self_filter.integral_position),
             "vio_w": float(fused.vio_weight),
             "vio_w_target": float(fused.weight_target),
@@ -346,23 +395,38 @@ class Simulation:
     def tick(self) -> dict:
         """Advance the world one step; returns the tick record."""
         config = self.config
+        agents = self.agents
         t = self.tick_index * config.dt
-        rel, dist = pairwise([a.plant.position for a in self.agents])
+        rel, dist = pairwise([a.plant.position for a in agents])
         target_position = self.trajectory.position(t)
         collisions = detect_collisions(dist, config.safety_radius)
-        fragments = [
+        sensed = [
             self._stage(a, rel[a.id], dist[a.id], target_position, t)
-            for a in self.agents
+            for a in agents
+        ]
+        estimates_logs = self._ingest_velocities(sensed)
+        views = [a.bank.snapshot() for a in agents]
+        # The controllers share one set of gains, as the estimators share a
+        # model above.
+        with _fault(agents[0].id, "controller"):
+            commands = update_controllers(
+                [a.controller for a in agents], views,
+                [a.fused_position for a in agents],
+                [s.target_rel for s in sensed], config.dt,
+            )
+        fragments = [
+            self._fragment(*parts)
+            for parts in zip(agents, sensed, commands, views, estimates_logs)
         ]
 
         # After every stage: broadcasts and plant integration in id order.
-        for sender in self.agents:
-            for receiver in self.agents:
+        for sender in agents:
+            for receiver in agents:
                 if receiver.id != sender.id:
                     receiver.channel.send(
                         self.tick_index, sender.id, sender.fused_velocity
                     )
-        for agent in self.agents:
+        for agent in agents:
             agent.plant.advance(agent.last_command.velocity, config.dt)
             if not np.all(np.isfinite(agent.plant.position)):
                 raise SimulationFault(
@@ -375,14 +439,14 @@ class Simulation:
             "t": float(t),
             "target": _vec(target_position),
             "collisions": [list(pair) for pair in collisions],
-            "agents": {str(a.id): frag for a, frag in zip(self.agents, fragments)},
+            "agents": {str(a.id): frag for a, frag in zip(agents, fragments)},
         }
         self.tick_index += 1
         return record
 
 
 def _vec(value) -> list[float]:
-    return [float(x) for x in value]
+    return np.asarray(value, dtype=float).tolist()
 
 
 def run_scenario(

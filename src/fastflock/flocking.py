@@ -5,6 +5,28 @@ offset from the current position to the position the formation rules ask for,
 r_dot its filtered rate, and v_ff a feedforward along the group heading that
 ramps down as the target gets close. Bearings further from the group heading
 are de-weighted, which damps oscillations fed back from trailing agents.
+
+The law runs on stacks. `Neighborhoods` holds E neighbourhoods as (E, W)
+arrays of member ids, bearings and distances, and `neighborhood_heading_stack`,
+`desired_offset_stack` and `flocking_command_stack` evaluate all of them in
+one pass: every agent's controller in one call, and velocity inference's
+replay of every tracked neighbour in another. `neighborhood_heading`,
+`desired_offset`, `flocking_command` and `FlockingController.update` are the
+E = 1 case of the same code.
+
+A stack rounds each row exactly as the row alone rounds:
+- lengths and dot products are stacked 1x2 @ 2x1 products
+  (`geometry.dots`);
+- `math.atan2`, `math.remainder` and the apex height's `pow` run per
+  element: `np.arctan2` differs in the last bit, and numpy's `x**2` is
+  `x*x`; `math.cos` and `math.sin` also run per element, as the scalar law
+  ran them;
+- a row's padding holds zeros, which leave a sum over members unchanged,
+  since numpy adds those terms one after another from +0.0; the one
+  exception is the sum of the blend weights along their contiguous axis,
+  which numpy adds pairwise from eight terms on, so it runs on the rows of
+  each member count together;
+- greedy pairing and the separation override run in member order.
 """
 
 from __future__ import annotations
@@ -15,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import heading_vector, wrap_angle
+from .geometry import bearings, dots, heading_vectors, lengths, wrap_angles
 from .tracking import TrackView
 
 TARGET_MEMBER_ID = -1
@@ -81,7 +103,7 @@ class ControllerGains:
 
 class NeighborInfo(NamedTuple):
     """One neighborhood member: bearing and distance of its offset from the
-    agent whose neighborhood it belongs to. Built only by `_member`."""
+    agent whose neighborhood it belongs to."""
 
     agent_id: int
     bearing: float
@@ -91,7 +113,8 @@ class NeighborInfo(NamedTuple):
 @dataclass
 class FlockingCommand:
     """Commanded lateral velocity and its decomposition; the three terms
-    always sum to `velocity` (a magnitude clamp scales all of them)."""
+    always sum to `velocity` (a magnitude clamp scales all of them). A stack
+    of commands holds (E, 2) arrays."""
 
     velocity: np.ndarray
     position_term: np.ndarray
@@ -99,16 +122,125 @@ class FlockingCommand:
     feedforward: np.ndarray
     offset: np.ndarray
 
+    def row(self, e: int) -> "FlockingCommand":
+        """Command e of a stack."""
+        return FlockingCommand(self.velocity[e], self.position_term[e],
+                               self.velocity_term[e], self.feedforward[e],
+                               self.offset[e])
 
-def _member(agent_id: int, rel: np.ndarray) -> NeighborInfo:
-    """The member at offset `rel` from the agent whose neighborhood it is."""
-    return NeighborInfo(agent_id, math.atan2(rel[1], rel[0]),
-                        float(np.linalg.norm(rel)))
+
+class Neighborhoods(NamedTuple):
+    """E neighbourhoods, left-aligned in (E, W) arrays: row e holds
+    count[e] members, each with its id, the bearing and distance of its
+    offset from the agent whose neighbourhood it is, and the unit vector
+    (E, W, 2) of that bearing. Entries past count[e] hold distance 0."""
+
+    ids: np.ndarray
+    bearing: np.ndarray
+    distance: np.ndarray
+    unit: np.ndarray
+    count: np.ndarray
+
+    @classmethod
+    def of(cls, rows: Sequence[Sequence[NeighborInfo]]) -> "Neighborhoods":
+        """The neighbourhoods holding the members of each of `rows`."""
+        count = np.array([len(row) for row in rows], dtype=int)
+        width = int(count.max(initial=0))
+        ids = np.zeros((len(rows), width), dtype=int)
+        bearing = np.zeros((len(rows), width))
+        distance = np.zeros((len(rows), width))
+        for e, row in enumerate(rows):
+            for c, m in enumerate(row):
+                ids[e, c], bearing[e, c], distance[e, c] = m
+        return cls(ids, bearing, distance, heading_vectors(bearing), count)
+
+    def members(self) -> list[list[NeighborInfo]]:
+        """Each row as a list of members."""
+        return [
+            [NeighborInfo(*m) for m in zip(ids[:n], bearing[:n], distance[:n])]
+            for ids, bearing, distance, n in zip(
+                self.ids.tolist(), self.bearing.tolist(),
+                self.distance.tolist(), self.count.tolist())
+        ]
+
+    @property
+    def valid(self) -> np.ndarray:
+        """(E, W) mask of the entries that hold members."""
+        return np.arange(self.ids.shape[1]) < self.count[:, None]
 
 
-def _nearest(members: Sequence[NeighborInfo], k: int) -> list[NeighborInfo]:
-    """The k nearest members, ties broken by ascending id."""
-    return sorted(members, key=lambda m: (m.distance, m.agent_id))[:k]
+def _row_sums(values: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Sums of the first count[e] entries of each row of `values` (E, W),
+    each associated as numpy associates a sum of count[e] terms alone. It
+    sums eight or more terms pairwise, so a padded row would associate
+    differently: the rows of each count are summed together instead."""
+    out = np.zeros(len(count))
+    for m in set(count.tolist()):
+        rows = count == m
+        out[rows] = values[rows, :m].sum(axis=1)
+    return out
+
+
+def nearest(rows: np.ndarray, ids: np.ndarray, bearing: np.ndarray,
+            distance: np.ndarray, n_rows: int, k: int) -> Neighborhoods:
+    """`n_rows` neighbourhoods of candidate members: candidate c belongs to
+    row rows[c], and each row keeps its `k` nearest candidates by distance,
+    ties broken by ascending id, nearest first."""
+    order = np.lexsort((ids, distance, rows))
+    ranked = rows[order]
+    rank = np.arange(len(order)) - np.searchsorted(ranked, ranked)
+    keep = rank < k
+    pick, r, c = order[keep], ranked[keep], rank[keep]
+    count = np.bincount(r, minlength=n_rows)
+    width = int(count.max(initial=0))
+    out_ids = np.zeros((n_rows, width), dtype=int)
+    out_bearing = np.zeros((n_rows, width))
+    out_distance = np.zeros((n_rows, width))
+    unit = np.zeros((n_rows, width, 2))
+    out_ids[r, c] = ids[pick]
+    out_bearing[r, c] = bearing[pick]
+    out_distance[r, c] = distance[pick]
+    unit[r, c] = heading_vectors(bearing[pick])
+    return Neighborhoods(out_ids, out_bearing, out_distance, unit, count)
+
+
+def append_member(hoods: Neighborhoods, where: np.ndarray, agent_id: int,
+                  rel: np.ndarray) -> Neighborhoods:
+    """`hoods` with a member `agent_id` at offset rel[e] appended to each
+    row e where `where` holds; `rel` is (E, 2)."""
+    rows = np.flatnonzero(where)
+    if not len(rows):
+        return hoods
+    col = hoods.count[rows]
+    n_rows, width = hoods.ids.shape
+    width = max(width, int(col.max()) + 1)
+    ids, bearing, distance, unit = (
+        np.zeros((n_rows, width) + a.shape[2:], dtype=a.dtype) for a in hoods[:4]
+    )
+    for new, old in zip((ids, bearing, distance, unit), hoods[:4]):
+        new[:, :old.shape[1]] = old
+    ids[rows, col] = agent_id
+    bearing[rows, col] = bearings(rel[rows])
+    distance[rows, col] = lengths(rel[rows])
+    unit[rows, col] = heading_vectors(bearing[rows, col])
+    return Neighborhoods(ids, bearing, distance, unit, hoods.count + where)
+
+
+def select_neighbors_stack(
+    views: Sequence[Sequence[TrackView]], own_positions: Sequence[np.ndarray],
+    max_neighbors: int,
+) -> Neighborhoods:
+    """Each agent's neighborhood, one row per agent: its nearest
+    `max_neighbors` tracks by distance from its own position, ties broken
+    by ascending id."""
+    rows = np.array([e for e, vs in enumerate(views) for _ in vs], dtype=int)
+    ids = np.array([v.agent_id for vs in views for v in vs], dtype=int)
+    positions = np.array([v.position for vs in views for v in vs],
+                         dtype=float).reshape(-1, 2)
+    own = np.asarray(own_positions, dtype=float).reshape(-1, 2)
+    rel = positions - own[rows]
+    return nearest(rows, ids, bearings(rel), lengths(rel), len(views),
+                   max_neighbors)
 
 
 def select_neighbors(
@@ -116,10 +248,18 @@ def select_neighbors(
 ) -> list[NeighborInfo]:
     """The agent's neighborhood: its nearest `max_neighbors` tracks by
     distance from `own_position`, ties broken by ascending id."""
-    return _nearest(
-        [_member(v.agent_id, v.position - own_position) for v in views],
-        max_neighbors,
-    )
+    return select_neighbors_stack([views], [own_position],
+                                  max_neighbors).members()[0]
+
+
+def _group_heading_stack(center: np.ndarray, goal: np.ndarray,
+                         has_goal: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """`group_heading` per row; `previous` where has_goal is false."""
+    d = goal - center
+    turn = has_goal & ~(lengths(d) < 1e-9)
+    psi = np.array(previous, dtype=float)
+    psi[turn] = bearings(d[turn])
+    return psi
 
 
 def group_heading(
@@ -127,10 +267,25 @@ def group_heading(
 ) -> float:
     """Angle of the line from the neighborhood center to the goal; holds the
     previous value when the goal sits on the center."""
-    d = np.asarray(goal, dtype=float) - np.asarray(center, dtype=float)
-    if np.linalg.norm(d) < 1e-9:
-        return previous
-    return math.atan2(d[1], d[0])
+    return float(_group_heading_stack(
+        np.asarray(center, dtype=float)[None], np.asarray(goal, dtype=float)[None],
+        np.ones(1, dtype=bool), np.array([previous], dtype=float),
+    )[0])
+
+
+def neighborhood_heading_stack(
+    hoods: Neighborhoods, goal: np.ndarray, has_goal: np.ndarray,
+    previous: np.ndarray,
+) -> np.ndarray:
+    """Group heading of each neighbourhood, from its members' center (the
+    origin when there are none) to goal[e]; previous[e] where has_goal[e]
+    is false. `goal` is (E, 2); the others are (E,)."""
+    # numpy sums over members one after another from +0.0, so the zero
+    # offsets of the padding change no partial sum; a neighbourhood without
+    # members is centred on the origin.
+    offsets = hoods.distance[..., None] * hoods.unit
+    center = offsets.sum(axis=1) / np.maximum(hoods.count, 1)[:, None]
+    return _group_heading_stack(center, goal, has_goal, previous)
 
 
 def neighborhood_heading(
@@ -138,11 +293,22 @@ def neighborhood_heading(
 ) -> float:
     """Group heading from the members' center (the origin when there are
     none) to `goal`; `previous` when there is no goal."""
-    if goal is None:
-        return previous
-    offsets = [m.distance * heading_vector(m.bearing) for m in members]
-    center = np.mean(offsets, axis=0) if offsets else np.zeros(2)
-    return group_heading(center, goal, previous)
+    goal_row, has_goal = _optional_rows([goal])
+    return float(neighborhood_heading_stack(
+        Neighborhoods.of([members]), goal_row, has_goal,
+        np.array([previous], dtype=float),
+    )[0])
+
+
+def _blend_weights_stack(bearing: np.ndarray, psi: np.ndarray,
+                         valid: np.ndarray, count: np.ndarray,
+                         scale: float) -> np.ndarray:
+    """`blend_weights` of each row's members (E, W), zero past count[e]."""
+    theta = np.zeros(bearing.shape)
+    theta[valid] = np.abs(wrap_angles((bearing - psi[:, None])[valid]))
+    w = np.where(valid, np.exp(-theta / scale), 0.0)
+    # A row without members keeps zero weights.
+    return w / np.where(count > 0, _row_sums(w, count), 1.0)[:, None]
 
 
 def blend_weights(
@@ -152,141 +318,167 @@ def blend_weights(
 
     Sums to one; strictly decreasing in |wrap(bearing - psi)|.
     """
-    theta = np.array([abs(wrap_angle(b - psi)) for b in bearings])
-    w = np.exp(-theta / scale)
-    return w / w.sum()
+    bearing = np.asarray(bearings, dtype=float)[None]
+    count = np.array([bearing.shape[1]])
+    return _blend_weights_stack(bearing, np.array([psi], dtype=float),
+                                np.ones(bearing.shape, dtype=bool), count,
+                                scale)[0]
 
 
 def group_velocity(
     target_rel: np.ndarray, psi: float, gains: ControllerGains
 ) -> np.ndarray:
-    """Feedforward along the group heading, ramped on distance-to-target."""
-    r = float(np.linalg.norm(target_rel))
-    if r <= gains.d_min:
-        speed = 0.0
-    elif r > gains.d_max:
-        speed = gains.cruise_speed
-    else:
-        speed = gains.cruise_speed * (r - gains.d_min) / (gains.d_max - gains.d_min)
-    return speed * heading_vector(psi)
+    """Feedforward along the group heading, ramped on distance-to-target;
+    target_rel (..., 2) and psi (...)."""
+    r = lengths(np.asarray(target_rel, dtype=float))
+    speed = np.where(
+        r <= gains.d_min, 0.0,
+        np.where(r > gains.d_max, gains.cruise_speed,
+                 gains.cruise_speed * (r - gains.d_min) / (gains.d_max - gains.d_min)),
+    )
+    return speed[..., None] * heading_vectors(psi)
 
 
 def _pair_members(
-    members: Sequence[NeighborInfo],
-    positions: Sequence[np.ndarray],
-    gains: ControllerGains,
-) -> dict[int, int]:
+    bearing: np.ndarray, distance: np.ndarray, positions: np.ndarray,
+    valid: np.ndarray, gains: ControllerGains,
+) -> np.ndarray:
     """Greedy pairing of members that are mutually close and close in
     bearing, nearest separations first; each member joins at most one pair.
-    A crowded neighborhood (anyone inside crowd_range) disables pairing."""
-    if any(m.distance < gains.crowd_range for m in members):
-        return {}
-    separations = []
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if (
-                abs(members[i].distance - gains.spacing) > gains.pair_band
-                or abs(members[j].distance - gains.spacing) > gains.pair_band
-            ):
-                continue
-            if (
-                float(np.linalg.norm(positions[i] - positions[j]))
-                > gains.attract_range
-            ):
-                continue
-            sep = abs(wrap_angle(members[i].bearing - members[j].bearing))
-            if sep < gains.pair_angle:
-                separations.append((sep, i, j))
-    separations.sort()
-    paired: dict[int, int] = {}
-    for _, i, j in separations:
-        if i not in paired and j not in paired:
-            paired[i] = j
-            paired[j] = i
-    return paired
+    A crowded neighborhood (anyone inside crowd_range) disables pairing.
+    Returns each member's partner index, -1 for none; inputs are (E, W)
+    with `valid` marking the members."""
+    n_rows, size = distance.shape
+    partner = np.full((n_rows, size), -1)
+    near = valid & ~(np.abs(distance - gains.spacing) > gains.pair_band)
+    near &= ~(valid & (distance < gains.crowd_range)).any(axis=1, keepdims=True)
+    e, i, j = np.nonzero(near[:, :, None] & near[:, None, :]
+                         & np.triu(np.ones((size, size), dtype=bool), 1))
+    if not len(e):
+        return partner
+    close = ~(lengths(positions[e, i] - positions[e, j]) > gains.attract_range)
+    e, i, j = e[close], i[close], j[close]
+    sep = np.abs(wrap_angles(bearing[e, i] - bearing[e, j]))
+    candidates: dict[int, list] = {}
+    for row, s, a, b in zip(e.tolist(), sep.tolist(), i.tolist(), j.tolist()):
+        if s < gains.pair_angle:
+            candidates.setdefault(row, []).append((s, a, b))
+    for row, separations in candidates.items():
+        mates = partner[row]
+        for _, a, b in sorted(separations):
+            if mates[a] < 0 and mates[b] < 0:
+                mates[a], mates[b] = b, a
+    return partner
 
 
 def _triangle_apex(
-    p_i: np.ndarray, p_j: np.ndarray, spacing: float, psi: float
+    p_i: np.ndarray, p_j: np.ndarray, spacing: float, psi: np.ndarray
 ) -> np.ndarray:
-    """Apex of the triangle with side `spacing` over the pair, on the focal
-    agent's side (the nearer of the two mirror candidates, so the commanded
-    slot never drags the agent through the pair)."""
+    """Apex of the triangle with side `spacing` over each pair (P, 2), on
+    the focal agent's side (the nearer of the two mirror candidates, so the
+    commanded slot never drags the agent through the pair)."""
     mid = (p_i + p_j) / 2.0
     u = p_j - p_i
-    length = float(np.linalg.norm(u))
-    height = math.sqrt(max(spacing**2 - (length / 2.0) ** 2, 0.0))
-    normal = np.array([-u[1], u[0]]) / length
-    a = mid + height * normal
-    b = mid - height * normal
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    tol = 1e-6 * (1.0 + height + float(np.linalg.norm(mid)))
-    if norm_a < norm_b - tol:
-        return a
-    if norm_b < norm_a - tol:
-        return b
+    length = lengths(u)
+    height = np.array([math.sqrt(max(spacing**2 - (x / 2.0) ** 2, 0.0))
+                       for x in length.tolist()])
+    normal = np.stack([-u[:, 1], u[:, 0]], axis=-1) / length[:, None]
+    a = mid + height[:, None] * normal
+    b = mid - height[:, None] * normal
+    norm_a = lengths(a)
+    norm_b = lengths(b)
+    tol = 1e-6 * (1.0 + height + lengths(mid))
     # Equidistant (focal on the pair line): prefer the side trailing the
     # group heading, then the left of the directed pair line. Both
     # tie-breaks are rotation-invariant, unlike coordinate comparisons.
-    diff = float((a - b) @ heading_vector(psi))
-    if diff < -tol:
-        return a
-    if diff > tol:
-        return b
-    return a
+    diff = dots(a - b, heading_vectors(psi))
+    take_b = ~(norm_a < norm_b - tol) & (
+        (norm_b < norm_a - tol) | (~(diff < -tol) & (diff > tol))
+    )
+    return np.where(take_b[:, None], b, a)
+
+
+def desired_offset_stack(
+    hoods: Neighborhoods, psi: np.ndarray, gains: ControllerGains
+) -> np.ndarray:
+    """Weighted formation offset (E, 2) of each neighbourhood under group
+    heading psi (E,): per isolated neighbor inside the attraction range,
+    pull to `spacing` along the line of sight; per mutually-close pair, pull
+    to the triangle apex on the focal agent's side. Members beyond the
+    attraction range contribute nothing."""
+    bearing, distance, unit, valid = (hoods.bearing, hoods.distance, hoods.unit,
+                                      hoods.valid)
+    positions = distance[..., None] * unit
+    offsets = np.where((distance <= gains.attract_range)[..., None],
+                       unit * (distance - gains.spacing)[..., None], 0.0)
+    partner = _pair_members(bearing, distance, positions, valid, gains)
+    e, i = np.nonzero(partner >= 0)
+    if len(e):
+        p_i, p_j = positions[e, i], positions[e, partner[e, i]]
+        apart = lengths(p_j - p_i) > 1e-9
+        e, i = e[apart], i[apart]
+        offsets[e, i] = _triangle_apex(p_i[apart], p_j[apart], gains.spacing,
+                                       psi[e])
+    # The padding's zero weights add zero terms, which leave the weighted
+    # sum over members (one after another from +0.0) as it is.
+    weights = _blend_weights_stack(bearing, psi, valid, hoods.count,
+                                   gains.bearing_scale)
+    total = np.einsum("ei,eij->ej", weights, offsets)
+    # Separation override: unweighted, so a close agent repels even from a
+    # bearing the blend weights would otherwise ignore.
+    repel = valid & (distance < gains.repulse_range)
+    for c in np.flatnonzero(repel.any(axis=0)).tolist():
+        rows = repel[:, c]
+        total[rows] = total[rows] + unit[rows, c] * (
+            distance[rows, c, None] - gains.repulse_range
+        )
+    return total
 
 
 def desired_offset(
     members: Sequence[NeighborInfo], psi: float, gains: ControllerGains
 ) -> np.ndarray:
-    """Weighted formation offset: per isolated neighbor inside the
-    attraction range, pull to `spacing` along the line of sight; per
-    mutually-close pair, pull to the triangle apex on the focal agent's
-    side. Members beyond the attraction range contribute nothing."""
-    if not members:
-        return np.zeros(2)
-    positions = [m.distance * heading_vector(m.bearing) for m in members]
-    paired = _pair_members(members, positions, gains)
-    offsets = []
-    for i, m in enumerate(members):
-        j = paired.get(i)
-        if j is not None and np.linalg.norm(positions[j] - positions[i]) > 1e-9:
-            offsets.append(
-                _triangle_apex(positions[i], positions[j], gains.spacing, psi)
-            )
-        elif m.distance <= gains.attract_range:
-            offsets.append(
-                heading_vector(m.bearing) * (m.distance - gains.spacing)
-            )
-        else:
-            offsets.append(np.zeros(2))
-    weights = blend_weights([m.bearing for m in members], psi, gains.bearing_scale)
-    total = np.einsum("i,ij->j", weights, np.array(offsets))
-    # Separation override: unweighted, so a close agent repels even from a
-    # bearing the blend weights would otherwise ignore.
-    for m in members:
-        if m.distance < gains.repulse_range:
-            total = total + heading_vector(m.bearing) * (
-                m.distance - gains.repulse_range
-            )
-    return total
+    """`desired_offset_stack` of one neighbourhood."""
+    return desired_offset_stack(Neighborhoods.of([members]),
+                                np.array([psi], dtype=float), gains)[0]
 
 
 def _with_target(
-    members: Sequence[NeighborInfo],
-    target_rel: np.ndarray | None,
+    hoods: Neighborhoods, target_rel: np.ndarray, has_target: np.ndarray,
     gains: ControllerGains,
-) -> list[NeighborInfo]:
+) -> Neighborhoods:
     """Append the target as a formation member once it is inside d_min, so
     the approach stops at `spacing` instead of running it over."""
-    out = list(members)
-    if target_rel is None:
-        return out
-    r = float(np.linalg.norm(target_rel))
-    if 1e-9 < r <= gains.d_min:
-        out.append(_member(TARGET_MEMBER_ID, target_rel))
-    return out
+    r = lengths(target_rel)
+    return append_member(hoods, has_target & (1e-9 < r) & (r <= gains.d_min),
+                         TARGET_MEMBER_ID, target_rel)
+
+
+def _optional_rows(values: Sequence[np.ndarray | None]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (E, 2) of optional planar vectors, zeros for None, and the
+    mask of the rows given."""
+    given = np.array([v is not None for v in values], dtype=bool)
+    rows = np.array([np.zeros(2) if v is None else v for v in values],
+                    dtype=float).reshape(-1, 2)
+    return rows, given
+
+
+def flocking_command_stack(
+    hoods: Neighborhoods,
+    psi: np.ndarray,
+    target_rel: np.ndarray,
+    has_target: np.ndarray,
+    gains: ControllerGains,
+    offset_rate: np.ndarray | None = None,
+) -> FlockingCommand:
+    """Evaluate the control law for each of E neighbourhoods (stateless);
+    the command's arrays are (E, 2). target_rel[e] counts only where
+    has_target[e] holds; a missing offset_rate is zero."""
+    offset = desired_offset_stack(
+        _with_target(hoods, target_rel, has_target, gains), psi, gains
+    )
+    return _command_from_offset(offset, psi, target_rel, has_target, gains,
+                                offset_rate)
 
 
 def flocking_command(
@@ -297,28 +489,33 @@ def flocking_command(
     offset_rate: np.ndarray | None = None,
 ) -> FlockingCommand:
     """Evaluate the control law for one tick (stateless)."""
-    offset = desired_offset(_with_target(members, target_rel, gains), psi, gains)
-    return _command_from_offset(offset, psi, target_rel, gains, offset_rate)
+    target, has_target = _optional_rows([target_rel])
+    rate = None if offset_rate is None else np.asarray(offset_rate, float)[None]
+    return flocking_command_stack(
+        Neighborhoods.of([members]), np.array([psi], dtype=float), target,
+        has_target, gains, rate,
+    ).row(0)
 
 
 def _command_from_offset(
     offset: np.ndarray,
-    psi: float,
-    target_rel: np.ndarray | None,
+    psi: np.ndarray,
+    target_rel: np.ndarray,
+    has_target: np.ndarray,
     gains: ControllerGains,
     offset_rate: np.ndarray | None,
 ) -> FlockingCommand:
-    """The control law once the formation offset is known."""
-    rate = np.zeros(2) if offset_rate is None else np.asarray(offset_rate, float)
-    if target_rel is None:
-        feedforward = np.zeros(2)
-    else:
-        feedforward = group_velocity(target_rel, psi, gains)
+    """The control law once the formation offsets (E, 2) are known."""
+    rate = np.zeros_like(offset) if offset_rate is None else offset_rate
+    feedforward = np.where(has_target[:, None],
+                           group_velocity(target_rel, psi, gains), 0.0)
     position_term = gains.kp * offset
     velocity_term = gains.kv * rate
     raw = position_term + velocity_term + feedforward
-    speed = float(np.linalg.norm(raw))
-    scale = 1.0 if speed <= gains.v_max else gains.v_max / speed
+    speed = lengths(raw)
+    scale = np.ones_like(speed)
+    np.divide(gains.v_max, speed, out=scale, where=~(speed <= gains.v_max))
+    scale = scale[:, None]
     return FlockingCommand(
         velocity=raw * scale,
         position_term=position_term * scale,
@@ -347,17 +544,45 @@ class FlockingController:
         target_rel: np.ndarray | None,
         dt: float,
     ) -> FlockingCommand:
-        members = select_neighbors(views, own_position, self.gains.max_neighbors)
-        self.members = members
-        self.psi = neighborhood_heading(members, target_rel, self.psi)
-        offset = desired_offset(
-            _with_target(members, target_rel, self.gains), self.psi, self.gains
-        )
-        if self._prev_offset is not None:
-            raw_rate = (offset - self._prev_offset) / dt
-            alpha = dt / (dt + 1.0 / (2.0 * math.pi * self.rate_cutoff_hz))
-            self._rate = self._rate + alpha * (raw_rate - self._rate)
-        self._prev_offset = offset
-        return _command_from_offset(
-            offset, self.psi, target_rel, self.gains, self._rate
-        )
+        return update_controllers([self], [views], [own_position],
+                                  [target_rel], dt)[0]
+
+
+def update_controllers(
+    controllers: Sequence[FlockingController],
+    views: Sequence[Sequence[TrackView]],
+    own_positions: Sequence[np.ndarray],
+    target_rels: Sequence[np.ndarray | None],
+    dt: float,
+) -> list[FlockingCommand]:
+    """One tick of every controller, with the law evaluated once for all of
+    them; controller e sees views[e] from own_positions[e]. The controllers
+    share their gains."""
+    gains = controllers[0].gains
+    if any(c.gains != gains for c in controllers):
+        raise ValueError("controllers updated together must share their gains")
+    hoods = select_neighbors_stack(views, own_positions, gains.max_neighbors)
+    target, has_target = _optional_rows(target_rels)
+    psi = neighborhood_heading_stack(
+        hoods, target, has_target, np.array([c.psi for c in controllers], dtype=float)
+    )
+    offset = desired_offset_stack(
+        _with_target(hoods, target, has_target, gains), psi, gains
+    )
+    rate = np.array([c._rate for c in controllers], dtype=float)
+    filtered = np.array([c._prev_offset is not None for c in controllers])
+    if filtered.any():
+        previous = np.array([offset[e] if c._prev_offset is None else c._prev_offset
+                             for e, c in enumerate(controllers)])
+        alpha = np.array([dt / (dt + 1.0 / (2.0 * math.pi * c.rate_cutoff_hz))
+                          for c in controllers])[:, None]
+        raw_rate = (offset - previous) / dt
+        rate = np.where(filtered[:, None], rate + alpha * (raw_rate - rate), rate)
+    command = _command_from_offset(offset, psi, target, has_target, gains, rate)
+    for e, (c, members, heading) in enumerate(zip(controllers, hoods.members(),
+                                                  psi.tolist())):
+        c.members = members
+        c.psi = heading
+        c._prev_offset = offset[e]
+        c._rate = rate[e]
+    return [command.row(e) for e in range(len(controllers))]

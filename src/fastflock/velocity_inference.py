@@ -6,11 +6,18 @@ velocity, then maps desired to actual velocity through a fitted first-order
 response model v(k+1) = a * v(k) + b * v_cmd(k+1). The replay uses the law's
 own neighborhood model from `flocking`: its members, nearest-K selection and
 group heading, evaluated from the neighbor's estimated position.
+
+The replay runs on stacks: `update_estimators` does the whole swarm's tick
+at once. One stacked `geometry.pairwise` over each focal agent's own
+position and track positions gives every member's offset, and one call of
+the stacked law (`flocking.neighborhood_heading_stack`, then
+`flocking.flocking_command_stack`) replays every tracked neighbour of every
+agent. `estimate_velocities`, `estimate_view` and `VelocityEstimator.update`
+are the one-agent case.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -18,9 +25,10 @@ from typing import Sequence
 import numpy as np
 
 from .flocking import (FOCAL_MEMBER_ID, ControllerGains, NeighborInfo,
-                       _member, _nearest, flocking_command,
-                       neighborhood_heading, select_neighbors)
-from .geometry import wrap_angle
+                       Neighborhoods, _optional_rows, append_member,
+                       flocking_command_stack, nearest,
+                       neighborhood_heading_stack, select_neighbors_stack)
+from .geometry import bearings, lengths, pairwise, wrap_angles
 from .tracking import TrackView
 
 
@@ -75,6 +83,64 @@ def fit_response_model(
     return ResponseModel(a=a, b=b, residual=residual)
 
 
+def _replay_neighborhoods(
+    views: Sequence[Sequence[TrackView]],
+    own_positions: Sequence[np.ndarray],
+    psis: Sequence[float],
+    sensor_range: float,
+    fov: float,
+    max_neighbors: int,
+    focal: Sequence[set[int]],
+) -> tuple[Neighborhoods, list[list[TrackView]]]:
+    """The neighbourhood each focal agent believes each of its tracked
+    neighbours can see, one row per neighbour, agent by agent and by
+    ascending id within an agent; also each agent's views by ascending id.
+
+    Built purely from the focal agent's own tracks, with the members
+    measured from the neighbour: the nearest `max_neighbors` other tracked
+    agents within sensor range and inside the field of view around the
+    neighbor's estimated heading (its tracked velocity direction, falling
+    back to the group heading psis[a]). The focal agent is then appended as
+    `FOCAL_MEMBER_ID` when the neighbour's id is in focal[a], the ids of
+    its own neighbourhood. Known to overestimate: occlusions and the
+    neighbor's actual sensor state are invisible from here.
+    """
+    tracks = [sorted(vs, key=lambda v: v.agent_id) for vs in views]
+    n = np.array([len(t) for t in tracks], dtype=int)
+    rows = [v for t in tracks for v in t]
+    if not rows:
+        return Neighborhoods.of([]), tracks
+    # Agent a's own position and its tracks, padded to the most tracks any
+    # agent has: points (A, T + 1, 2), with present (A, T) marking tracks.
+    present = np.arange(n.max()) < n[:, None]
+    points = np.zeros(present.shape + (2,))
+    points[present] = [v.position for v in rows]
+    points = np.concatenate(
+        [np.asarray(own_positions, dtype=float).reshape(-1, 1, 2), points], axis=1)
+    velocity = np.array([v.velocity for v in rows], dtype=float)
+    track_ids = np.zeros(present.shape, dtype=int)
+    track_ids[present] = [v.agent_id for v in rows]
+    rel, dist = pairwise(points)
+    heading = np.zeros(present.shape)
+    heading[present] = np.where(lengths(velocity) > 0.1, bearings(velocity),
+                                np.repeat(np.asarray(psis, dtype=float), n))
+    between = dist[:, 1:, 1:]
+    a, j, k = np.nonzero(present[:, :, None] & present[:, None, :]
+                         & ~np.eye(len(present[0]), dtype=bool)
+                         & (1e-9 <= between) & (between <= sensor_range))
+    angle = bearings(rel[a, 1 + j, 1 + k])
+    seen = np.abs(wrap_angles(angle - heading[a, j])) <= fov / 2.0
+    a, j, k, angle = a[seen], j[seen], k[seen], angle[seen]
+    row = np.zeros(present.shape, dtype=int)
+    row[present] = np.arange(len(rows))
+    hoods = nearest(row[a, j], track_ids[a, k], angle,
+                    between[a, j, k], len(rows), max_neighbors)
+    in_focal = np.array([v.agent_id in ids for t, ids in zip(tracks, focal)
+                         for v in t])
+    return append_member(hoods, in_focal & (dist[:, 1:, 0][present] > 1e-9),
+                         FOCAL_MEMBER_ID, rel[:, 1:, 0][present]), tracks
+
+
 def estimate_view(
     views: Sequence[TrackView],
     target: TrackView,
@@ -86,36 +152,60 @@ def estimate_view(
     in_focal_neighborhood: bool,
 ) -> list[NeighborInfo]:
     """The neighborhood the focal agent believes the tracked neighbor
-    `target`, one of `views`, can see.
-
-    Built purely from the focal agent's own tracks, with the members made
-    as the flocking law makes them but measured from `target`: the nearest
-    `max_neighbors` other tracked agents within sensor range and inside the
-    field of view around the neighbor's estimated heading (its tracked
-    velocity direction, falling back to the group heading). The focal agent
-    is then appended as `FOCAL_MEMBER_ID` when the neighbor is in its own
-    neighborhood. Known to overestimate: occlusions and the neighbor's
-    actual sensor state are invisible from here.
-    """
-    speed = float(np.linalg.norm(target.velocity))
-    heading = (
-        math.atan2(target.velocity[1], target.velocity[0]) if speed > 0.1 else psi
+    `target`, one of `views`, can see (see `_replay_neighborhoods`); the
+    focal agent is a member when `in_focal_neighborhood` holds."""
+    focal = {target.agent_id} if in_focal_neighborhood else set()
+    hoods, tracks = _replay_neighborhoods(
+        [views], [np.asarray(own_position, dtype=float)], [psi], sensor_range,
+        fov, max_neighbors, [focal],
     )
-    visible = [
-        m
-        for m in (_member(v.agent_id, v.position - target.position)
-                  for v in views if v.agent_id != target.agent_id)
-        if 1e-9 <= m.distance <= sensor_range
-        and abs(wrap_angle(m.bearing - heading)) <= fov / 2.0
-    ]
-    members = _nearest(visible, max_neighbors)
-    if in_focal_neighborhood:
-        focal = _member(
-            FOCAL_MEMBER_ID, np.asarray(own_position, float) - target.position
-        )
-        if focal.distance > 1e-9:
-            members.append(focal)
-    return members
+    row = [v.agent_id for v in tracks[0]].index(target.agent_id)
+    return hoods.members()[row]
+
+
+def estimate_velocities_stack(
+    views: Sequence[Sequence[TrackView]],
+    own_positions: Sequence[np.ndarray],
+    target_rels: Sequence[np.ndarray | None],
+    psis: Sequence[float],
+    gains: ControllerGains,
+    model: ResponseModel,
+    sensor_range: float,
+    fov: float,
+    previous: Sequence[dict[int, np.ndarray]],
+) -> list[list[tuple[int, np.ndarray]]]:
+    """One tick of neighbor-velocity estimation for each of several focal
+    agents, each agent's list ordered by ascending id.
+
+    Pure function of its inputs: previous estimates are read from
+    previous[a] (missing ids fall back to the track velocity) and the
+    updated values are returned, not written back.
+    """
+    own = np.asarray(own_positions, dtype=float).reshape(-1, 2)
+    mine = select_neighbors_stack(views, own, gains.max_neighbors)
+    focal = [set(mine.ids[a, :mine.count[a]].tolist()) for a in range(len(own))]
+    hoods, tracks = _replay_neighborhoods(views, own, psis, sensor_range, fov,
+                                          gains.max_neighbors, focal)
+    if not len(hoods.count):
+        return [[] for _ in tracks]
+    agent = np.repeat(np.arange(len(tracks)), [len(t) for t in tracks])
+    target, has_target = _optional_rows(target_rels)
+    positions = np.array([v.position for t in tracks for v in t], dtype=float)
+    neighbor_target = (own + target)[agent] - positions
+    psi = neighborhood_heading_stack(
+        hoods, neighbor_target, has_target[agent],
+        np.asarray(psis, dtype=float)[agent],
+    )
+    desired = flocking_command_stack(hoods, psi, neighbor_target,
+                                     has_target[agent], gains)
+    prev = np.array([previous[a].get(v.agent_id, v.velocity)
+                     for a, t in enumerate(tracks) for v in t], dtype=float)
+    estimate = model.a * prev + model.b * desired.velocity
+    out, row = [], 0
+    for t in tracks:
+        out.append([(v.agent_id, estimate[row + i]) for i, v in enumerate(t)])
+        row += len(t)
+    return out
 
 
 def estimate_velocities(
@@ -129,33 +219,11 @@ def estimate_velocities(
     fov: float,
     previous: dict[int, np.ndarray],
 ) -> list[tuple[int, np.ndarray]]:
-    """One tick of neighbor-velocity estimation, ordered by ascending id.
-
-    Pure function of its inputs: previous estimates are read from
-    `previous` (missing ids fall back to the track velocity) and the
-    updated values are returned, not written back.
-    """
-    own_position = np.asarray(own_position, dtype=float)
-    focal_ids = {
-        m.agent_id
-        for m in select_neighbors(views, own_position, gains.max_neighbors)
-    }
-    out = []
-    for v in sorted(views, key=lambda t: t.agent_id):
-        members = estimate_view(
-            views, v, own_position, psi, sensor_range, fov, gains.max_neighbors,
-            in_focal_neighborhood=v.agent_id in focal_ids,
-        )
-        if target_rel is None:
-            neighbor_target = None
-        else:
-            neighbor_target = own_position + np.asarray(target_rel, float) - v.position
-        neighbor_psi = neighborhood_heading(members, neighbor_target, psi)
-        desired = flocking_command(members, neighbor_psi, neighbor_target, gains)
-        prev = previous.get(v.agent_id, v.velocity)
-        estimate = model.a * np.asarray(prev, float) + model.b * desired.velocity
-        out.append((v.agent_id, estimate))
-    return out
+    """`estimate_velocities_stack` for one focal agent."""
+    return estimate_velocities_stack(
+        [views], [own_position], [target_rel], [psi], gains, model,
+        sensor_range, fov, [previous],
+    )[0]
 
 
 class VelocityEstimator:
@@ -181,13 +249,34 @@ class VelocityEstimator:
         target_rel: np.ndarray | None,
         psi: float,
     ) -> list[tuple[int, np.ndarray]]:
-        if self.model is None:
-            raise NotFittedError(
-                "no response model configured; fit one before estimating"
-            )
-        out = estimate_velocities(
-            views, own_position, target_rel, psi, self.gains, self.model,
-            self.sensor_range, self.fov, self.estimates,
+        return update_estimators([self], [views], [own_position], [target_rel],
+                                 [psi])[0]
+
+
+def update_estimators(
+    estimators: Sequence[VelocityEstimator],
+    views: Sequence[Sequence[TrackView]],
+    own_positions: Sequence[np.ndarray],
+    target_rels: Sequence[np.ndarray | None],
+    psis: Sequence[float],
+) -> list[list[tuple[int, np.ndarray]]]:
+    """One tick of every estimator, with one replay of the law for all of
+    them; estimator e sees views[e] from own_positions[e]. The estimators
+    share their gains, response model, sensor range and field of view."""
+    first = estimators[0]
+    if any(est.model is None for est in estimators):
+        raise NotFittedError(
+            "no response model configured; fit one before estimating"
         )
-        self.estimates = {agent_id: estimate for agent_id, estimate in out}
-        return out
+    shared = (first.gains, first.model, first.sensor_range, first.fov)
+    if any((est.gains, est.model, est.sensor_range, est.fov) != shared
+           for est in estimators):
+        raise ValueError("estimators updated together must share their "
+                         "gains, model, sensor range and field of view")
+    out = estimate_velocities_stack(
+        views, own_positions, target_rels, psis, *shared,
+        [est.estimates for est in estimators],
+    )
+    for est, estimates in zip(estimators, out):
+        est.estimates = dict(estimates)
+    return out

@@ -191,3 +191,18 @@ def test_unreadable_configs_exit_2(tmp_path, command, capsys):
     assert exit_code([command, str(tmp_path / "missing.yaml")]) == 2
     err = capsys.readouterr().err
     assert "malformed.yaml" in err and "missing.yaml" in err
+
+
+def test_metrics_on_missing_log_exits_2(tmp_path, capsys):
+    assert exit_code(["metrics", str(tmp_path / "missing.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert "missing.jsonl" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", ["not json\n", "[1, 2]\n"])
+def test_metrics_on_malformed_log_exits_2(tmp_path, capsys, text):
+    log = tmp_path / "bad.jsonl"
+    log.write_text(text)
+    assert exit_code(["metrics", str(log)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.jsonl" in err and len(err.strip().splitlines()) == 1

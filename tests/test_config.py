@@ -1,10 +1,13 @@
 import copy
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastflock.config import (
     ConfigError,
@@ -16,6 +19,7 @@ from fastflock.config import (
     scenario_to_dict,
     validate,
 )
+from fastflock.engine import Simulation
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GAINS = {"kp": 0.8, "kv": 0.5, "cruise_speed": 5.0, "d_min": 15.0,
@@ -211,3 +215,58 @@ def test_round_trip_to_dict_and_back():
     data = scenario_to_dict(config)
     rebuilt = scenario_from_dict(data)
     assert scenario_to_dict(rebuilt) == data
+
+
+def test_validate_returns_type_errors_of_a_config_built_in_code():
+    config = load_scenario(CONFIG_DIR / "ablation.yaml")
+    mistyped = dataclasses.replace(
+        config, plant=dataclasses.replace(config.plant, tau="x"))
+    assert validate(mistyped) == ["plant.tau must be a finite number"]
+    assert validate(dataclasses.replace(config, seed="1", sensors=None)) == [
+        "seed must be an integer", "sensors must be a SensorConfig"]
+
+
+# Replacement values for one field of a valid mapping: wrong types, special
+# floats, out-of-range and boundary numbers. Integers stay small, so that no
+# draw asks for a large swarm.
+_FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.text(max_size=4),
+    st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, math.nan, math.inf, 1e-12]),
+    st.lists(st.floats(-50.0, 50.0), max_size=7),
+    st.lists(st.lists(st.floats(-50.0, 50.0), max_size=3), max_size=4),
+    st.dictionaries(st.sampled_from(["kind", "a", "kp"]), st.integers(0, 3),
+                    max_size=2),
+)
+
+
+def _paths(node, path=()):
+    """Every key path inside nested mappings."""
+    for key, child in node.items():
+        yield path + (key,)
+        if isinstance(child, dict):
+            yield from _paths(child, path + (key,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fuzzed_mappings_raise_config_error_or_run_a_tick(data):
+    # Every field, the defaults included, so that each can be drawn.
+    base = scenario_to_dict(load_scenario(CONFIG_DIR / "ablation.yaml"))
+    base["n_agents"] = 4
+    paths = list(_paths(base)) + [("bogus",), ("gains", "bogus")]
+    broken = copy.deepcopy(base)
+    for path in data.draw(st.lists(st.sampled_from(paths), min_size=1,
+                                   max_size=3)):
+        node = broken
+        for key in path[:-1]:
+            if not isinstance(node.get(key), dict):
+                break
+            node = node[key]
+        else:
+            node[path[-1]] = data.draw(_FUZZ_VALUES)
+    for comm in (True, False):
+        try:
+            config = scenario_from_dict({**broken, "comm": comm})
+        except ConfigError:
+            continue
+        Simulation(config).tick()

@@ -17,7 +17,7 @@ from fastflock.flocking import (
     neighborhood_heading,
     select_neighbors,
 )
-from fastflock.geometry import heading_vector, rotation, wrap_angle
+from fastflock.geometry import heading_vectors, rotation, wrap_angle
 from fastflock.tracking import TrackView
 
 GAINS = ControllerGains(
@@ -137,7 +137,7 @@ class TestGroupVelocity:
     def test_direction_along_heading(self):
         psi = 2.0
         v = group_velocity(np.array([50.0, 0.0]), psi, GAINS)
-        assert np.allclose(v, GAINS.cruise_speed * heading_vector(psi))
+        assert np.allclose(v, GAINS.cruise_speed * heading_vectors(psi))
 
     def test_continuity_at_breakpoints(self):
         eps = 1e-12
@@ -300,13 +300,13 @@ def test_controller_evaluates_offset_once_and_matches_stateless_law(monkeypatch)
     from fastflock import flocking
 
     calls = []
-    original = flocking.desired_offset
+    original = flocking.desired_offset_stack
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(flocking, "desired_offset", counting)
+    monkeypatch.setattr(flocking, "desired_offset_stack", counting)
     ctrl = FlockingController(GAINS)
     views = [view(1, 10.0, 4.0), view(2, 9.0, -6.0), view(3, -12.0, 1.0)]
     target = np.array([60.0, 10.0])
@@ -315,8 +315,11 @@ def test_controller_evaluates_offset_once_and_matches_stateless_law(monkeypatch)
         own = np.array([0.5 * step, 0.0])
         cmd = ctrl.update(views, own, target, 0.1)
         assert len(calls) == 1
-        expected = original(flocking._with_target(ctrl.members, target, GAINS),
-                            ctrl.psi, GAINS)
+        members = flocking._with_target(
+            flocking.Neighborhoods.of([ctrl.members]), target[None],
+            np.array([True]), GAINS,
+        )
+        expected = original(members, np.array([ctrl.psi]), GAINS)[0]
         reference = flocking_command(ctrl.members, ctrl.psi, target, GAINS,
                                      offset_rate=ctrl._rate)
         assert np.array_equal(cmd.offset, expected)
@@ -327,13 +330,13 @@ def test_controller_computes_heading_once_per_tick(monkeypatch):
     from fastflock import flocking
 
     calls = []
-    original = flocking.neighborhood_heading
+    original = flocking.neighborhood_heading_stack
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(flocking, "neighborhood_heading", counting)
+    monkeypatch.setattr(flocking, "neighborhood_heading_stack", counting)
     ctrl = FlockingController(GAINS)
     views = [view(1, 10.0, 4.0), view(2, 9.0, -6.0), view(3, -12.0, 1.0)]
     for target in (np.array([60.0, 10.0]), None):

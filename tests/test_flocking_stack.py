@@ -1,0 +1,233 @@
+"""The stacked flocking law against the scalar law it replaced.
+
+`flocking_oracle` is a verbatim copy of the scalar law and its replay. Every
+comparison here is bit for bit, sign of zero included, because the logs of
+the shipped configs depend on the stacked law rounding exactly as the
+scalar one did.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fastflock.flocking import (
+    ControllerGains,
+    FlockingController,
+    NeighborInfo,
+    Neighborhoods,
+    desired_offset_stack,
+    flocking_command_stack,
+    neighborhood_heading_stack,
+    update_controllers,
+)
+from fastflock.tracking import TrackView
+from fastflock.velocity_inference import (
+    ResponseModel,
+    estimate_velocities_stack,
+    estimate_view,
+)
+
+from . import flocking_oracle as oracle
+
+# max_neighbors >= 7, so that a row can hold eight or more members once the
+# focal agent and the target join it.
+GAINS = ControllerGains(kp=0.8, kv=0.5, cruise_speed=5.0, d_min=15.0,
+                        d_max=40.0, spacing=13.0, max_neighbors=7)
+MODEL = ResponseModel(a=0.9048374180359595, b=0.09516258196404048)
+SENSOR_RANGE = 50.0
+FOV = 5.585053606381854
+EXAMPLES = settings(max_examples=100, deadline=None)
+
+angles = st.one_of(
+    st.floats(-math.pi, math.pi),
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.pi / 6, -math.pi / 6,
+                     math.pi / 3, 0.5 * math.pi]),
+)
+distances = st.one_of(
+    st.floats(0.1, 60.0),
+    # Near spacing, where pairs form; inside the separation override.
+    st.floats(GAINS.spacing - GAINS.pair_band - 0.5,
+              GAINS.spacing + GAINS.pair_band + 0.5),
+    st.floats(0.1, GAINS.repulse_range),
+    # Repeats give distance ties.
+    st.sampled_from([GAINS.spacing, GAINS.crowd_range, GAINS.repulse_range,
+                     GAINS.attract_range, 10.0]),
+)
+members = st.lists(st.tuples(angles, distances), max_size=9)
+targets = st.one_of(
+    st.none(),
+    st.tuples(angles, st.floats(0.0, GAINS.d_min)),  # inside d_min
+    st.tuples(angles, st.floats(0.0, 80.0)),
+)
+rates = st.one_of(st.none(), st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def polar(bearing, distance):
+    return np.array([distance * math.cos(bearing), distance * math.sin(bearing)])
+
+
+def rows_of(drawn):
+    """The drawn neighbourhoods as member lists for both implementations."""
+    ours = [[NeighborInfo(i + 1, b, d) for i, (b, d) in enumerate(row)]
+            for row in drawn]
+    theirs = [[oracle.NeighborInfo(*m) for m in row] for row in ours]
+    return ours, theirs
+
+
+@EXAMPLES
+@given(st.lists(st.tuples(members, angles, targets), min_size=1, max_size=6))
+def test_heading_and_offset_match_scalar_law(cases):
+    ours, theirs = rows_of([row for row, _, _ in cases])
+    hoods = Neighborhoods.of(ours)
+    psi = np.array([p for _, p, _ in cases])
+    goals = [None if t is None else polar(*t) for _, _, t in cases]
+    goal = np.array([np.zeros(2) if g is None else g for g in goals])
+    has_goal = np.array([g is not None for g in goals])
+    headings = neighborhood_heading_stack(hoods, goal, has_goal, psi)
+    offsets = desired_offset_stack(hoods, psi, GAINS)
+    for e, row in enumerate(theirs):
+        assert same_bits(headings[e],
+                         oracle.neighborhood_heading(row, goals[e], psi[e]))
+        assert same_bits(offsets[e], oracle.desired_offset(row, psi[e], GAINS))
+
+
+@EXAMPLES
+@given(st.lists(st.tuples(members, angles, targets, rates), min_size=1,
+                max_size=6))
+def test_command_matches_scalar_law(cases):
+    ours, theirs = rows_of([row for row, *_ in cases])
+    psi = np.array([p for _, p, _, _ in cases])
+    goals = [None if t is None else polar(*t) for _, _, t, _ in cases]
+    target = np.array([np.zeros(2) if g is None else g for g in goals])
+    has_target = np.array([g is not None for g in goals])
+    given_rates = [None if r is None else np.array(r) for *_, r in cases]
+    rate = np.array([np.zeros(2) if r is None else r for r in given_rates])
+    command = flocking_command_stack(Neighborhoods.of(ours), psi, target,
+                                     has_target, GAINS, rate)
+    for e, row in enumerate(theirs):
+        expected = oracle.flocking_command(row, psi[e], goals[e], GAINS,
+                                           offset_rate=given_rates[e])
+        got = command.row(e)
+        for field in ("velocity", "position_term", "velocity_term",
+                      "feedforward", "offset"):
+            assert same_bits(getattr(got, field), getattr(expected, field)), field
+
+
+def world(draw, agent_id, own):
+    """Tracks around `own`: some mirrored, which ties their distances."""
+    tracks = []
+    for k, (b, d) in enumerate(draw(st.lists(st.tuples(angles, distances),
+                                             max_size=9))):
+        rel = polar(b, d)
+        if draw(st.booleans()) and tracks:
+            rel = tracks[-1].position - own
+            rel = np.array([-rel[0], rel[1]])
+        velocity = draw(st.sampled_from([(0.0, 0.0), (0.05, 0.0), (2.0, -1.0),
+                                         (-3.0, 0.5)]))
+        tracks.append(TrackView(agent_id * 100 + k, own + rel,
+                                np.array(velocity), 0.0))
+    return draw(st.permutations(tracks))
+
+
+@st.composite
+def swarms(draw):
+    """Each agent's own position, tracks, noisy target and previous psi."""
+    agents = []
+    for a in range(draw(st.integers(1, 4))):
+        own = np.array([draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))])
+        target = draw(targets)
+        agents.append((own, world(draw, a, own),
+                       None if target is None else polar(*target),
+                       draw(angles)))
+    return agents
+
+
+@EXAMPLES
+@given(swarms(), st.floats(0.0, 2.0))
+def test_controllers_match_scalar_controller(agents, drift):
+    ours = [FlockingController(GAINS) for _ in agents]
+    theirs = [oracle.FlockingController(GAINS) for _ in agents]
+    for step in range(3):
+        shift = np.array([drift * step, -0.5 * drift * step])
+        owns = [own + shift for own, *_ in agents]
+        commands = update_controllers(ours, [views for _, views, _, _ in agents],
+                                      owns, [t for *_, t, _ in agents], 0.05)
+        for e, (_, views, target, _) in enumerate(agents):
+            expected = theirs[e].update(views, owns[e], target, 0.05)
+            assert same_bits(ours[e].psi, theirs[e].psi)
+            assert ([m.agent_id for m in ours[e].members]
+                    == [m.agent_id for m in theirs[e].members])
+            for field in ("velocity", "position_term", "velocity_term",
+                          "feedforward", "offset"):
+                assert same_bits(getattr(commands[e], field),
+                                 getattr(expected, field)), field
+
+
+@EXAMPLES
+@given(swarms())
+def test_replay_matches_scalar_replay(agents):
+    previous = [{v.agent_id: np.array([0.3, -0.2]) for v in views[::2]}
+                for _, views, _, _ in agents]
+    out = estimate_velocities_stack(
+        [views for _, views, _, _ in agents], [own for own, *_ in agents],
+        [t for *_, t, _ in agents], [psi for *_, psi in agents], GAINS, MODEL,
+        SENSOR_RANGE, FOV, previous,
+    )
+    for (own, views, target, psi), prev, got in zip(agents, previous, out):
+        expected = oracle.estimate_velocities(views, own, target, psi, GAINS,
+                                              MODEL, SENSOR_RANGE, FOV, prev)
+        assert [i for i, _ in got] == [i for i, _ in expected]
+        for (_, a), (_, b) in zip(got, expected):
+            assert same_bits(a, b)
+        for v in views:
+            for in_focal in (True, False):
+                view_args = (views, v, own, psi, SENSOR_RANGE, FOV,
+                             GAINS.max_neighbors, in_focal)
+                assert (estimate_view(*view_args)
+                        == [tuple(m) for m in oracle.estimate_view(*view_args)])
+
+
+def test_rows_of_eight_or_more_members_sum_like_one_row():
+    # Rows of every length up to nine members (seven neighbours, the focal
+    # agent and the target) in one stack: numpy sums eight or more terms
+    # pairwise, so a short row padded to the stack's width would round
+    # differently from the same row alone.
+    rng = np.random.default_rng(7)
+    rows = [
+        [NeighborInfo(i, b, d) for i, (b, d) in enumerate(zip(
+            rng.uniform(-math.pi, math.pi, n), rng.uniform(5.0, 25.0, n)))]
+        for n in rng.integers(0, 10, size=300)
+    ]
+    psi = rng.uniform(-math.pi, math.pi, len(rows))
+    offsets = desired_offset_stack(Neighborhoods.of(rows), psi, GAINS)
+    for e, row in enumerate(rows):
+        expected = oracle.desired_offset(
+            [oracle.NeighborInfo(*m) for m in row], psi[e], GAINS)
+        assert same_bits(offsets[e], expected)
+
+
+def test_triangle_apexes_round_like_scalar_law():
+    # Pairs at about one spacing, close in bearing: each row takes the
+    # triangle rule, whose apex height squares with Python's pow. numpy's
+    # x**2 is x*x, which differs from pow for about one square in a
+    # thousand, so this needs thousands of apexes.
+    rng = np.random.default_rng(11)
+    rows = []
+    for _ in range(4000):
+        first = rng.uniform(-math.pi, math.pi)
+        second = first + rng.uniform(-GAINS.pair_angle, GAINS.pair_angle)
+        rows.append([NeighborInfo(1, first, rng.uniform(11.0, 15.0)),
+                     NeighborInfo(2, second, rng.uniform(11.0, 15.0))])
+    psi = rng.uniform(-math.pi, math.pi, len(rows))
+    offsets = desired_offset_stack(Neighborhoods.of(rows), psi, GAINS)
+    for e, row in enumerate(rows):
+        expected = oracle.desired_offset(
+            [oracle.NeighborInfo(*m) for m in row], psi[e], GAINS)
+        assert same_bits(offsets[e], expected)

@@ -220,24 +220,27 @@ class TestEstimateVelocities:
     def test_each_replay_computes_heading_once(self, monkeypatch):
         from fastflock import flocking, velocity_inference
 
-        # The replay calls the controller's own heading function.
-        assert velocity_inference.neighborhood_heading is flocking.neighborhood_heading
+        # The replay calls the controller's own heading function, once for
+        # all of its neighbourhoods.
+        assert (velocity_inference.neighborhood_heading_stack
+                is flocking.neighborhood_heading_stack)
         model = ResponseModel(a=0.8, b=0.2)
         views = [view(5, 10.0, 0.0, vx=1.0), view(2, 0.0, 10.0),
                  view(9, -10.0, 0.0)]
         args = (views, np.zeros(2), np.array([80.0, 0.0]), 0.0,
                 GAINS, model, SENSOR_RANGE, FOV, {})
         expected = estimate_velocities(*args)
-        calls = []
-        original = flocking.neighborhood_heading
+        rows = []
+        original = flocking.neighborhood_heading_stack
 
-        def counting(*a, **kw):
-            calls.append(1)
-            return original(*a, **kw)
+        def counting(hoods, *a, **kw):
+            rows.append(len(hoods.count))
+            return original(hoods, *a, **kw)
 
-        monkeypatch.setattr(velocity_inference, "neighborhood_heading", counting)
+        monkeypatch.setattr(velocity_inference, "neighborhood_heading_stack",
+                            counting)
         out = estimate_velocities(*args)
-        assert len(calls) == len(views)
+        assert rows == [len(views)]
         for (i, a), (j, b) in zip(out, expected):
             assert i == j and np.array_equal(a, b)
 
