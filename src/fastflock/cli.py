@@ -84,7 +84,8 @@ def cmd_run(args) -> int:
         with open(out_dir / "summary.json", "w") as handle:
             json.dump(artifacts.summary.as_dict(), handle, sort_keys=True,
                       indent=2)
-        metrics_mod.export_plot_data(artifacts.records, out_dir)
+        metrics_mod.export_plot_data(artifacts.records, artifacts.summary,
+                                     out_dir)
         print(f"artifacts written to {out_dir}")
     print(_summary_line(artifacts.summary))
     return 0
@@ -199,15 +200,16 @@ def cmd_fit_model(args) -> int:
 def cmd_metrics(args) -> int:
     try:
         records = read_log(args.log)
+        if not all(isinstance(r, dict) for r in records):
+            raise ValueError("a record is not a JSON object")
+        body = [r for r in records if r.get("record") != "summary"]
+        summary = metrics_mod.summarize(body)
+    except KeyError as exc:
+        print(f"cannot read log {args.log}: no field {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError) as exc:
         print(f"cannot read log {args.log}: {exc}", file=sys.stderr)
         return 2
-    if not all(isinstance(r, dict) for r in records):
-        print(f"cannot read log {args.log}: a record is not a JSON object",
-              file=sys.stderr)
-        return 2
-    body = [r for r in records if r.get("record") != "summary"]
-    summary = metrics_mod.summarize(body)
     print(json.dumps(summary.as_dict(), sort_keys=True, indent=2))
     return 0
 

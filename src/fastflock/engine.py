@@ -8,17 +8,18 @@ agent's stage reads its own row for sensing. The tick then runs in phases
 across the swarm:
 1. per agent, in id order, `Simulation._stage`: sense, tracker, self-state
    and fusion;
-2. velocity-ingest: with comm off, one call of
-   `velocity_inference.update_estimators` replays the flocking law for every
+2. velocity-ingest: with comm off, one call of the swarm's
+   `velocity_inference.VelocityEstimator` replays the flocking law for every
    tracked neighbour of every agent; then, per agent, the bank takes the
    communicated or inferred velocities;
-3. controller: one call of `flocking.update_controllers` for all agents;
+3. controller: one call of the swarm's `flocking.FlockingController` for
+   all agents, each agent's command one row of its result;
 4. per agent: heading, the finiteness checks and the tick record;
-then broadcasts and plant integration.
+then broadcasts (with comm on) and plant integration.
 
 Agent order cannot change the result. Within a tick an agent reads only
 the previous tick's ground truth and its own filters, random streams,
-controller and inbox, and nothing another agent writes before the
+controller row and inbox, and nothing another agent writes before the
 broadcasts; the stacked law rounds each row exactly as the row alone. All
 randomness flows from per-(agent, sensor) generator streams spawned off the
 scenario seed.
@@ -44,11 +45,11 @@ from .ego_estimation import (
     SelfStateFilter,
     position_fix,
 )
-from .flocking import FlockingCommand, FlockingController, update_controllers
+from .flocking import FlockingCommand, FlockingController
 from .geometry import pairwise
-from .sensors import CommChannel, CommConfig, VioEmulator, observe
+from .sensors import CommChannel, VioEmulator, observe
 from .tracking import TrackBank, TrackParams, TrackView, VelocityReport
-from .velocity_inference import VelocityEstimator, update_estimators
+from .velocity_inference import VelocityEstimator
 
 LOG_FORMAT_VERSION = 1
 
@@ -155,8 +156,9 @@ def make_trajectory(config: ScenarioConfig):
 
 
 class Agent:
-    """Per-agent simulation state: plant plus the full estimation and
-    control stack, with private RNG streams."""
+    """Per-agent simulation state: plant, sensors, filters and fusion, with
+    private RNG streams. The swarm's controller and velocity estimator hold
+    one row per agent."""
 
     def __init__(self, agent_id: int, config: ScenarioConfig, position,
                  seed_seq: np.random.SeedSequence, goal_rel: np.ndarray):
@@ -196,30 +198,15 @@ class Agent:
         )
         self.fusion = OdometryFusion(position, weight=1.0,
                                      rate=filters.fusion_rate)
-        self.controller = FlockingController(config.gains)
-        self.vel_estimator = VelocityEstimator(
-            config.gains, config.response_model, sensors.max_range, sensors.fov
-        )
         self.vio = VioEmulator(sensors.vio, position,
                                np.random.default_rng(streams[4]))
-        self.channel = CommChannel(
-            CommConfig(
-                enabled=config.comm,
-                latency_ticks=sensors.comm.latency_ticks,
-                drop_prob=sensors.comm.drop_prob,
-            ),
-            self.rng_comm,
-        )
+        self.channel = CommChannel(sensors.comm, self.rng_comm)
         self.heading = math.atan2(goal_rel[1], goal_rel[0])
         self.fused_position = np.asarray(position, dtype=float).copy()
         self.fused_velocity = np.zeros(2)
-        self.last_command = FlockingCommand(
-            velocity=np.zeros(2),
-            position_term=np.zeros(2),
-            velocity_term=np.zeros(2),
-            feedforward=np.zeros(2),
-            offset=np.zeros(2),
-        )
+        # The commanded velocity of the last tick, which the self-state
+        # filter and the plant take.
+        self.command_velocity = np.zeros(2)
 
 
 class Sensed(NamedTuple):
@@ -259,6 +246,11 @@ class Simulation:
             Agent(i, config, positions[i], agent_seeds[i], goal0 - positions[i])
             for i in range(config.n_agents)
         ]
+        self.controller = FlockingController(config.gains, config.n_agents)
+        self.estimator = VelocityEstimator(
+            config.gains, config.response_model, config.sensors.max_range,
+            config.sensors.fov, config.n_agents,
+        )
         self.tick_index = 0
 
     def _stage(self, agent: Agent, rel: np.ndarray, dist: np.ndarray,
@@ -269,8 +261,7 @@ class Simulation:
         dt = config.dt
         truth_pos = agent.plant.position
         truth_vel = agent.plant.velocity
-        stage = "sense"
-        try:
+        with _fault(agent.id, "sense"):
             observations = observe(
                 rel, dist, agent.id, agent.heading, config.sensors,
                 agent.rng_perception, stamp=t,
@@ -285,28 +276,21 @@ class Simulation:
                 0.0, config.sensors.target_sigma, size=2
             )
             delivered = agent.channel.deliver(self.tick_index)
-
-            stage = "tracker"
+        with _fault(agent.id, "tracker"):
             agent.bank.step(dt)
             agent.bank.apply_tick(
                 observations, [], agent.fused_position, agent.heading
             )
-
-            stage = "self-state"
+        with _fault(agent.id, "self-state"):
             views = agent.bank.snapshot()
             fix = position_fix(views, observations, agent.heading)
             own_state = agent.self_filter.step(
-                agent.last_command.velocity, fix, imu_accel, dt
+                agent.command_velocity, fix, imu_accel, dt
             )
-
-            stage = "fusion"
+        with _fault(agent.id, "fusion"):
             fused = agent.fusion.advance(vio_sample, own_state, dt)
             agent.fused_position = fused.position
             agent.fused_velocity = fused.velocity
-        except Exception as exc:
-            raise SimulationFault(
-                f"agent {agent.id} stage {stage}: {exc}"
-            ) from exc
         return Sensed(truth_pos, truth_vel, target_rel, delivered, views,
                       own_state, fused)
 
@@ -323,16 +307,15 @@ class Simulation:
             logs = [None] * len(agents)
         else:
             sigma = config.filters.vel_sigma_inferred
-            # The estimators share one model, so a fault here is every
+            # One replay serves every agent, so a fault here is every
             # agent's; it is reported against the first, whose stage the
             # serial tick failed in.
             with _fault(agents[0].id, "velocity-ingest"):
-                reports = update_estimators(
-                    [a.vel_estimator for a in agents],
+                reports = self.estimator.update(
                     [s.views for s in sensed],
                     [a.fused_position for a in agents],
                     [s.target_rel for s in sensed],
-                    [a.controller.psi for a in agents],
+                    self.controller.psi,
                 )
             logs = [{str(nid): _vec(velocity) for nid, velocity in estimates}
                     for estimates in reports]
@@ -351,7 +334,7 @@ class Simulation:
         """The heading stage, the finiteness checks and the agent's part of
         the tick record."""
         with _fault(agent.id, "heading"):
-            agent.last_command = command
+            agent.command_velocity = command.velocity
             if self.config.sensors.heading_mode == "goal":
                 agent.heading = math.atan2(sensed.target_rel[1],
                                            sensed.target_rel[0])
@@ -380,7 +363,7 @@ class Simulation:
             "cmd_vel": _vec(command.velocity_term),
             "cmd_ff": _vec(command.feedforward),
             "heading": float(agent.heading),
-            "neighbors": [m.agent_id for m in agent.controller.members],
+            "neighbors": self.controller.neighbors[agent.id],
             "tracks": {
                 str(view.agent_id): {
                     "p": _vec(view.position),
@@ -406,28 +389,28 @@ class Simulation:
         ]
         estimates_logs = self._ingest_velocities(sensed)
         views = [a.bank.snapshot() for a in agents]
-        # The controllers share one set of gains, as the estimators share a
-        # model above.
+        # One call serves every agent, so as in velocity-ingest a fault is
+        # reported against the first.
         with _fault(agents[0].id, "controller"):
-            commands = update_controllers(
-                [a.controller for a in agents], views,
-                [a.fused_position for a in agents],
+            command = self.controller.update(
+                views, [a.fused_position for a in agents],
                 [s.target_rel for s in sensed], config.dt,
             )
         fragments = [
-            self._fragment(*parts)
-            for parts in zip(agents, sensed, commands, views, estimates_logs)
+            self._fragment(agent, s, command.row(agent.id), v, log)
+            for agent, s, v, log in zip(agents, sensed, views, estimates_logs)
         ]
 
         # After every stage: broadcasts and plant integration in id order.
-        for sender in agents:
-            for receiver in agents:
-                if receiver.id != sender.id:
-                    receiver.channel.send(
-                        self.tick_index, sender.id, sender.fused_velocity
-                    )
+        if config.comm:
+            for sender in agents:
+                for receiver in agents:
+                    if receiver.id != sender.id:
+                        receiver.channel.send(
+                            self.tick_index, sender.id, sender.fused_velocity
+                        )
         for agent in agents:
-            agent.plant.advance(agent.last_command.velocity, config.dt)
+            agent.plant.advance(agent.command_velocity, config.dt)
             if not np.all(np.isfinite(agent.plant.position)):
                 raise SimulationFault(
                     f"agent {agent.id} stage plant: non-finite position"

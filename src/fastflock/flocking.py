@@ -9,10 +9,10 @@ are de-weighted, which damps oscillations fed back from trailing agents.
 The law runs on stacks. `Neighborhoods` holds E neighbourhoods as (E, W)
 arrays of member ids, bearings and distances, and `neighborhood_heading_stack`,
 `desired_offset_stack` and `flocking_command_stack` evaluate all of them in
-one pass: every agent's controller in one call, and velocity inference's
-replay of every tracked neighbour in another. `neighborhood_heading`,
-`desired_offset`, `flocking_command` and `FlockingController.update` are the
-E = 1 case of the same code.
+one pass: every agent's command in one call of `FlockingController.update`,
+the swarm's controller, and velocity inference's replay of every tracked
+neighbour in another. `neighborhood_heading`, `desired_offset` and
+`flocking_command` are the E = 1 case of the same code.
 
 A stack rounds each row exactly as the row alone rounds:
 - lengths and dot products are stacked 1x2 @ 2x1 products
@@ -41,6 +41,8 @@ from .geometry import bearings, dots, heading_vectors, lengths, wrap_angles
 from .tracking import TrackView
 
 TARGET_MEMBER_ID = -1
+# Cutoff of the controller's low-pass filter on the offset rate.
+RATE_CUTOFF_HZ = 2.0
 # Velocity inference's replay tags the focal agent with this id when it sits
 # in the replayed neighbour's neighbourhood.
 FOCAL_MEMBER_ID = -2
@@ -526,63 +528,42 @@ def _command_from_offset(
 
 
 class FlockingController:
-    """Stateful wrapper: retains the previous offset and group heading and
-    low-pass filters the offset rate across ticks."""
+    """The swarm's controller, one row per agent: it carries each agent's
+    group heading psi (N,), previous formation offset (N, 2) and low-pass
+    filtered offset rate (N, 2) across ticks, and each agent's neighbour ids
+    of the last tick."""
 
-    def __init__(self, gains: ControllerGains, rate_cutoff_hz: float = 2.0):
+    def __init__(self, gains: ControllerGains, n_agents: int):
         self.gains = gains
-        self.rate_cutoff_hz = rate_cutoff_hz
-        self.psi = 0.0
-        self.members: list[NeighborInfo] = []
+        self.psi = np.zeros(n_agents)
+        self.neighbors: list[list[int]] = [[] for _ in range(n_agents)]
         self._prev_offset: np.ndarray | None = None
-        self._rate = np.zeros(2)
+        self._rate = np.zeros((n_agents, 2))
 
     def update(
         self,
-        views: Sequence[TrackView],
-        own_position: np.ndarray,
-        target_rel: np.ndarray | None,
+        views: Sequence[Sequence[TrackView]],
+        own_positions: Sequence[np.ndarray],
+        target_rels: Sequence[np.ndarray | None],
         dt: float,
     ) -> FlockingCommand:
-        return update_controllers([self], [views], [own_position],
-                                  [target_rel], dt)[0]
-
-
-def update_controllers(
-    controllers: Sequence[FlockingController],
-    views: Sequence[Sequence[TrackView]],
-    own_positions: Sequence[np.ndarray],
-    target_rels: Sequence[np.ndarray | None],
-    dt: float,
-) -> list[FlockingCommand]:
-    """One tick of every controller, with the law evaluated once for all of
-    them; controller e sees views[e] from own_positions[e]. The controllers
-    share their gains."""
-    gains = controllers[0].gains
-    if any(c.gains != gains for c in controllers):
-        raise ValueError("controllers updated together must share their gains")
-    hoods = select_neighbors_stack(views, own_positions, gains.max_neighbors)
-    target, has_target = _optional_rows(target_rels)
-    psi = neighborhood_heading_stack(
-        hoods, target, has_target, np.array([c.psi for c in controllers], dtype=float)
-    )
-    offset = desired_offset_stack(
-        _with_target(hoods, target, has_target, gains), psi, gains
-    )
-    rate = np.array([c._rate for c in controllers], dtype=float)
-    filtered = np.array([c._prev_offset is not None for c in controllers])
-    if filtered.any():
-        previous = np.array([offset[e] if c._prev_offset is None else c._prev_offset
-                             for e, c in enumerate(controllers)])
-        alpha = np.array([dt / (dt + 1.0 / (2.0 * math.pi * c.rate_cutoff_hz))
-                          for c in controllers])[:, None]
-        raw_rate = (offset - previous) / dt
-        rate = np.where(filtered[:, None], rate + alpha * (raw_rate - rate), rate)
-    command = _command_from_offset(offset, psi, target, has_target, gains, rate)
-    for e, (c, members, heading) in enumerate(zip(controllers, hoods.members(),
-                                                  psi.tolist())):
-        c.members = members
-        c.psi = heading
-        c._prev_offset = offset[e]
-        c._rate = rate[e]
-    return [command.row(e) for e in range(len(controllers))]
+        """One tick of every agent, with the law evaluated once for all of
+        them; agent e sees views[e] from own_positions[e]. Returns the
+        stacked commands, row e agent e's."""
+        gains = self.gains
+        hoods = select_neighbors_stack(views, own_positions, gains.max_neighbors)
+        target, has_target = _optional_rows(target_rels)
+        psi = neighborhood_heading_stack(hoods, target, has_target, self.psi)
+        offset = desired_offset_stack(
+            _with_target(hoods, target, has_target, gains), psi, gains
+        )
+        if self._prev_offset is not None:
+            alpha = dt / (dt + 1.0 / (2.0 * math.pi * RATE_CUTOFF_HZ))
+            raw_rate = (offset - self._prev_offset) / dt
+            self._rate = self._rate + alpha * (raw_rate - self._rate)
+        self.psi = psi
+        self.neighbors = [ids[:n] for ids, n in zip(hoods.ids.tolist(),
+                                                    hoods.count.tolist())]
+        self._prev_offset = offset
+        return _command_from_offset(offset, psi, target, has_target, gains,
+                                    self._rate)

@@ -249,14 +249,15 @@ def run_ablation(config) -> AblationResult:
     )
 
 
-def export_plot_data(records: list[dict], out_dir) -> list[str]:
+def export_plot_data(records: list[dict], summary: MetricsSummary,
+                     out_dir) -> list[str]:
     """Write delimited text files, one per figure: trajectories, fusion
-    weights, velocity estimates, and the group-speed-ratio trace."""
+    weights, velocity estimates, and the group-speed-ratio trace of
+    `summary`, the records' summary."""
     from pathlib import Path
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    header = header_record(records)
     ticks = tick_records(records)
     agent_ids = sorted(ticks[0]["agents"], key=int)
     written = []
@@ -291,15 +292,9 @@ def export_plot_data(records: list[dict], out_dir) -> list[str]:
     written.append(str(path))
 
     path = out / "cvr.csv"
-    config = header["config"]
-    center = np.mean(
-        [np.array([r["agents"][aid]["p"] for r in ticks]) for aid in agent_ids],
-        axis=0,
-    )
-    cvr = compute_cvr(center, config["dt"], config["gains"]["cruise_speed"])
     with open(path, "w") as handle:
         handle.write("t,cvr\n")
-        for r, value in zip(ticks, cvr):
+        for r, value in zip(ticks, summary.cvr_trace):
             handle.write(f"{r['t']!r},{value!r}\n")
     written.append(str(path))
 

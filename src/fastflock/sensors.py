@@ -56,7 +56,6 @@ class VioConfig:
 
 @dataclass
 class CommConfig:
-    enabled: bool = True
     latency_ticks: int = 0
     drop_prob: float = 0.0
 
@@ -219,8 +218,6 @@ class CommChannel:
         self._queue: list[tuple[int, int, np.ndarray]] = []
 
     def send(self, tick: int, sender_id: int, velocity: np.ndarray) -> None:
-        if not self.config.enabled:
-            return
         if self.rng.random() < self.config.drop_prob:
             return
         self._queue.append(

@@ -7,13 +7,13 @@ response model v(k+1) = a * v(k) + b * v_cmd(k+1). The replay uses the law's
 own neighborhood model from `flocking`: its members, nearest-K selection and
 group heading, evaluated from the neighbor's estimated position.
 
-The replay runs on stacks: `update_estimators` does the whole swarm's tick
-at once. One stacked `geometry.pairwise` over each focal agent's own
-position and track positions gives every member's offset, and one call of
-the stacked law (`flocking.neighborhood_heading_stack`, then
+The replay runs on stacks: `VelocityEstimator.update`, the swarm's
+estimator, does the whole swarm's tick at once. One stacked
+`geometry.pairwise` over each focal agent's own position and track positions
+gives every member's offset, and one call of the stacked law
+(`flocking.neighborhood_heading_stack`, then
 `flocking.flocking_command_stack`) replays every tracked neighbour of every
-agent. `estimate_velocities`, `estimate_view` and `VelocityEstimator.update`
-are the one-agent case.
+agent. `estimate_velocities` and `estimate_view` are the one-agent case.
 """
 
 from __future__ import annotations
@@ -227,7 +227,8 @@ def estimate_velocities(
 
 
 class VelocityEstimator:
-    """Stateful wrapper owning the per-neighbor previous estimates."""
+    """The swarm's estimator: estimates[e] holds agent e's previous estimate
+    of each tracked neighbour, by id."""
 
     def __init__(
         self,
@@ -235,48 +236,30 @@ class VelocityEstimator:
         model: ResponseModel | None,
         sensor_range: float,
         fov: float,
+        n_agents: int,
     ):
         self.gains = gains
         self.model = model
         self.sensor_range = sensor_range
         self.fov = fov
-        self.estimates: dict[int, np.ndarray] = {}
+        self.estimates: list[dict[int, np.ndarray]] = [{} for _ in range(n_agents)]
 
     def update(
         self,
-        views: Sequence[TrackView],
-        own_position: np.ndarray,
-        target_rel: np.ndarray | None,
-        psi: float,
-    ) -> list[tuple[int, np.ndarray]]:
-        return update_estimators([self], [views], [own_position], [target_rel],
-                                 [psi])[0]
-
-
-def update_estimators(
-    estimators: Sequence[VelocityEstimator],
-    views: Sequence[Sequence[TrackView]],
-    own_positions: Sequence[np.ndarray],
-    target_rels: Sequence[np.ndarray | None],
-    psis: Sequence[float],
-) -> list[list[tuple[int, np.ndarray]]]:
-    """One tick of every estimator, with one replay of the law for all of
-    them; estimator e sees views[e] from own_positions[e]. The estimators
-    share their gains, response model, sensor range and field of view."""
-    first = estimators[0]
-    if any(est.model is None for est in estimators):
-        raise NotFittedError(
-            "no response model configured; fit one before estimating"
+        views: Sequence[Sequence[TrackView]],
+        own_positions: Sequence[np.ndarray],
+        target_rels: Sequence[np.ndarray | None],
+        psis: Sequence[float],
+    ) -> list[list[tuple[int, np.ndarray]]]:
+        """One tick of every agent's estimates, with one replay of the law
+        for all of them; agent e sees views[e] from own_positions[e]."""
+        if self.model is None:
+            raise NotFittedError(
+                "no response model configured; fit one before estimating"
+            )
+        out = estimate_velocities_stack(
+            views, own_positions, target_rels, psis, self.gains, self.model,
+            self.sensor_range, self.fov, self.estimates,
         )
-    shared = (first.gains, first.model, first.sensor_range, first.fov)
-    if any((est.gains, est.model, est.sensor_range, est.fov) != shared
-           for est in estimators):
-        raise ValueError("estimators updated together must share their "
-                         "gains, model, sensor range and field of view")
-    out = estimate_velocities_stack(
-        views, own_positions, target_rels, psis, *shared,
-        [est.estimates for est in estimators],
-    )
-    for est, estimates in zip(estimators, out):
-        est.estimates = dict(estimates)
-    return out
+        self.estimates = [dict(estimates) for estimates in out]
+        return out

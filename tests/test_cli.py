@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -72,6 +73,11 @@ def test_run_no_comm_exports_velocity_estimates(tiny_config, tmp_path):
     out = tmp_path / "out"
     assert main(["run", str(tiny_config), "--no-comm", "--out", str(out)]) == 0
     assert (out / "velocity_estimates.csv").exists()
+    paths = sorted(out.glob("*.csv"))
+    assert len(paths) == 4
+    for path in paths:
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert table.size and np.all(np.isfinite(table)), path.name
 
 
 def test_metrics_recomputes_from_log(tiny_config, tmp_path, capsys):
@@ -199,7 +205,9 @@ def test_metrics_on_missing_log_exits_2(tmp_path, capsys):
     assert "missing.jsonl" in err and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("text", ["not json\n", "[1, 2]\n"])
+@pytest.mark.parametrize("text", ["not json\n", "[1, 2]\n",
+                                  '{"record": "tick"}\n',
+                                  '{"record": "header"}\n'])
 def test_metrics_on_malformed_log_exits_2(tmp_path, capsys, text):
     log = tmp_path / "bad.jsonl"
     log.write_text(text)

@@ -84,6 +84,7 @@ def test_errors_are_collected_not_first_only():
     ({"sensors": {"comm": {"latency_ticks": 1.5}}}, "latency_ticks"),
     ({"response_model": {"a": "x", "b": 0.1}}, "response_model.a"),
     ({"comm": False}, "response_model"),
+    ({"sensors": {"comm": {"enabled": False}}}, "unknown field 'enabled'"),
 ])
 def test_bad_values_raise_config_error(data, field):
     with pytest.raises(ConfigError) as excinfo:

@@ -141,6 +141,19 @@ class TestDeterminism:
         assert (tmp_path / "a.jsonl").read_bytes() != (tmp_path / "b.jsonl").read_bytes()
 
 
+class TestComm:
+    def test_comm_off_channels_deliver_nothing(self):
+        delivered = {}
+        for comm in (True, False):
+            sim = Simulation(small_scenario(comm=comm))
+            for _ in range(3):
+                sim.tick()
+            delivered[comm] = [len(a.channel.deliver(sim.tick_index))
+                               for a in sim.agents]
+        assert all(delivered[True])
+        assert not any(delivered[False])
+
+
 class TestClosedLoop:
     def test_hover_equilibrium_static(self):
         config = load_scenario(CONFIG_DIR / "hover.yaml")

@@ -280,20 +280,20 @@ class TestFlockingCommand:
 
 
 def test_controller_rate_filtering_starts_at_zero():
-    ctrl = FlockingController(GAINS)
+    ctrl = FlockingController(GAINS, 1)
     views = [view(1, GAINS.spacing + 4.0, 0.0)]
-    cmd = ctrl.update(views, np.zeros(2), np.array([100.0, 0.0]), 0.1)
+    cmd = ctrl.update([views], [np.zeros(2)], [np.array([100.0, 0.0])], 0.1)
     assert np.allclose(cmd.velocity_term, 0.0)
-    cmd2 = ctrl.update(views, np.zeros(2), np.array([100.0, 0.0]), 0.1)
+    cmd2 = ctrl.update([views], [np.zeros(2)], [np.array([100.0, 0.0])], 0.1)
     assert np.allclose(cmd2.velocity_term, 0.0, atol=1e-9)  # offset unchanged
 
 
 def test_controller_holds_heading_when_goal_on_center():
-    ctrl = FlockingController(GAINS)
-    ctrl.update([], np.zeros(2), np.array([50.0, 0.0]), 0.1)
-    assert ctrl.psi == 0.0
-    ctrl.update([], np.zeros(2), np.zeros(2), 0.1)
-    assert ctrl.psi == 0.0
+    ctrl = FlockingController(GAINS, 1)
+    ctrl.update([[]], [np.zeros(2)], [np.array([50.0, 0.0])], 0.1)
+    assert ctrl.psi[0] == 0.0
+    ctrl.update([[]], [np.zeros(2)], [np.zeros(2)], 0.1)
+    assert ctrl.psi[0] == 0.0
 
 
 def test_controller_evaluates_offset_once_and_matches_stateless_law(monkeypatch):
@@ -307,21 +307,23 @@ def test_controller_evaluates_offset_once_and_matches_stateless_law(monkeypatch)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(flocking, "desired_offset_stack", counting)
-    ctrl = FlockingController(GAINS)
+    ctrl = FlockingController(GAINS, 1)
     views = [view(1, 10.0, 4.0), view(2, 9.0, -6.0), view(3, -12.0, 1.0)]
     target = np.array([60.0, 10.0])
     for step in range(3):
         calls.clear()
         own = np.array([0.5 * step, 0.0])
-        cmd = ctrl.update(views, own, target, 0.1)
+        cmd = ctrl.update([views], [own], [target], 0.1).row(0)
         assert len(calls) == 1
+        neighbors = select_neighbors(views, own, GAINS.max_neighbors)
+        assert [m.agent_id for m in neighbors] == ctrl.neighbors[0]
         members = flocking._with_target(
-            flocking.Neighborhoods.of([ctrl.members]), target[None],
+            flocking.Neighborhoods.of([neighbors]), target[None],
             np.array([True]), GAINS,
         )
-        expected = original(members, np.array([ctrl.psi]), GAINS)[0]
-        reference = flocking_command(ctrl.members, ctrl.psi, target, GAINS,
-                                     offset_rate=ctrl._rate)
+        expected = original(members, ctrl.psi, GAINS)[0]
+        reference = flocking_command(neighbors, ctrl.psi[0], target, GAINS,
+                                     offset_rate=ctrl._rate[0])
         assert np.array_equal(cmd.offset, expected)
         assert np.array_equal(cmd.velocity, reference.velocity)
 
@@ -337,9 +339,9 @@ def test_controller_computes_heading_once_per_tick(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(flocking, "neighborhood_heading_stack", counting)
-    ctrl = FlockingController(GAINS)
+    ctrl = FlockingController(GAINS, 1)
     views = [view(1, 10.0, 4.0), view(2, 9.0, -6.0), view(3, -12.0, 1.0)]
     for target in (np.array([60.0, 10.0]), None):
         calls.clear()
-        ctrl.update(views, np.zeros(2), target, 0.1)
+        ctrl.update([views], [np.zeros(2)], [target], 0.1)
         assert len(calls) == 1

@@ -20,7 +20,6 @@ from fastflock.flocking import (
     desired_offset_stack,
     flocking_command_stack,
     neighborhood_heading_stack,
-    update_controllers,
 )
 from fastflock.tracking import TrackView
 from fastflock.velocity_inference import (
@@ -152,21 +151,20 @@ def swarms(draw):
 @EXAMPLES
 @given(swarms(), st.floats(0.0, 2.0))
 def test_controllers_match_scalar_controller(agents, drift):
-    ours = [FlockingController(GAINS) for _ in agents]
+    ours = FlockingController(GAINS, len(agents))
     theirs = [oracle.FlockingController(GAINS) for _ in agents]
     for step in range(3):
         shift = np.array([drift * step, -0.5 * drift * step])
         owns = [own + shift for own, *_ in agents]
-        commands = update_controllers(ours, [views for _, views, _, _ in agents],
-                                      owns, [t for *_, t, _ in agents], 0.05)
+        commands = ours.update([views for _, views, _, _ in agents],
+                               owns, [t for *_, t, _ in agents], 0.05)
         for e, (_, views, target, _) in enumerate(agents):
             expected = theirs[e].update(views, owns[e], target, 0.05)
-            assert same_bits(ours[e].psi, theirs[e].psi)
-            assert ([m.agent_id for m in ours[e].members]
-                    == [m.agent_id for m in theirs[e].members])
+            assert same_bits(ours.psi[e], theirs[e].psi)
+            assert ours.neighbors[e] == [m.agent_id for m in theirs[e].members]
             for field in ("velocity", "position_term", "velocity_term",
                           "feedforward", "offset"):
-                assert same_bits(getattr(commands[e], field),
+                assert same_bits(getattr(commands.row(e), field),
                                  getattr(expected, field)), field
 
 

@@ -168,11 +168,6 @@ class TestCommChannel:
         assert chan.deliver(6) == []
         assert len(chan.deliver(7)) == 1
 
-    def test_disabled_channel_delivers_nothing(self):
-        chan = CommChannel(CommConfig(enabled=False), np.random.default_rng(0))
-        chan.send(0, 1, np.zeros(2))
-        assert chan.deliver(0) == []
-
     def test_full_drop_equals_disabled(self):
         chan = CommChannel(CommConfig(drop_prob=1.0), np.random.default_rng(0))
         for tick in range(10):

@@ -247,24 +247,24 @@ class TestEstimateVelocities:
 
 class TestVelocityEstimator:
     def test_unfitted_model_rejected(self):
-        est = VelocityEstimator(GAINS, None, SENSOR_RANGE, FOV)
+        est = VelocityEstimator(GAINS, None, SENSOR_RANGE, FOV, 1)
         with pytest.raises(NotFittedError):
-            est.update([view(1, 10.0, 0.0)], np.zeros(2),
-                       np.array([50.0, 0.0]), 0.0)
+            est.update([[view(1, 10.0, 0.0)]], [np.zeros(2)],
+                       [np.array([50.0, 0.0])], [0.0])
 
     def test_state_initialized_from_track_velocity(self):
         model = ResponseModel(a=1.0 - 1e-12, b=1e-12)  # hold previous value
-        est = VelocityEstimator(GAINS, model, SENSOR_RANGE, FOV)
-        out = est.update([view(1, 20.0, 0.0, vx=3.0, vy=1.0)], np.zeros(2),
-                         np.array([50.0, 0.0]), 0.0)
+        est = VelocityEstimator(GAINS, model, SENSOR_RANGE, FOV, 1)
+        out = est.update([[view(1, 20.0, 0.0, vx=3.0, vy=1.0)]], [np.zeros(2)],
+                         [np.array([50.0, 0.0])], [0.0])[0]
         assert np.allclose(out[0][1], [3.0, 1.0], atol=1e-6)
 
     def test_dropped_tracks_pruned(self):
         model = ResponseModel(a=0.8, b=0.2)
-        est = VelocityEstimator(GAINS, model, SENSOR_RANGE, FOV)
-        est.update([view(1, 20.0, 0.0)], np.zeros(2),
-                   np.array([50.0, 0.0]), 0.0)
-        assert 1 in est.estimates
-        est.update([view(2, 10.0, 0.0)], np.zeros(2),
-                   np.array([50.0, 0.0]), 0.0)
-        assert 1 not in est.estimates
+        est = VelocityEstimator(GAINS, model, SENSOR_RANGE, FOV, 1)
+        est.update([[view(1, 20.0, 0.0)]], [np.zeros(2)],
+                   [np.array([50.0, 0.0])], [0.0])
+        assert 1 in est.estimates[0]
+        est.update([[view(2, 10.0, 0.0)]], [np.zeros(2)],
+                   [np.array([50.0, 0.0])], [0.0])
+        assert 1 not in est.estimates[0]
