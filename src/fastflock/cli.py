@@ -207,7 +207,8 @@ def cmd_metrics(args) -> int:
     except KeyError as exc:
         print(f"cannot read log {args.log}: no field {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
+        # TypeError: a record's fields hold the wrong types.
         print(f"cannot read log {args.log}: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(summary.as_dict(), sort_keys=True, indent=2))

@@ -10,7 +10,7 @@ using an adaptive weight that follows the VIO feature quality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -46,58 +46,67 @@ class FocalParams:
 
 
 class SelfStateFilter:
-    """Kalman filter over the focal agent's own lateral state.
+    """Kalman filters over each agent's own lateral state, one row per agent:
+    `state` is (N, 6) and `cov` (N, 6, 6). The rows are independent, so a
+    swarm's filters run as stacks; one agent's filter is the one-row case.
 
-    Also dead-reckons a velocity-integral position (`integral_position`):
-    the position obtained by integrating the velocity estimate alone, with
-    no position corrections, kept as a degradation comparator.
+    Also dead-reckons a velocity-integral position (`integral_position`,
+    (N, 2)): the position obtained by integrating the velocity estimate
+    alone, with no position corrections, kept as a degradation comparator.
     """
 
-    def __init__(self, params: FocalParams, dt: float, initial_position):
+    def __init__(self, params: FocalParams, dt: float, initial_positions):
+        positions = np.array(initial_positions, dtype=float)
+        if positions.ndim != 2 or positions.shape[1] != 2:
+            raise ValueError("initial positions must be (N, 2)")
         self.params = params
         self.dt = dt
         self.model = focal_model(dt, params.tau, np.asarray(params.q_rate) * dt)
-        self.state = np.zeros(6)
-        self.state[:2] = np.asarray(initial_position, dtype=float)
-        self.cov = np.diag(params.init_var).astype(float)
-        self.integral_position = np.asarray(initial_position, dtype=float).copy()
+        self.state = np.zeros((len(positions), 6))
+        self.state[:, :2] = positions
+        self.cov = np.repeat(np.diag(params.init_var).astype(float)[None],
+                             len(positions), axis=0)
+        self.integral_position = positions
 
     def step(
         self,
-        command: np.ndarray,
-        fix: np.ndarray | None,
-        accel: np.ndarray | None,
+        commands: Sequence[np.ndarray],
+        fixes: Sequence[np.ndarray | None],
+        accels: Sequence[np.ndarray | None],
         dt: float,
     ) -> np.ndarray:
-        """Predict with the commanded velocity as input, then correct with
-        the position fix and the IMU acceleration (in that order)."""
+        """Predict every row with its commanded velocity as input, then
+        correct with the position fixes and the IMU accelerations (in that
+        order), each over the rows whose input is not None. Returns a copy
+        of the states, (N, 6)."""
         if dt != self.model.dt:
             self.model = focal_model(
                 dt, self.params.tau, np.asarray(self.params.q_rate) * dt
             )
-        self.state, self.cov = kalman.predict(
-            self.state, self.cov, self.model, control=command, name="self-state"
-        )
-        if fix is not None:
-            meas = kalman.Measurement(
-                z=np.asarray(fix, float),
-                h=kalman.H_POS,
-                r=self.params.fix_sigma**2 * np.eye(2),
+        with kalman.owned_rows(range(len(self.state))):
+            self.state, self.cov = kalman.predict_stack(
+                self.state, self.cov, self.model,
+                np.asarray(commands, dtype=float), ["self-state"] * len(self.state),
             )
-            self.state, self.cov = kalman.correct(
-                self.state, self.cov, meas, name="self-state"
-            )
-        if accel is not None:
-            meas = kalman.Measurement(
-                z=np.asarray(accel, float),
-                h=kalman.H_ACC,
-                r=self.params.accel_sigma**2 * np.eye(2),
-            )
-            self.state, self.cov = kalman.correct(
-                self.state, self.cov, meas, name="self-state"
-            )
-        self.integral_position = self.integral_position + self.state[2:4] * dt
+        self._correct(kalman.H_POS, fixes, self.params.fix_sigma)
+        self._correct(kalman.H_ACC, accels, self.params.accel_sigma)
+        self.integral_position = self.integral_position + self.state[:, 2:4] * dt
         return self.state.copy()
+
+    def _correct(self, h: np.ndarray, zs, sigma: float) -> None:
+        """One stacked correction of the rows whose measurement is given,
+        with R = sigma^2 I."""
+        rows = [e for e, z in enumerate(zs) if z is not None]
+        if not rows:
+            return
+        with kalman.owned_rows(rows):
+            x, p = kalman.correct_stack(
+                self.state[rows], self.cov[rows], h,
+                np.array([zs[e] for e in rows], dtype=float),
+                np.broadcast_to(sigma**2 * np.eye(2), (len(rows), 2, 2)),
+                ["self-state"] * len(rows),
+            )
+        self.state[rows], self.cov[rows] = x, p
 
 
 def position_fix(

@@ -4,25 +4,32 @@ orchestration, collision detection, and ground-truth bookkeeping.
 Every tick advances all agents synchronously on the previous tick's ground
 truth. The tick works out the swarm's pairwise geometry once
 (`geometry.pairwise`); collision detection reads its distance matrix and each
-agent's stage reads its own row for sensing. The tick then runs in phases
-across the swarm:
-1. per agent, in id order, `Simulation._stage`: sense, tracker, self-state
-   and fusion;
-2. velocity-ingest: with comm off, one call of the swarm's
+agent's sense stage reads its own row. The tick then runs in phases across
+the swarm:
+1. sense: per agent, in id order, `Simulation._stage` draws the agent's
+   observations, VIO sample, IMU acceleration, target sighting and inbox;
+2. tracker: one `TrackBank.step` and one `TrackBank.apply_tick` of the
+   swarm's bank predict and correct every agent's neighbour tracks;
+3. self-state: per agent, `ego_estimation.position_fix`; then one
+   `SelfStateFilter.step` of the swarm's self-state filter;
+4. fusion: per agent, `OdometryFusion.advance`;
+5. velocity-ingest: with comm off, one call of the swarm's
    `velocity_inference.VelocityEstimator` replays the flocking law for every
-   tracked neighbour of every agent; then, per agent, the bank takes the
-   communicated or inferred velocities;
-3. controller: one call of the swarm's `flocking.FlockingController` for
+   tracked neighbour of every agent; then one `TrackBank.apply_tick` takes
+   every agent's communicated or inferred velocities;
+6. controller: one call of the swarm's `flocking.FlockingController` for
    all agents, each agent's command one row of its result;
-4. per agent: heading, the finiteness checks and the tick record;
-then broadcasts (with comm on) and plant integration.
+7. per agent: heading, the finiteness checks and the tick record;
+then broadcasts (with comm on, one `CommChannel.send` per receiver) and
+plant integration.
 
 Agent order cannot change the result. Within a tick an agent reads only
-the previous tick's ground truth and its own filters, random streams,
-controller row and inbox, and nothing another agent writes before the
-broadcasts; the stacked law rounds each row exactly as the row alone. All
-randomness flows from per-(agent, sensor) generator streams spawned off the
-scenario seed.
+the previous tick's ground truth and its own rows of the swarm's filters,
+controller and estimator, its random streams and its inbox, and nothing
+another agent writes before the broadcasts; the stacked filters and law
+round each row exactly as the row alone. A fault in a swarm-wide call names
+the agent that owns the offending row. All randomness flows from
+per-(agent, sensor) generator streams spawned off the scenario seed.
 """
 
 from __future__ import annotations
@@ -43,12 +50,14 @@ from .ego_estimation import (
     FusionState,
     OdometryFusion,
     SelfStateFilter,
+    VioSample,
     position_fix,
 )
 from .flocking import FlockingCommand, FlockingController
 from .geometry import pairwise
 from .sensors import CommChannel, VioEmulator, observe
-from .tracking import TrackBank, TrackParams, TrackView, VelocityReport
+from .tracking import (RelativeObservation, TrackBank, TrackParams, TrackView,
+                       VelocityReport)
 from .velocity_inference import VelocityEstimator
 
 LOG_FORMAT_VERSION = 1
@@ -156,14 +165,14 @@ def make_trajectory(config: ScenarioConfig):
 
 
 class Agent:
-    """Per-agent simulation state: plant, sensors, filters and fusion, with
-    private RNG streams. The swarm's controller and velocity estimator hold
-    one row per agent."""
+    """Per-agent simulation state: plant, sensors and fusion, with private
+    RNG streams. The swarm's track bank, self-state filter, controller and
+    velocity estimator hold the agent's filters and control state in their
+    rows."""
 
     def __init__(self, agent_id: int, config: ScenarioConfig, position,
                  seed_seq: np.random.SeedSequence, goal_rel: np.ndarray):
         self.id = agent_id
-        filters = config.filters
         sensors = config.sensors
         streams = seed_seq.spawn(5)
         self.rng_perception = np.random.default_rng(streams[0])
@@ -173,31 +182,8 @@ class Agent:
         self.plant = AgentPlant(
             config.plant.tau, config.plant.v_max, config.plant.a_max, position
         )
-        self.bank = TrackBank(
-            TrackParams(
-                q_rate=filters.track_q_rate,
-                range_sigma_rel=sensors.range_sigma_rel,
-                bearing_sigma=sensors.bearing_sigma,
-                pos_sigma_floor=filters.track_pos_sigma_floor,
-                vel_sigma=filters.vel_sigma_comm,
-                drop_after=filters.track_drop_after,
-            ),
-            dt=config.dt,
-        )
-        self.self_filter = SelfStateFilter(
-            FocalParams(
-                tau=filters.focal_tau,
-                q_rate=filters.focal_q_rate,
-                fix_sigma=filters.fix_sigma,
-                # Assumed measurement noise keeps a floor so noiseless
-                # configs still give the filter a valid covariance.
-                accel_sigma=max(sensors.imu_accel_sigma, 1e-3),
-            ),
-            config.dt,
-            position,
-        )
         self.fusion = OdometryFusion(position, weight=1.0,
-                                     rate=filters.fusion_rate)
+                                     rate=config.filters.fusion_rate)
         self.vio = VioEmulator(sensors.vio, position,
                                np.random.default_rng(streams[4]))
         self.channel = CommChannel(sensors.comm, self.rng_comm)
@@ -210,25 +196,28 @@ class Agent:
 
 
 class Sensed(NamedTuple):
-    """What one agent's stage hands the later phases of its tick: the ground
-    truth it started from, its target sighting, its inbox, its tracks before
-    velocity ingest, and its self-state and fusion results."""
+    """What one agent's sense stage hands the later phases of its tick: the
+    ground truth it started from, its observations, VIO sample, IMU
+    acceleration, target sighting and inbox."""
 
     truth_pos: np.ndarray
     truth_vel: np.ndarray
+    observations: list[RelativeObservation]
+    vio_sample: VioSample
+    imu_accel: np.ndarray
     target_rel: np.ndarray
     delivered: list
-    views: list[TrackView]
-    own_state: np.ndarray
-    fused: FusionState
 
 
 @contextmanager
 def _fault(agent_id: int, stage: str):
-    """Report any error raised inside as a SimulationFault of one agent."""
+    """Report any error raised inside as a SimulationFault of one agent: the
+    owner of the offending row when a swarm-wide filter raised it (see
+    `kalman.owned_rows`), else `agent_id`."""
     try:
         yield
     except Exception as exc:
+        agent_id = getattr(exc, "owner", agent_id)
         raise SimulationFault(f"agent {agent_id} stage {stage}: {exc}") from exc
 
 
@@ -246,6 +235,31 @@ class Simulation:
             Agent(i, config, positions[i], agent_seeds[i], goal0 - positions[i])
             for i in range(config.n_agents)
         ]
+        filters, sensors = config.filters, config.sensors
+        self.bank = TrackBank(
+            TrackParams(
+                q_rate=filters.track_q_rate,
+                range_sigma_rel=sensors.range_sigma_rel,
+                bearing_sigma=sensors.bearing_sigma,
+                pos_sigma_floor=filters.track_pos_sigma_floor,
+                vel_sigma=filters.vel_sigma_comm,
+                drop_after=filters.track_drop_after,
+            ),
+            config.dt,
+            config.n_agents,
+        )
+        self.self_filter = SelfStateFilter(
+            FocalParams(
+                tau=filters.focal_tau,
+                q_rate=filters.focal_q_rate,
+                fix_sigma=filters.fix_sigma,
+                # Assumed measurement noise keeps a floor so noiseless
+                # configs still give the filter a valid covariance.
+                accel_sigma=max(sensors.imu_accel_sigma, 1e-3),
+            ),
+            config.dt,
+            positions,
+        )
         self.controller = FlockingController(config.gains, config.n_agents)
         self.estimator = VelocityEstimator(
             config.gains, config.response_model, config.sensors.max_range,
@@ -255,8 +269,8 @@ class Simulation:
 
     def _stage(self, agent: Agent, rel: np.ndarray, dist: np.ndarray,
                target_position: np.ndarray, t: float) -> Sensed:
-        """One agent's sense, tracker, self-state and fusion stages; `rel`
-        and `dist` are its row of the tick's pairwise geometry."""
+        """One agent's sense stage; `rel` and `dist` are its row of the
+        tick's pairwise geometry."""
         config = self.config
         dt = config.dt
         truth_pos = agent.plant.position
@@ -276,29 +290,48 @@ class Simulation:
                 0.0, config.sensors.target_sigma, size=2
             )
             delivered = agent.channel.deliver(self.tick_index)
-        with _fault(agent.id, "tracker"):
-            agent.bank.step(dt)
-            agent.bank.apply_tick(
-                observations, [], agent.fused_position, agent.heading
-            )
-        with _fault(agent.id, "self-state"):
-            views = agent.bank.snapshot()
-            fix = position_fix(views, observations, agent.heading)
-            own_state = agent.self_filter.step(
-                agent.command_velocity, fix, imu_accel, dt
-            )
-        with _fault(agent.id, "fusion"):
-            fused = agent.fusion.advance(vio_sample, own_state, dt)
-            agent.fused_position = fused.position
-            agent.fused_velocity = fused.velocity
-        return Sensed(truth_pos, truth_vel, target_rel, delivered, views,
-                      own_state, fused)
+        return Sensed(truth_pos, truth_vel, observations, vio_sample,
+                      imu_accel, target_rel, delivered)
 
-    def _ingest_velocities(self, sensed: list[Sensed]) -> list[dict | None]:
-        """The velocity-ingest phase: every bank takes its communicated
-        velocities, or with comm off the velocities inferred for all agents
-        in one replay. Returns each agent's logged estimates (None with
-        comm on)."""
+    def _estimate(self, sensed: list[Sensed]
+                  ) -> tuple[list[list[TrackView]], np.ndarray, list[FusionState]]:
+        """The tracker, self-state and fusion phases. Returns every agent's
+        tracks before velocity ingest, its self-state and its fusion
+        result."""
+        agents = self.agents
+        dt = self.config.dt
+        with _fault(agents[0].id, "tracker"):
+            self.bank.step(dt)
+            self.bank.apply_tick(
+                [s.observations for s in sensed], [],
+                [a.fused_position for a in agents], [a.heading for a in agents],
+            )
+        views = self.bank.snapshot()
+        fixes = []
+        for agent, s, agent_views in zip(agents, sensed, views):
+            with _fault(agent.id, "self-state"):
+                fixes.append(
+                    position_fix(agent_views, s.observations, agent.heading)
+                )
+        with _fault(agents[0].id, "self-state"):
+            own_states = self.self_filter.step(
+                [a.command_velocity for a in agents], fixes,
+                [s.imu_accel for s in sensed], dt,
+            )
+        fused = []
+        for agent, s, own_state in zip(agents, sensed, own_states):
+            with _fault(agent.id, "fusion"):
+                fused.append(agent.fusion.advance(s.vio_sample, own_state, dt))
+                agent.fused_position = fused[-1].position
+                agent.fused_velocity = fused[-1].velocity
+        return views, own_states, fused
+
+    def _ingest_velocities(self, sensed: list[Sensed],
+                           views: list[list[TrackView]]) -> list[dict | None]:
+        """The velocity-ingest phase: the bank takes every agent's
+        communicated velocities, or with comm off the velocities inferred
+        for all agents in one replay of `views`. Returns each agent's logged
+        estimates (None with comm on)."""
         config = self.config
         agents = self.agents
         if config.comm:
@@ -312,24 +345,25 @@ class Simulation:
             # serial tick failed in.
             with _fault(agents[0].id, "velocity-ingest"):
                 reports = self.estimator.update(
-                    [s.views for s in sensed],
+                    views,
                     [a.fused_position for a in agents],
                     [s.target_rel for s in sensed],
                     self.controller.psi,
                 )
             logs = [{str(nid): _vec(velocity) for nid, velocity in estimates}
                     for estimates in reports]
-        for agent, agent_reports in zip(agents, reports):
-            with _fault(agent.id, "velocity-ingest"):
-                agent.bank.apply_tick(
-                    [],
-                    [VelocityReport(agent_id=nid, velocity=velocity, sigma=sigma)
-                     for nid, velocity in agent_reports],
-                    agent.fused_position, agent.heading,
-                )
+        with _fault(agents[0].id, "velocity-ingest"):
+            self.bank.apply_tick(
+                [],
+                [[VelocityReport(agent_id=nid, velocity=velocity, sigma=sigma)
+                  for nid, velocity in agent_reports]
+                 for agent_reports in reports],
+                [a.fused_position for a in agents], [a.heading for a in agents],
+            )
         return logs
 
-    def _fragment(self, agent: Agent, sensed: Sensed, command: FlockingCommand,
+    def _fragment(self, agent: Agent, sensed: Sensed, own_state: np.ndarray,
+                  fused: FusionState, command: FlockingCommand,
                   views: list[TrackView], estimates_log: dict | None) -> dict:
         """The heading stage, the finiteness checks and the agent's part of
         the tick record."""
@@ -348,14 +382,13 @@ class Simulation:
                 raise SimulationFault(
                     f"agent {agent.id} stage heading: non-finite {label}"
                 )
-        fused = sensed.fused
         return {
             "p": _vec(sensed.truth_pos),
             "v": _vec(sensed.truth_vel),
             "est_p": _vec(fused.position),
             "est_v": _vec(fused.velocity),
-            "own_p": _vec(sensed.own_state[:2]),
-            "own_int": _vec(agent.self_filter.integral_position),
+            "own_p": _vec(own_state[:2]),
+            "own_int": _vec(self.self_filter.integral_position[agent.id]),
             "vio_w": float(fused.vio_weight),
             "vio_w_target": float(fused.weight_target),
             "cmd": _vec(command.velocity),
@@ -387,8 +420,9 @@ class Simulation:
             self._stage(a, rel[a.id], dist[a.id], target_position, t)
             for a in agents
         ]
-        estimates_logs = self._ingest_velocities(sensed)
-        views = [a.bank.snapshot() for a in agents]
+        views, own_states, fused = self._estimate(sensed)
+        estimates_logs = self._ingest_velocities(sensed, views)
+        views = self.bank.snapshot()
         # One call serves every agent, so as in velocity-ingest a fault is
         # reported against the first.
         with _fault(agents[0].id, "controller"):
@@ -397,18 +431,19 @@ class Simulation:
                 [s.target_rel for s in sensed], config.dt,
             )
         fragments = [
-            self._fragment(agent, s, command.row(agent.id), v, log)
-            for agent, s, v, log in zip(agents, sensed, views, estimates_logs)
+            self._fragment(agent, s, own, f, command.row(agent.id), v, log)
+            for agent, s, own, f, v, log in zip(
+                agents, sensed, own_states, fused, views, estimates_logs)
         ]
 
         # After every stage: broadcasts and plant integration in id order.
         if config.comm:
-            for sender in agents:
-                for receiver in agents:
-                    if receiver.id != sender.id:
-                        receiver.channel.send(
-                            self.tick_index, sender.id, sender.fused_velocity
-                        )
+            for receiver in agents:
+                senders = [a for a in agents if a.id != receiver.id]
+                receiver.channel.send(
+                    self.tick_index, [a.id for a in senders],
+                    [a.fused_velocity for a in senders],
+                )
         for agent in agents:
             agent.plant.advance(agent.command_velocity, config.dt)
             if not np.all(np.isfinite(agent.plant.position)):

@@ -13,14 +13,16 @@ Practice*). `predict` and `correct` are the K = 1 case of the same code.
 
 Measurement models are validated once: the selector matrices H_POS, H_VEL
 and H_ACC are checked at import and are read-only, so a Measurement built on
-one of them only checks its R, in closed form. Non-finite inputs, a singular
-innovation covariance and a non-finite gain are checked on every call; inside
-a stack the fault names the first offending row.
+one of them only checks its R, in closed form, over the whole stack at once.
+Non-finite inputs, a singular innovation covariance and a non-finite gain are
+checked on every call; inside a stack the fault names the first offending row
+and carries its index, which `owned_rows` maps to the agent holding the row
+when one stack spans a swarm.
 """
 
 from __future__ import annotations
 
-import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,7 +32,23 @@ STATE_DIM = 6
 
 
 class NumericalFaultError(RuntimeError):
-    """Non-finite filter values or a degenerate innovation covariance."""
+    """Non-finite filter values or a degenerate innovation covariance; `row`
+    is the offending row of the stack."""
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
+
+
+@contextmanager
+def owned_rows(owners: Sequence[int]):
+    """Tag a NumericalFaultError raised inside with `owner`, the entry of
+    `owners` for its offending row."""
+    try:
+        yield
+    except NumericalFaultError as exc:
+        exc.owner = owners[exc.row]
+        raise
 
 
 def _check_h(h: np.ndarray) -> None:
@@ -42,16 +60,22 @@ def _check_h(h: np.ndarray) -> None:
             )
 
 
-def _check_r(r00: float, r01: float, r10: float, r11: float) -> None:
-    """R must be symmetric (to the tolerance of `np.allclose`) and positive
-    definite; for a symmetric 2x2 that is r00 > 0 and det > 0."""
-    if not (
-        abs(r01 - r10) <= 1e-8 + 1e-5 * abs(r10)
-        and abs(r10 - r01) <= 1e-8 + 1e-5 * abs(r01)
-    ):
-        raise ValueError("R must be 2x2 symmetric")
-    det = r00 * r11 - r10 * r10
-    if not (r00 > 0.0 and det > 0.0 and math.isfinite(det)):
+def _check_r(r: np.ndarray) -> None:
+    """Each R of a (K, 2, 2) stack must be symmetric (to the tolerance of
+    `np.allclose`, both ways round) and positive definite; for a symmetric
+    2x2 that is r00 > 0 and a finite det > 0. The first failing row names
+    the rule it breaks."""
+    r00, r01, r10, r11 = r.reshape(-1, 4).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        symmetric = np.abs(r01 - r10) <= 1e-8 + 1e-5 * np.minimum(
+            np.abs(r01), np.abs(r10)
+        )
+        det = r00 * r11 - r10 * r10
+    ok = symmetric & (r00 > 0.0) & (det > 0.0) & (det < np.inf)
+    if not ok.all():
+        row = int(np.argmin(ok))
+        if not symmetric[row]:
+            raise ValueError("R must be 2x2 symmetric")
         raise ValueError("R must be positive definite")
 
 
@@ -82,7 +106,7 @@ def _require_finite(names: Sequence[str], **arrays: np.ndarray) -> None:
         if not ok.all():
             row = int(np.argmin(ok.reshape(len(arr), -1).all(axis=1)))
             raise NumericalFaultError(
-                f"{names[row]}: non-finite entries in {label}"
+                f"{names[row]}: non-finite entries in {label}", row
             )
 
 
@@ -159,7 +183,7 @@ class Measurement:
         _validate_h(h)
         if r.shape != (2, 2):
             raise ValueError("R must be 2x2 symmetric")
-        _check_r(*r.ravel().tolist())
+        _check_r(r)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "r", r)
@@ -224,12 +248,12 @@ def _correct_rows(
         # The solve fails on an exact zero pivot of the same LU that det uses.
         row = int(np.argmax(np.linalg.det(s) == 0.0))
         raise NumericalFaultError(
-            f"{names[row]}: singular innovation covariance"
+            f"{names[row]}: singular innovation covariance", row
         ) from exc
     finite = np.isfinite(gain)
     if not finite.all():
         row = int(np.argmin(finite.reshape(len(gain), -1).all(axis=1)))
-        raise NumericalFaultError(f"{names[row]}: non-finite Kalman gain")
+        raise NumericalFaultError(f"{names[row]}: non-finite Kalman gain", row)
     x = states + _apply(gain, z - _apply(h, states))
     p = _symmetrize(covs - gain @ h @ covs)
     return x, p
@@ -261,8 +285,7 @@ def correct_stack(
     _validate_h(h)
     if r.shape != (k, 2, 2):
         raise ValueError("R must be a (K, 2, 2) stack")
-    for row in r.reshape(k, 4).tolist():
-        _check_r(*row)
+    _check_r(r)
     return _correct_rows(states, covs, h, z, r, names)
 
 

@@ -133,6 +133,8 @@ def summarize(
     if not ticks:
         raise ValueError("log has no tick records")
     agent_ids = sorted(ticks[0]["agents"], key=int)
+    if not agent_ids:
+        raise ValueError("tick records hold no agents")
 
     truth = {
         aid: np.array([r["agents"][aid]["p"] for r in ticks])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -217,11 +218,16 @@ class CommChannel:
         self.rng = rng
         self._queue: list[tuple[int, int, np.ndarray]] = []
 
-    def send(self, tick: int, sender_id: int, velocity: np.ndarray) -> None:
-        if self.rng.random() < self.config.drop_prob:
-            return
-        self._queue.append(
-            (tick + self.config.latency_ticks, sender_id, np.asarray(velocity))
+    def send(self, tick: int, sender_ids: Sequence[int],
+             velocities: Sequence[np.ndarray]) -> None:
+        """Queue one tick's broadcasts, in the order given: one uniform draw
+        per message decides whether it is dropped."""
+        kept = self.rng.random(len(sender_ids)) >= self.config.drop_prob
+        due = tick + self.config.latency_ticks
+        self._queue.extend(
+            (due, sender_id, np.asarray(velocity))
+            for sender_id, velocity, keep in zip(sender_ids, velocities, kept)
+            if keep
         )
 
     def deliver(self, tick: int) -> list[tuple[int, np.ndarray]]:

@@ -1,15 +1,18 @@
-"""Bank of per-neighbor Kalman filters.
+"""The swarm's bank of per-neighbor Kalman filters.
 
-Each observable agent gets its own constant-acceleration filter fed by
-bearing/range observations (converted into the observer's local frame) and by
-communicated or inferred velocities. Mutation happens only in the owning
-agent's tick.
+Each observer gets one constant-acceleration filter per agent it can see,
+fed by bearing/range observations (converted into the observer's local frame)
+and by communicated or inferred velocities. One bank holds the filters of the
+whole swarm; an observer's filters take only its own inputs, so no observer's
+tracks depend on another's.
 
-The filters are independent, so the bank runs them as stacks: `step` makes
-one stacked predict of every track, and `apply_tick` one stacked correction
-per measurement kind (positions, then velocities), each in ascending id
-order. Tracks stay in a dict keyed by id; a stack is gathered from it and the
-results written back.
+The filters are independent, so the bank runs them as stacks across the
+swarm: `step` makes one stacked predict of every track of every observer,
+and `apply_tick` one stacked correction per measurement kind (positions, then
+velocities), rows in ascending id within each observer. Tracks stay in one
+dict per observer, keyed by id; a stack is gathered from them and the
+results written back. A single-observer bank is the one-row case of the same
+code, the way `kalman.predict` is the K = 1 case of `kalman.predict_stack`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,15 +102,19 @@ class TrackParams:
 
 
 class TrackBank:
-    """One Kalman filter per observable agent, keyed by id."""
+    """One Kalman filter per (observer, observed agent): `tracks[e]` holds
+    observer e's filters keyed by the observed id. The drop counters are
+    totals over the swarm."""
 
-    def __init__(self, params: TrackParams, dt: float):
+    def __init__(self, params: TrackParams, dt: float, n_observers: int = 1):
         self.params = params
         self.dt = dt
         self.model = kalman.constant_acceleration_model(
             dt, np.asarray(params.q_rate) * dt
         )
-        self.tracks: dict[int, NeighborTrack] = {}
+        self.tracks: list[dict[int, NeighborTrack]] = [
+            {} for _ in range(n_observers)
+        ]
         self.dropped_stale = 0
         self.dropped_unknown = 0
 
@@ -117,83 +124,107 @@ class TrackBank:
         observer_position: np.ndarray,
         observer_heading: float,
     ) -> None:
-        """Apply a bearing/range observation as a position correction.
+        """Apply one bearing/range observation to its observer's bank as a
+        position correction.
 
         The first sighting of an id spawns a track at the measured position
         with zero velocity/acceleration and wide initial covariance.
         """
-        self._ingest_positions([obs], observer_position, observer_heading)
+        e = obs.observer_id
+        self._ingest_positions(
+            [(e, obs)], {e: observer_position}, {e: rotation(observer_heading)}
+        )
 
     def ingest_velocity(
         self,
         agent_id: int,
         velocity: np.ndarray,
         sigma: float | None = None,
+        observer: int = 0,
     ) -> None:
-        """Apply a velocity correction; velocities for unseen ids are dropped."""
-        self._ingest_velocities([VelocityReport(agent_id, velocity, sigma)])
+        """Apply a velocity correction to one of `observer`'s tracks;
+        velocities for ids it does not track are dropped."""
+        self._ingest_velocities(
+            [(observer, VelocityReport(agent_id, velocity, sigma))]
+        )
 
     def step(self, dt: float) -> None:
-        """Predict every track forward and retire the stale ones."""
+        """Predict every track of every observer forward and retire the
+        stale ones."""
         if not dt > 0.0:
             raise ValueError("dt must be > 0")
         if dt != self.model.dt:
             self.model = kalman.constant_acceleration_model(
                 dt, np.asarray(self.params.q_rate) * dt
             )
-        tracks = list(self.tracks.values())
+        tracks = [t for bank in self.tracks for t in bank.values()]
         if tracks:
-            states, covs = kalman.predict_stack(
-                np.array([t.state for t in tracks]),
-                np.array([t.cov for t in tracks]),
-                self.model,
-                names=[f"track-{t.agent_id}" for t in tracks],
-            )
+            owners = [e for e, bank in enumerate(self.tracks) for _ in bank]
+            with kalman.owned_rows(owners):
+                states, covs = kalman.predict_stack(
+                    np.array([t.state for t in tracks]),
+                    np.array([t.cov for t in tracks]),
+                    self.model,
+                    names=[f"track-{t.agent_id}" for t in tracks],
+                )
             for track, x, p in zip(tracks, states, covs):
                 track.state, track.cov = x, p
                 track.staleness += dt
-        for tid in [t for t, tr in self.tracks.items() if tr.staleness > self.params.drop_after]:
-            del self.tracks[tid]
+        drop_after = self.params.drop_after
+        for bank in self.tracks:
+            for tid in [t for t, tr in bank.items() if tr.staleness > drop_after]:
+                del bank[tid]
 
     def apply_tick(
         self,
-        observations: list[RelativeObservation],
-        velocities: list[VelocityReport],
-        observer_position: np.ndarray,
-        observer_heading: float,
+        observations: Sequence[Sequence[RelativeObservation]],
+        velocities: Sequence[Sequence[VelocityReport]],
+        observer_positions: Sequence[np.ndarray],
+        observer_headings: Sequence[float],
     ) -> None:
-        """Apply one tick's inputs in the canonical order: position
-        corrections by ascending id, then velocity corrections by ascending
-        id. Makes the bank state independent of input-list permutations.
+        """Apply one tick's inputs of every observer: `observations[e]` and
+        `velocities[e]` are observer e's, taken from `observer_positions[e]`
+        with heading `observer_headings[e]`; an observer may have none.
 
-        Each kind runs as one stacked correction; an id that repeats within
-        the tick goes into a later stack, so its inputs apply in order."""
-        for batch in _rounds(observations, lambda o: o.observed_id):
-            self._ingest_positions(batch, observer_position, observer_heading)
+        Within each observer the order is canonical: position corrections by
+        ascending id, then velocity corrections by ascending id, which makes
+        the bank state independent of input-list permutations. Each kind
+        runs as one stacked correction over the swarm; an id that repeats
+        within an observer's tick goes into a later stack, so its inputs
+        apply in order."""
+        batches = _rounds(observations, lambda o: o.observed_id)
+        if batches:
+            positions = np.asarray(observer_positions, dtype=float)
+            rotations = np.array([rotation(h) for h in observer_headings])
+        for batch in batches:
+            self._ingest_positions(batch, positions, rotations)
         for batch in _rounds(velocities, lambda r: r.agent_id):
             self._ingest_velocities(batch)
 
     def _ingest_positions(
         self,
-        batch: list[RelativeObservation],
-        observer_position: np.ndarray,
-        observer_heading: float,
+        batch: list[tuple[int, RelativeObservation]],
+        positions,
+        rotations,
     ) -> None:
-        """Spawn, drop as stale, or correct each observation; the ids in
-        `batch` are distinct."""
+        """Spawn, drop as stale, or correct each (observer, observation)
+        pair; observer e sits at positions[e] with heading rotation
+        rotations[e], and no pair repeats within `batch`."""
+        observers = [e for e, _ in batch]
         local = np.array(
             [
                 [o.distance * math.cos(o.bearing), o.distance * math.sin(o.bearing)]
-                for o in batch
+                for _, o in batch
             ]
         )
-        zs = np.asarray(observer_position, dtype=float) + (
-            rotation(observer_heading) @ local[..., None]
-        )[..., 0]
-        hits, rows, variances = [], [], []
-        for obs, z in zip(batch, zs):
+        origins = np.array([positions[e] for e in observers])
+        turns = np.array([rotations[e] for e in observers])
+        zs = origins + (turns @ local[..., None])[..., 0]
+        hits, owners, rows, variances = [], [], [], []
+        for (e, obs), z in zip(batch, zs):
             var = self.params.pos_sigma(obs.distance) ** 2
-            track = self.tracks.get(obs.observed_id)
+            bank = self.tracks[e]
+            track = bank.get(obs.observed_id)
             if track is None:
                 cov = np.diag(
                     [
@@ -205,7 +236,7 @@ class TrackBank:
                         self.params.init_acc_var,
                     ]
                 )
-                self.tracks[obs.observed_id] = NeighborTrack(
+                bank[obs.observed_id] = NeighborTrack(
                     agent_id=obs.observed_id,
                     state=np.concatenate([z, np.zeros(4)]),
                     cov=cov,
@@ -214,79 +245,85 @@ class TrackBank:
             elif obs.stamp < track.last_pos_stamp:
                 self.dropped_stale += 1
                 log.debug(
-                    "dropping stale observation of %d (stamp %.3f < %.3f)",
-                    obs.observed_id,
-                    obs.stamp,
-                    track.last_pos_stamp,
+                    "agent %d dropping stale observation of %d (stamp %.3f < %.3f)",
+                    e, obs.observed_id, obs.stamp, track.last_pos_stamp,
                 )
             else:
                 hits.append(track)
+                owners.append(e)
                 rows.append(z)
                 variances.append(var)
                 track.last_pos_stamp = obs.stamp
-        self._correct(hits, kalman.H_POS, rows, variances)
+        self._correct(hits, owners, kalman.H_POS, rows, variances)
 
-    def _ingest_velocities(self, batch: list[VelocityReport]) -> None:
-        """Correct each report's track or count it dropped; the ids in
-        `batch` are distinct."""
-        hits, rows, variances = [], [], []
-        for report in batch:
-            track = self.tracks.get(report.agent_id)
+    def _ingest_velocities(self, batch: list[tuple[int, VelocityReport]]) -> None:
+        """Correct each (observer, report) pair's track or count it dropped;
+        no pair repeats within `batch`."""
+        hits, owners, rows, variances = [], [], [], []
+        for e, report in batch:
+            track = self.tracks[e].get(report.agent_id)
             if track is None:
                 self.dropped_unknown += 1
-                log.debug("dropping velocity for untracked agent %d", report.agent_id)
+                log.debug("agent %d dropping velocity for untracked agent %d",
+                          e, report.agent_id)
                 continue
             s = self.params.vel_sigma if report.sigma is None else report.sigma
             hits.append(track)
+            owners.append(e)
             rows.append(report.velocity)
             variances.append(s**2)
-        self._correct(hits, kalman.H_VEL, rows, variances)
+        self._correct(hits, owners, kalman.H_VEL, rows, variances)
 
     def _correct(
         self,
         tracks: list[NeighborTrack],
+        owners: list[int],
         h: np.ndarray,
         z: list[np.ndarray],
         variances: list[float],
     ) -> None:
-        """One stacked correction with R = variance * I per track."""
+        """One stacked correction with R = variance * I per track; owners[i]
+        is the observer holding tracks[i]."""
         if not tracks:
             return
-        states, covs = kalman.correct_stack(
-            np.array([t.state for t in tracks]),
-            np.array([t.cov for t in tracks]),
-            h,
-            np.array(z, dtype=float),
-            np.array(variances)[:, None, None] * np.eye(2),
-            names=[f"track-{t.agent_id}" for t in tracks],
-        )
+        with kalman.owned_rows(owners):
+            states, covs = kalman.correct_stack(
+                np.array([t.state for t in tracks]),
+                np.array([t.cov for t in tracks]),
+                h,
+                np.array(z, dtype=float),
+                np.array(variances)[:, None, None] * np.eye(2),
+                names=[f"track-{t.agent_id}" for t in tracks],
+            )
         for track, x, p in zip(tracks, states, covs):
             track.state, track.cov = x, p
             track.staleness = 0.0
 
-    def snapshot(self) -> list[TrackView]:
-        """Read-only view for the controller and velocity inference, sorted
-        by id for determinism."""
+    def snapshot(self) -> list[list[TrackView]]:
+        """Read-only views for the controller and velocity inference, one
+        list per observer, sorted by id for determinism."""
         return [
-            TrackView(
-                agent_id=tid,
-                position=track.state[:2].copy(),
-                velocity=track.state[2:4].copy(),
-                staleness=track.staleness,
-            )
-            for tid, track in sorted(self.tracks.items())
+            [
+                TrackView(tid, track.state[:2].copy(), track.state[2:4].copy(),
+                          track.staleness)
+                for tid, track in sorted(bank.items())
+            ]
+            for bank in self.tracks
         ]
 
 
-def _rounds(items, key) -> list[list]:
-    """Sort `items` by key and split them into successive batches in which
-    each key appears once: the k-th item with a given key lands in batch k."""
+def _rounds(inputs: Sequence[Sequence], key) -> list[list[tuple[int, object]]]:
+    """Pair each input with its observer (`inputs[e]` are observer e's) and
+    split the pairs into successive batches in which each (observer, key)
+    appears once: the k-th input an observer has with a given key lands in
+    batch k. Each batch is sorted by observer, then by key."""
     batches: list[list] = []
-    seen: dict[int, int] = {}
-    for item in sorted(items, key=key):
-        k = seen.get(key(item), 0)
-        seen[key(item)] = k + 1
-        if k == len(batches):
-            batches.append([])
-        batches[k].append(item)
+    for e, items in enumerate(inputs):
+        k, last = 0, None
+        for item in sorted(items, key=key):
+            k = k + 1 if key(item) == last else 0
+            last = key(item)
+            if k == len(batches):
+                batches.append([])
+            batches[k].append((e, item))
     return batches

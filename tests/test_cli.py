@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from fastflock.cli import fit_from_plant, main
-from fastflock.config import load_scenario
+from fastflock.config import load_scenario, scenario_to_dict
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -207,8 +207,16 @@ def test_metrics_on_missing_log_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", ["not json\n", "[1, 2]\n",
                                   '{"record": "tick"}\n',
-                                  '{"record": "header"}\n'])
+                                  '{"record": "header"}\n',
+                                  '{"record": "header", "config": 1}\n',
+                                  None])
 def test_metrics_on_malformed_log_exits_2(tmp_path, capsys, text):
+    if text is None:
+        # A valid header followed by a tick without agent fragments.
+        config = scenario_to_dict(load_scenario(CONFIG_DIR / "hover.yaml"))
+        text = (json.dumps({"record": "header", "format_version": 1,
+                            "config": config})
+                + '\n{"record": "tick", "agents": {}}\n')
     log = tmp_path / "bad.jsonl"
     log.write_text(text)
     assert exit_code(["metrics", str(log)]) == 2

@@ -58,38 +58,36 @@ class TestFocalModel:
     def test_first_order_velocity_lag(self):
         dt, tau = 0.05, 0.3
         filt = SelfStateFilter(
-            FocalParams(tau=tau, q_rate=(0.0,) * 6), dt, np.zeros(2)
+            FocalParams(tau=tau, q_rate=(0.0,) * 6), dt, np.zeros((1, 2))
         )
         cmd = np.array([1.0, 0.0])
         for k in range(1, 200):
-            state = filt.step(cmd, fix=None, accel=None, dt=dt)
+            [state] = filt.step([cmd], [None], [None], dt)
             expected_err = math.exp(-k * dt / tau)
             assert abs(state[2] - 1.0) < expected_err + 1e-9
 
     def test_all_zero_fixpoint(self):
         dt = 0.1
-        filt = SelfStateFilter(FocalParams(), dt, np.zeros(2))
+        filt = SelfStateFilter(FocalParams(), dt, np.zeros((1, 2)))
         for _ in range(50):
-            state = filt.step(
-                np.zeros(2), fix=np.zeros(2), accel=np.zeros(2), dt=dt
-            )
+            [state] = filt.step([np.zeros(2)], [np.zeros(2)], [np.zeros(2)], dt)
         assert np.allclose(state, 0.0, atol=1e-12)
 
     def test_matches_oracle_recursion(self):
         rng = np.random.default_rng(21)
         dt = 0.1
         params = FocalParams(tau=0.3, q_rate=(0.01,) * 6)
-        filt = SelfStateFilter(params, dt, np.array([1.0, -1.0]))
+        filt = SelfStateFilter(params, dt, np.array([[1.0, -1.0]]))
         model = filt.model
-        ox = filt.state.copy()
-        op = filt.cov.copy()
+        ox = filt.state[0].copy()
+        op = filt.cov[0].copy()
         h_pos = np.array([[1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0]])
         h_acc = np.array([[0, 0, 0, 0, 1.0, 0], [0, 0, 0, 0, 0, 1.0]])
         for _ in range(100):
             cmd = rng.standard_normal(2)
             fix = rng.standard_normal(2) if rng.random() < 0.7 else None
             acc = rng.standard_normal(2) if rng.random() < 0.7 else None
-            state = filt.step(cmd, fix=fix, accel=acc, dt=dt)
+            [state] = filt.step([cmd], [fix], [acc], dt)
             ox, op = oracle_predict(ox, op, model.a, model.q, b=model.b, u=cmd)
             if fix is not None:
                 ox, op = oracle_correct(
@@ -100,18 +98,56 @@ class TestFocalModel:
                     ox, op, acc, h_acc, params.accel_sigma**2 * np.eye(2)
                 )
             assert np.max(np.abs(state - ox)) < 1e-10
-            assert np.max(np.abs(filt.cov - op)) < 1e-10
+            assert np.max(np.abs(filt.cov[0] - op)) < 1e-10
+
+    def test_swarm_rows_equal_per_agent_filters_and_oracle(self):
+        # Four agents, each tick a random mix of rows with and without a
+        # fix (and one tick where no row has one): every row of the swarm
+        # filter equals a one-agent filter fed the same inputs, bit for bit,
+        # and the textbook recursion to 1e-10.
+        rng = np.random.default_rng(44)
+        dt, n = 0.05, 4
+        params = FocalParams(tau=0.3, q_rate=(0.01,) * 6)
+        starts = rng.normal(0.0, 10.0, size=(n, 2))
+        swarm = SelfStateFilter(params, dt, starts)
+        singles = [SelfStateFilter(params, dt, starts[e:e + 1]) for e in range(n)]
+        model = swarm.model
+        oracle = [(swarm.state[e].copy(), swarm.cov[e].copy()) for e in range(n)]
+        h_pos = np.array([[1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0]])
+        h_acc = np.array([[0, 0, 0, 0, 1.0, 0], [0, 0, 0, 0, 0, 1.0]])
+        for k in range(40):
+            commands = rng.standard_normal((n, 2))
+            fixes = [None if k == 7 or rng.random() < 0.4
+                     else starts[e] + rng.standard_normal(2) for e in range(n)]
+            accels = list(rng.standard_normal((n, 2)))
+            states = swarm.step(commands, fixes, accels, dt)
+            for e, single in enumerate(singles):
+                [row] = single.step([commands[e]], [fixes[e]], [accels[e]], dt)
+                assert np.array_equal(states[e], row)
+                assert np.array_equal(swarm.cov[e], single.cov[0])
+                assert np.array_equal(swarm.integral_position[e],
+                                      single.integral_position[0])
+                ox, op = oracle_predict(*oracle[e], model.a, model.q,
+                                        b=model.b, u=commands[e])
+                if fixes[e] is not None:
+                    ox, op = oracle_correct(ox, op, fixes[e], h_pos,
+                                            params.fix_sigma**2 * np.eye(2))
+                ox, op = oracle_correct(ox, op, accels[e], h_acc,
+                                        params.accel_sigma**2 * np.eye(2))
+                oracle[e] = (ox, op)
+                assert np.max(np.abs(states[e] - ox)) < 1e-10
+                assert np.max(np.abs(swarm.cov[e] - op)) < 1e-10
 
     def test_velocity_integral_tracks_velocity_only(self):
         dt = 0.1
         filt = SelfStateFilter(
-            FocalParams(tau=0.3, q_rate=(0.0,) * 6), dt, np.zeros(2)
+            FocalParams(tau=0.3, q_rate=(0.0,) * 6), dt, np.zeros((1, 2))
         )
         total = np.zeros(2)
         for _ in range(30):
-            state = filt.step(np.array([1.0, 0.0]), None, None, dt=dt)
+            [state] = filt.step([np.array([1.0, 0.0])], [None], [None], dt)
             total = total + state[2:4] * dt
-        assert np.allclose(filt.integral_position, total)
+        assert np.allclose(filt.integral_position[0], total)
 
 
 class TestPositionFix:

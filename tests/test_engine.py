@@ -227,6 +227,50 @@ class TestFaults:
             for _ in range(10):
                 sim.tick()
 
+    def test_swarm_filter_faults_name_the_owning_agent(self):
+        # The swarm's bank and self-state filter run every agent's rows in
+        # one call; a fault names the agent holding the bad row, not agent 0.
+        sim = Simulation(small_scenario(n_agents=5))
+        for _ in range(3):
+            sim.tick()
+        next(iter(sim.bank.tracks[3].values())).cov[0, 0] = np.nan
+        with pytest.raises(SimulationFault, match=r"^agent 3 stage tracker"):
+            sim.tick()
+        sim = Simulation(small_scenario(n_agents=5))
+        sim.tick()
+        sim.self_filter.cov[3, 2, 2] = np.nan
+        with pytest.raises(SimulationFault, match=r"^agent 3 stage self-state"):
+            sim.tick()
+
+
+class TestSwarmFilters:
+    @pytest.mark.parametrize("n_agents", [6, 24])
+    def test_kalman_calls_per_tick_do_not_grow_with_n(self, n_agents,
+                                                      monkeypatch):
+        # Every tick: one predict of all tracks, one position and one
+        # velocity correction, one self-state predict, one fix and one
+        # acceleration correction, however many agents fly.
+        calls = {"predict": 0, "correct": 0}
+
+        def counting(kind, fn):
+            def wrapped(*args, **kwargs):
+                calls[kind] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(kalman, "predict_stack",
+                            counting("predict", kalman.predict_stack))
+        monkeypatch.setattr(kalman, "correct_stack",
+                            counting("correct", kalman.correct_stack))
+        sim = Simulation(small_scenario(
+            n_agents=n_agents, layout={"kind": "grid", "spacing": 13.0}))
+        for _ in range(3):
+            sim.tick()
+        for _ in range(3):
+            calls.update(predict=0, correct=0)
+            sim.tick()
+            assert calls == {"predict": 2, "correct": 4}
+
 
 class TestLogRoundTrip:
     def test_write_read_preserves_records(self, tmp_path):

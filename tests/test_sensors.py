@@ -155,7 +155,7 @@ class TestCommChannel:
     def test_zero_latency_same_tick(self):
         chan = CommChannel(CommConfig(latency_ticks=0, drop_prob=0.0),
                            np.random.default_rng(0))
-        chan.send(5, 1, np.array([1.0, 2.0]))
+        chan.send(5, [1], [np.array([1.0, 2.0])])
         out = chan.deliver(5)
         assert len(out) == 1
         assert out[0][0] == 1
@@ -163,7 +163,7 @@ class TestCommChannel:
     def test_latency_delays_delivery(self):
         chan = CommChannel(CommConfig(latency_ticks=2, drop_prob=0.0),
                            np.random.default_rng(0))
-        chan.send(5, 1, np.array([1.0, 2.0]))
+        chan.send(5, [1], [np.array([1.0, 2.0])])
         assert chan.deliver(5) == []
         assert chan.deliver(6) == []
         assert len(chan.deliver(7)) == 1
@@ -171,5 +171,5 @@ class TestCommChannel:
     def test_full_drop_equals_disabled(self):
         chan = CommChannel(CommConfig(drop_prob=1.0), np.random.default_rng(0))
         for tick in range(10):
-            chan.send(tick, 1, np.zeros(2))
+            chan.send(tick, [1], [np.zeros(2)])
         assert all(chan.deliver(t) == [] for t in range(10))

@@ -37,21 +37,21 @@ def test_observation_validation():
 def test_position_ingest_axis_aligned():
     bank = make_bank()
     bank.ingest_position(obs(1, 0.0, 10.0), np.zeros(2), 0.0)
-    view = bank.snapshot()[0]
+    view = bank.snapshot()[0][0]
     assert np.allclose(view.position, [10.0, 0.0])
 
 
 def test_position_ingest_rotated_observer():
     bank = make_bank()
     bank.ingest_position(obs(1, 0.0, 10.0), np.array([5.0, 5.0]), math.pi / 2)
-    view = bank.snapshot()[0]
+    view = bank.snapshot()[0][0]
     assert np.allclose(view.position, [5.0, 15.0])
 
 
 def test_new_track_initialization():
     bank = make_bank()
     bank.ingest_position(obs(3, 0.5, 8.0, stamp=1.0), np.zeros(2), 0.0)
-    track = bank.tracks[3]
+    track = bank.tracks[0][3]
     assert np.allclose(track.state[2:], 0.0)
     assert track.last_pos_stamp == 1.0
     assert track.staleness == 0.0
@@ -61,9 +61,9 @@ def test_new_track_initialization():
 def test_stale_observation_dropped_with_count():
     bank = make_bank()
     bank.ingest_position(obs(1, 0.0, 10.0, stamp=5.0), np.zeros(2), 0.0)
-    before = bank.tracks[1].state.copy()
+    before = bank.tracks[0][1].state.copy()
     bank.ingest_position(obs(1, 0.1, 12.0, stamp=4.0), np.zeros(2), 0.0)
-    assert np.array_equal(bank.tracks[1].state, before)
+    assert np.array_equal(bank.tracks[0][1].state, before)
     assert bank.dropped_stale == 1
 
 
@@ -71,14 +71,14 @@ def test_velocity_dominant_measurement():
     bank = make_bank()
     bank.ingest_position(obs(1, 0.0, 10.0), np.zeros(2), 0.0)
     bank.ingest_velocity(1, np.array([5.0, 0.0]), sigma=1e-5)
-    view = bank.snapshot()[0]
+    view = bank.snapshot()[0][0]
     assert np.allclose(view.velocity, [5.0, 0.0], atol=1e-4)
 
 
 def test_velocity_for_unknown_id_dropped():
     bank = make_bank()
     bank.ingest_velocity(9, np.array([1.0, 0.0]))
-    assert len(bank.tracks) == 0
+    assert len(bank.tracks[0]) == 0
     assert bank.dropped_unknown == 1
 
 
@@ -94,13 +94,13 @@ def test_simultaneous_corrections_position_first():
     twin.ingest_velocity(1, np.array([2.0, 0.0]))
 
     bank.apply_tick(
-        [obs(1, 0.01, 10.5, stamp=0.1)],
-        [VelocityReport(agent_id=1, velocity=np.array([2.0, 0.0]))],
-        np.zeros(2),
-        0.0,
+        [[obs(1, 0.01, 10.5, stamp=0.1)]],
+        [[VelocityReport(agent_id=1, velocity=np.array([2.0, 0.0]))]],
+        [np.zeros(2)],
+        [0.0],
     )
-    assert np.array_equal(bank.tracks[1].state, twin.tracks[1].state)
-    assert np.array_equal(bank.tracks[1].cov, twin.tracks[1].cov)
+    assert np.array_equal(bank.tracks[0][1].state, twin.tracks[0][1].state)
+    assert np.array_equal(bank.tracks[0][1].cov, twin.tracks[0][1].cov)
 
 
 def test_tick_permutation_invariance():
@@ -117,23 +117,23 @@ def test_tick_permutation_invariance():
     for order in ((0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1)):
         bank = make_bank()
         bank.apply_tick(
-            [observations[i] for i in order],
-            list(reversed(reports)),
-            np.zeros(2),
-            0.0,
+            [[observations[i] for i in order]],
+            [list(reversed(reports))],
+            [np.zeros(2)],
+            [0.0],
         )
         banks.append(bank)
     ref = banks[0]
     for other in banks[1:]:
-        assert sorted(ref.tracks) == sorted(other.tracks)
-        for tid in ref.tracks:
-            assert np.array_equal(ref.tracks[tid].state, other.tracks[tid].state)
+        assert sorted(ref.tracks[0]) == sorted(other.tracks[0])
+        for tid in ref.tracks[0]:
+            assert np.array_equal(ref.tracks[0][tid].state, other.tracks[0][tid].state)
 
 
 def test_step_empty_bank():
     bank = make_bank()
     bank.step(0.1)
-    assert bank.snapshot() == []
+    assert bank.snapshot() == [[]]
 
 
 def test_staleness_drop_threshold():
@@ -141,9 +141,9 @@ def test_staleness_drop_threshold():
     bank.ingest_position(obs(1, 0.0, 10.0), np.zeros(2), 0.0)
     for _ in range(16):  # 2.0 s exactly: staleness == drop_after, kept
         bank.step(0.125)
-    assert 1 in bank.tracks
+    assert 1 in bank.tracks[0]
     bank.step(0.125)  # crosses the threshold
-    assert 1 not in bank.tracks
+    assert 1 not in bank.tracks[0]
 
 
 def test_step_matches_per_track_predict():
@@ -152,12 +152,12 @@ def test_step_matches_per_track_predict():
     bank.ingest_position(obs(2, -0.4, 7.0), np.zeros(2), 0.0)
     expected = {
         tid: kalman.predict(t.state, t.cov, bank.model)
-        for tid, t in bank.tracks.items()
+        for tid, t in bank.tracks[0].items()
     }
     bank.step(0.1)
     for tid, (x, p) in expected.items():
-        assert np.array_equal(bank.tracks[tid].state, x)
-        assert np.array_equal(bank.tracks[tid].cov, p)
+        assert np.array_equal(bank.tracks[0][tid].state, x)
+        assert np.array_equal(bank.tracks[0][tid].cov, p)
 
 
 def test_apply_tick_matches_sequential_ingest():
@@ -190,14 +190,14 @@ def test_apply_tick_matches_sequential_ingest():
                        sigma=sigma)
         for tid, sigma in [(8, None), (1, 0.2), (4, None), (8, 0.5), (7, None)]
     ]
-    bank.apply_tick(observations, reports, position, heading)
+    bank.apply_tick([observations], [reports], [position], [heading])
     for o in sorted(observations, key=lambda o: o.observed_id):
         twin.ingest_position(o, position, heading)
     for rep in sorted(reports, key=lambda r: r.agent_id):
         twin.ingest_velocity(rep.agent_id, rep.velocity, rep.sigma)
-    assert sorted(bank.tracks) == sorted(twin.tracks) == [1, 2, 3, 5, 7, 8]
-    for tid, track in bank.tracks.items():
-        other = twin.tracks[tid]
+    assert sorted(bank.tracks[0]) == sorted(twin.tracks[0]) == [1, 2, 3, 5, 7, 8]
+    for tid, track in bank.tracks[0].items():
+        other = twin.tracks[0][tid]
         assert np.array_equal(track.state, other.state)
         assert np.array_equal(track.cov, other.cov)
         assert track.last_pos_stamp == other.last_pos_stamp
@@ -210,13 +210,13 @@ def test_stacked_fault_names_the_track():
     bank = make_bank()
     for tid in (2, 6, 9):
         bank.ingest_position(obs(tid, 0.0, 10.0 + tid), np.zeros(2), 0.0)
-    bank.tracks[6].cov[0, 0] = np.nan
+    bank.tracks[0][6].cov[0, 0] = np.nan
     with pytest.raises(kalman.NumericalFaultError, match="track-6"):
         bank.step(0.1)
     with pytest.raises(kalman.NumericalFaultError, match="track-6"):
         bank.apply_tick(
-            [obs(tid, 0.0, 10.0 + tid, stamp=0.1) for tid in (9, 6, 2)],
-            [], np.zeros(2), 0.0,
+            [[obs(tid, 0.0, 10.0 + tid, stamp=0.1) for tid in (9, 6, 2)]],
+            [], [np.zeros(2)], [0.0],
         )
 
 
@@ -225,8 +225,8 @@ def test_zero_velocity_sigma_rejected():
     bank.ingest_position(obs(1, 0.0, 10.0), np.zeros(2), 0.0)
     with pytest.raises(ValueError, match="positive definite"):
         bank.apply_tick(
-            [], [VelocityReport(agent_id=1, velocity=np.ones(2), sigma=0.0)],
-            np.zeros(2), 0.0,
+            [], [[VelocityReport(agent_id=1, velocity=np.ones(2), sigma=0.0)]],
+            [np.zeros(2)], [0.0],
         )
 
 
@@ -234,11 +234,11 @@ def test_snapshot_sorted_and_pure():
     bank = make_bank()
     for tid in (5, 2, 9):
         bank.ingest_position(obs(tid, 0.0, 10.0 + tid), np.zeros(2), 0.0)
-    views = bank.snapshot()
+    [views] = bank.snapshot()
     assert [v.agent_id for v in views] == [2, 5, 9]
     for view in views:
-        assert np.array_equal(view.position, bank.tracks[view.agent_id].state[:2])
-        assert np.array_equal(view.velocity, bank.tracks[view.agent_id].state[2:4])
+        assert np.array_equal(view.position, bank.tracks[0][view.agent_id].state[:2])
+        assert np.array_equal(view.velocity, bank.tracks[0][view.agent_id].state[2:4])
 
 
 def test_constant_velocity_stream_recovers_velocity():
@@ -267,7 +267,7 @@ def test_constant_velocity_stream_recovers_velocity():
             0.0,
         )
         pos = pos + vel * dt
-    err = np.linalg.norm(bank.snapshot()[0].velocity - vel)
+    err = np.linalg.norm(bank.snapshot()[0][0].velocity - vel)
     assert err < 0.3
 
 
@@ -295,7 +295,7 @@ def test_track_innovation_consistency():
                 np.zeros(6), bank.model.q
             )
             bank.step(dt)
-            track = bank.tracks[1]
+            track = bank.tracks[0][1]
             z = truth[:2] + rng.normal(0.0, sigma, size=2)
             h = np.array([[1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0]])
             innovation = z - h @ track.state
@@ -311,3 +311,48 @@ def test_track_innovation_consistency():
     lo = stats.chi2.ppf(0.025, 2 * n) / n
     hi = stats.chi2.ppf(0.975, 2 * n) / n
     assert lo < np.mean(samples) < hi
+
+
+def test_swarm_bank_rows_equal_one_observer_banks():
+    # A three-observer bank against three one-observer banks fed the same
+    # inputs, over ticks with spawns, stale drops, repeated ids, velocities
+    # for unknown ids and observers with no input: every track equal.
+    rng = np.random.default_rng(31)
+    n = 3
+    swarm = TrackBank(TrackParams(), dt=0.1, n_observers=n)
+    singles = [make_bank() for _ in range(n)]
+    for k in range(12):
+        stamp = 0.1 * k
+        observations, velocities = [], []
+        for e in range(n):
+            mine = []
+            if not (e == 1 and k % 3 == 0):  # observer 1 sometimes sees nothing
+                for tid in rng.choice(8, size=int(rng.integers(1, 6))).tolist():
+                    late = stamp - (0.3 if rng.random() < 0.2 else 0.0)
+                    mine.append(obs(tid, float(rng.uniform(-3, 3)),
+                                    float(rng.uniform(5, 30)), stamp=late,
+                                    observer_id=e))
+            observations.append(mine)
+            velocities.append([
+                VelocityReport(int(tid), rng.standard_normal(2),
+                               None if rng.random() < 0.5 else 0.4)
+                for tid in rng.choice(10, size=int(rng.integers(0, 5)))
+            ])
+        positions = rng.normal(0.0, 5.0, size=(n, 2))
+        headings = rng.uniform(-3, 3, size=n).tolist()
+        swarm.step(0.1)
+        swarm.apply_tick(observations, velocities, positions, headings)
+        for e, bank in enumerate(singles):
+            bank.step(0.1)
+            bank.apply_tick([observations[e]], [velocities[e]], [positions[e]],
+                            [headings[e]])
+    for e, bank in enumerate(singles):
+        assert list(swarm.tracks[e]) == list(bank.tracks[0])
+        for tid, track in bank.tracks[0].items():
+            other = swarm.tracks[e][tid]
+            assert np.array_equal(other.state, track.state)
+            assert np.array_equal(other.cov, track.cov)
+            assert other.last_pos_stamp == track.last_pos_stamp
+            assert other.staleness == track.staleness
+    assert swarm.dropped_stale == sum(b.dropped_stale for b in singles) > 0
+    assert swarm.dropped_unknown == sum(b.dropped_unknown for b in singles) > 0
