@@ -60,7 +60,6 @@ class SelfStateFilter:
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ValueError("initial positions must be (N, 2)")
         self.params = params
-        self.dt = dt
         self.model = focal_model(dt, params.tau, np.asarray(params.q_rate) * dt)
         self.state = np.zeros((len(positions), 6))
         self.state[:, :2] = positions

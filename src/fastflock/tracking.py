@@ -108,7 +108,6 @@ class TrackBank:
 
     def __init__(self, params: TrackParams, dt: float, n_observers: int = 1):
         self.params = params
-        self.dt = dt
         self.model = kalman.constant_acceleration_model(
             dt, np.asarray(params.q_rate) * dt
         )
