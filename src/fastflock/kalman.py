@@ -13,15 +13,15 @@ Practice*). `predict` and `correct` are the K = 1 case of the same code.
 
 Measurement models are validated once: the selector matrices H_POS, H_VEL
 and H_ACC are checked at import and are read-only, so a Measurement built on
-one of them only checks its R, in closed form, over the whole stack at once.
-Non-finite inputs, a singular innovation covariance and a non-finite gain are
-checked on every call; inside a stack the fault names the first offending row
-and carries its index, which `owned_rows` maps to the agent holding the row
-when one stack spans a swarm.
+one of them only checks its R, in closed form. Non-finite inputs, a singular
+innovation covariance and a non-finite gain are checked on every call; inside
+a stack the fault names the first offending row and carries its index, which
+`owned_rows` maps to the agent holding the row when one stack spans a swarm.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
@@ -60,22 +60,16 @@ def _check_h(h: np.ndarray) -> None:
             )
 
 
-def _check_r(r: np.ndarray) -> None:
-    """Each R of a (K, 2, 2) stack must be symmetric (to the tolerance of
-    `np.allclose`, both ways round) and positive definite; for a symmetric
-    2x2 that is r00 > 0 and a finite det > 0. The first failing row names
-    the rule it breaks."""
-    r00, r01, r10, r11 = r.reshape(-1, 4).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        symmetric = np.abs(r01 - r10) <= 1e-8 + 1e-5 * np.minimum(
-            np.abs(r01), np.abs(r10)
-        )
-        det = r00 * r11 - r10 * r10
-    ok = symmetric & (r00 > 0.0) & (det > 0.0) & (det < np.inf)
-    if not ok.all():
-        row = int(np.argmin(ok))
-        if not symmetric[row]:
-            raise ValueError("R must be 2x2 symmetric")
+def _check_r(r00: float, r01: float, r10: float, r11: float) -> None:
+    """R must be symmetric (to the tolerance of `np.allclose`) and positive
+    definite; for a symmetric 2x2 that is r00 > 0 and det > 0."""
+    if not (
+        abs(r01 - r10) <= 1e-8 + 1e-5 * abs(r10)
+        and abs(r10 - r01) <= 1e-8 + 1e-5 * abs(r01)
+    ):
+        raise ValueError("R must be 2x2 symmetric")
+    det = r00 * r11 - r10 * r10
+    if not (r00 > 0.0 and det > 0.0 and math.isfinite(det)):
         raise ValueError("R must be positive definite")
 
 
@@ -183,7 +177,7 @@ class Measurement:
         _validate_h(h)
         if r.shape != (2, 2):
             raise ValueError("R must be 2x2 symmetric")
-        _check_r(r)
+        _check_r(*r.ravel().tolist())
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "r", r)
@@ -285,7 +279,8 @@ def correct_stack(
     _validate_h(h)
     if r.shape != (k, 2, 2):
         raise ValueError("R must be a (K, 2, 2) stack")
-    _check_r(r)
+    for row in r.reshape(k, 4).tolist():
+        _check_r(*row)
     return _correct_rows(states, covs, h, z, r, names)
 
 

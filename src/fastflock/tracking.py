@@ -123,15 +123,14 @@ class TrackBank:
         observer_position: np.ndarray,
         observer_heading: float,
     ) -> None:
-        """Apply one bearing/range observation to its observer's bank as a
+        """Apply one bearing/range observation to observer 0's tracks as a
         position correction.
 
         The first sighting of an id spawns a track at the measured position
         with zero velocity/acceleration and wide initial covariance.
         """
-        e = obs.observer_id
         self._ingest_positions(
-            [(e, obs)], {e: observer_position}, {e: rotation(observer_heading)}
+            [(0, obs)], [observer_position], [rotation(observer_heading)]
         )
 
     def ingest_velocity(
@@ -139,13 +138,10 @@ class TrackBank:
         agent_id: int,
         velocity: np.ndarray,
         sigma: float | None = None,
-        observer: int = 0,
     ) -> None:
-        """Apply a velocity correction to one of `observer`'s tracks;
+        """Apply a velocity correction to one of observer 0's tracks;
         velocities for ids it does not track are dropped."""
-        self._ingest_velocities(
-            [(observer, VelocityReport(agent_id, velocity, sigma))]
-        )
+        self._ingest_velocities([(0, VelocityReport(agent_id, velocity, sigma))])
 
     def step(self, dt: float) -> None:
         """Predict every track of every observer forward and retire the

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -337,44 +335,6 @@ def test_stack_faults_name_the_offending_row():
     with pytest.raises(NumericalFaultError, match="track-1: non-finite Kalman gain"):
         correct_stack(states, huge, kalman.H_POS, np.zeros((3, 2)), tiny_r,
                       names=names)
-
-
-def scalar_check_r(r00, r01, r10, r11):
-    """The per-row closed-form R rules, one Python call per row: the
-    reference for the stacked check. Returns the error message or None."""
-    if not (
-        abs(r01 - r10) <= 1e-8 + 1e-5 * abs(r10)
-        and abs(r10 - r01) <= 1e-8 + 1e-5 * abs(r01)
-    ):
-        return "R must be 2x2 symmetric"
-    det = r00 * r11 - r10 * r10
-    if not (r00 > 0.0 and det > 0.0 and math.isfinite(det)):
-        return "R must be positive definite"
-    return None
-
-
-def test_stacked_r_check_follows_the_scalar_rules():
-    # Entries near every boundary of the rules: zero, signs, tiny and huge
-    # values (det overflows), the allclose tolerance, inf and NaN.
-    values = [0.0, 1.0, -1.0, 1.0 + 1e-5, 1.0 - 2e-5, 1e-8, 2e-8, 1e-300,
-              1e200, -1e200, np.inf, -np.inf, np.nan]
-    rng = np.random.default_rng(8)
-    rows = rng.choice(values, size=(4000, 4))
-    rows[:1000, 2] = rows[:1000, 1]  # plenty of exactly symmetric rows
-    for row in rows:
-        expected = scalar_check_r(*row.tolist())
-        r = row.reshape(1, 2, 2)
-        if expected is None:
-            kalman._check_r(r)
-        else:
-            with pytest.raises(ValueError, match=expected):
-                kalman._check_r(r)
-    # In a stack, the first failing row names the rule it breaks.
-    good, asym, indef = np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]), -np.eye(2)
-    with pytest.raises(ValueError, match="positive definite"):
-        kalman._check_r(np.array([good, indef, asym]))
-    with pytest.raises(ValueError, match="symmetric"):
-        kalman._check_r(np.array([good, asym, indef]))
 
 
 def test_owned_rows_tags_faults_with_the_row_owner():

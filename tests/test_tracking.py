@@ -180,8 +180,10 @@ def test_apply_tick_matches_sequential_ingest():
         return bank
 
     bank, twin = seeded(), seeded()
+    # observer_id 2 on a one-observer bank: both paths file by slot, not id.
     observations = [
-        obs(tid, float(rng.uniform(-3, 3)), float(rng.uniform(5, 30)), stamp=stamp)
+        obs(tid, float(rng.uniform(-3, 3)), float(rng.uniform(5, 30)), stamp=stamp,
+            observer_id=2)
         for tid, stamp in [(5, 0.3), (2, 0.3), (7, 0.3), (3, 0.1), (2, 0.35),
                            (7, 0.3), (1, 0.3), (2, 0.32)]
     ]
