@@ -252,6 +252,12 @@ def _semantic_errors(config: ScenarioConfig) -> list[str]:
     for name in ("dt", "duration", "safety_radius"):
         if not _positive(getattr(config, name)):
             errors.append(f"{name} must be a finite number > 0")
+    # The run flies round(duration / dt) ticks, and a log needs two; the
+    # ratio test is the same and cannot overflow as round() of inf does.
+    if (_positive(config.dt) and _positive(config.duration)
+            and not config.duration / config.dt >= 1.5):
+        errors.append("duration must span at least two ticks: "
+                      "round(duration / dt) >= 2")
     sensors = config.sensors
     vio = sensors.vio
     for name, value in (("bearing_sigma", sensors.bearing_sigma),

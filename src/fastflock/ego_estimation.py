@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kalman
 from .geometry import rotation
-from .tracking import RelativeObservation, TrackView
+from .tracking import RelativeObservation
 
 
 def focal_model(dt: float, tau: float, q_diag) -> kalman.LkfModel:
@@ -72,16 +72,11 @@ class SelfStateFilter:
         commands: Sequence[np.ndarray],
         fixes: Sequence[np.ndarray | None],
         accels: Sequence[np.ndarray | None],
-        dt: float,
     ) -> np.ndarray:
-        """Predict every row with its commanded velocity as input, then
-        correct with the position fixes and the IMU accelerations (in that
-        order), each over the rows whose input is not None. Returns a copy
-        of the states, (N, 6)."""
-        if dt != self.model.dt:
-            self.model = focal_model(
-                dt, self.params.tau, np.asarray(self.params.q_rate) * dt
-            )
+        """Predict every row one step with its commanded velocity as input,
+        then correct with the position fixes and the IMU accelerations (in
+        that order), each over the rows whose input is not None. Returns a
+        copy of the states, (N, 6)."""
         with kalman.owned_rows(range(len(self.state))):
             self.state, self.cov = kalman.predict_stack(
                 self.state, self.cov, self.model,
@@ -89,7 +84,8 @@ class SelfStateFilter:
             )
         self._correct(kalman.H_POS, fixes, self.params.fix_sigma)
         self._correct(kalman.H_ACC, accels, self.params.accel_sigma)
-        self.integral_position = self.integral_position + self.state[:, 2:4] * dt
+        self.integral_position = (self.integral_position
+                                  + self.state[:, 2:4] * self.model.dt)
         return self.state.copy()
 
     def _correct(self, h: np.ndarray, zs, sigma: float) -> None:
@@ -109,27 +105,23 @@ class SelfStateFilter:
 
 
 def position_fix(
-    views: Sequence[TrackView],
+    state: np.ndarray,
+    tracks: np.ndarray,
     observations: Sequence[RelativeObservation],
     observer_heading: float,
 ) -> np.ndarray | None:
     """Own-position candidates from every neighbor that is both tracked and
     freshly observed: tracked position minus the observed relative vector.
-    Returns their mean, or None when no neighbor qualifies."""
-    by_id = {v.agent_id: v for v in views}
-    rot = rotation(observer_heading)
-    candidates = []
-    for obs in observations:
-        view = by_id.get(obs.observed_id)
-        if view is None:
-            continue
-        rel = rot @ (
-            obs.distance * np.array([math.cos(obs.bearing), math.sin(obs.bearing)])
-        )
-        candidates.append(view.position - rel)
-    if not candidates:
+    `state` and `tracks` are the observer's row of the track bank, indexed
+    by id. Returns the candidates' mean, or None when no neighbor
+    qualifies."""
+    seen = [o for o in observations if tracks[o.observed_id]]
+    if not seen:
         return None
-    return np.mean(candidates, axis=0)
+    local = np.array([[o.distance * math.cos(o.bearing),
+                       o.distance * math.sin(o.bearing)] for o in seen])
+    rel = (rotation(observer_heading) @ local[..., None])[..., 0]
+    return np.mean(state[[o.observed_id for o in seen], :2] - rel, axis=0)
 
 
 @dataclass

@@ -9,17 +9,20 @@ the swarm:
 1. sense: per agent, in id order, `Simulation._stage` draws the agent's
    observations, VIO sample, IMU acceleration, target sighting and inbox;
 2. tracker: one `TrackBank.step` and one `TrackBank.apply_tick` of the
-   swarm's bank predict and correct every agent's neighbour tracks;
-3. self-state: per agent, `ego_estimation.position_fix`; then one
-   `SelfStateFilter.step` of the swarm's self-state filter;
+   swarm's bank predict and correct every agent's neighbour tracks, which
+   the bank keeps in one table indexed by (agent, neighbour id);
+3. self-state: per agent, `ego_estimation.position_fix` on the agent's row
+   of that table; then one `SelfStateFilter.step` of the swarm's self-state
+   filter;
 4. fusion: per agent, `OdometryFusion.advance`;
 5. velocity-ingest: with comm off, one call of the swarm's
    `velocity_inference.VelocityEstimator` replays the flocking law for every
-   tracked neighbour of every agent; then one `TrackBank.apply_tick` takes
-   every agent's communicated or inferred velocities;
-6. controller: one call of the swarm's `flocking.FlockingController` for
-   all agents, each agent's command one row of its result;
-7. per agent: heading, the finiteness checks and the tick record;
+   entry of the table; then one `TrackBank.apply_tick` takes every agent's
+   communicated or inferred velocities;
+6. controller: one call of the swarm's `flocking.FlockingController` on
+   the table, each agent's command one row of its result;
+7. per agent: heading, the finiteness checks and the tick record, whose
+   `tracks` lists the agent's row of the table;
 then broadcasts (with comm on, one `CommChannel.send` per receiver) and
 plant integration.
 
@@ -56,8 +59,7 @@ from .ego_estimation import (
 from .flocking import FlockingCommand, FlockingController
 from .geometry import pairwise
 from .sensors import CommChannel, VioEmulator, observe
-from .tracking import (RelativeObservation, TrackBank, TrackParams, TrackView,
-                       VelocityReport)
+from .tracking import RelativeObservation, TrackBank, TrackParams, VelocityReport
 from .velocity_inference import VelocityEstimator
 
 LOG_FORMAT_VERSION = 1
@@ -294,46 +296,45 @@ class Simulation:
                       imu_accel, target_rel, delivered)
 
     def _estimate(self, sensed: list[Sensed]
-                  ) -> tuple[list[list[TrackView]], np.ndarray, list[FusionState]]:
+                  ) -> tuple[np.ndarray, list[FusionState]]:
         """The tracker, self-state and fusion phases. Returns every agent's
-        tracks before velocity ingest, its self-state and its fusion
-        result."""
+        self-state and its fusion result."""
         agents = self.agents
-        dt = self.config.dt
+        bank = self.bank
         with _fault(agents[0].id, "tracker"):
-            self.bank.step(dt)
-            self.bank.apply_tick(
+            bank.step()
+            bank.apply_tick(
                 [s.observations for s in sensed], [],
                 [a.fused_position for a in agents], [a.heading for a in agents],
             )
-        views = self.bank.snapshot()
         fixes = []
-        for agent, s, agent_views in zip(agents, sensed, views):
+        for agent, s in zip(agents, sensed):
             with _fault(agent.id, "self-state"):
-                fixes.append(
-                    position_fix(agent_views, s.observations, agent.heading)
-                )
+                fixes.append(position_fix(bank.state[agent.id],
+                                          bank.tracks[agent.id],
+                                          s.observations, agent.heading))
         with _fault(agents[0].id, "self-state"):
             own_states = self.self_filter.step(
                 [a.command_velocity for a in agents], fixes,
-                [s.imu_accel for s in sensed], dt,
+                [s.imu_accel for s in sensed],
             )
         fused = []
         for agent, s, own_state in zip(agents, sensed, own_states):
             with _fault(agent.id, "fusion"):
-                fused.append(agent.fusion.advance(s.vio_sample, own_state, dt))
+                fused.append(agent.fusion.advance(s.vio_sample, own_state,
+                                                  self.config.dt))
                 agent.fused_position = fused[-1].position
                 agent.fused_velocity = fused[-1].velocity
-        return views, own_states, fused
+        return own_states, fused
 
-    def _ingest_velocities(self, sensed: list[Sensed],
-                           views: list[list[TrackView]]) -> list[dict | None]:
+    def _ingest_velocities(self, sensed: list[Sensed]) -> list[dict | None]:
         """The velocity-ingest phase: the bank takes every agent's
         communicated velocities, or with comm off the velocities inferred
-        for all agents in one replay of `views`. Returns each agent's logged
-        estimates (None with comm on)."""
+        for every track in one replay of the bank's table. Returns each
+        agent's logged estimates (None with comm on)."""
         config = self.config
         agents = self.agents
+        bank = self.bank
         if config.comm:
             sigma = config.filters.vel_sigma_comm
             reports = [s.delivered for s in sensed]
@@ -344,16 +345,18 @@ class Simulation:
             # agent's; it is reported against the first, whose stage the
             # serial tick failed in.
             with _fault(agents[0].id, "velocity-ingest"):
-                reports = self.estimator.update(
-                    views,
+                estimates = self.estimator.update(
+                    bank.state, bank.tracks,
                     [a.fused_position for a in agents],
                     [s.target_rel for s in sensed],
                     self.controller.psi,
                 )
-            logs = [{str(nid): _vec(velocity) for nid, velocity in estimates}
-                    for estimates in reports]
+            flat = estimates.reshape(-1, 2).tolist()
+            reports = [[(j, flat[k]) for j, k in row]
+                       for row in _tracked(bank.tracks)]
+            logs = [{str(j): velocity for j, velocity in row} for row in reports]
         with _fault(agents[0].id, "velocity-ingest"):
-            self.bank.apply_tick(
+            bank.apply_tick(
                 [],
                 [[VelocityReport(agent_id=nid, velocity=velocity, sigma=sigma)
                   for nid, velocity in agent_reports]
@@ -364,7 +367,7 @@ class Simulation:
 
     def _fragment(self, agent: Agent, sensed: Sensed, own_state: np.ndarray,
                   fused: FusionState, command: FlockingCommand,
-                  views: list[TrackView], estimates_log: dict | None) -> dict:
+                  tracks: dict, estimates_log: dict | None) -> dict:
         """The heading stage, the finiteness checks and the agent's part of
         the tick record."""
         with _fault(agent.id, "heading"):
@@ -397,14 +400,7 @@ class Simulation:
             "cmd_ff": _vec(command.feedforward),
             "heading": float(agent.heading),
             "neighbors": self.controller.neighbors[agent.id],
-            "tracks": {
-                str(view.agent_id): {
-                    "p": _vec(view.position),
-                    "v": _vec(view.velocity),
-                    "stale": float(view.staleness),
-                }
-                for view in views
-            },
+            "tracks": tracks,
             **({"vel_est": estimates_log} if estimates_log is not None else {}),
         }
 
@@ -420,20 +416,21 @@ class Simulation:
             self._stage(a, rel[a.id], dist[a.id], target_position, t)
             for a in agents
         ]
-        views, own_states, fused = self._estimate(sensed)
-        estimates_logs = self._ingest_velocities(sensed, views)
-        views = self.bank.snapshot()
+        own_states, fused = self._estimate(sensed)
+        estimates_logs = self._ingest_velocities(sensed)
         # One call serves every agent, so as in velocity-ingest a fault is
         # reported against the first.
         with _fault(agents[0].id, "controller"):
             command = self.controller.update(
-                views, [a.fused_position for a in agents],
+                self.bank.state, self.bank.tracks,
+                [a.fused_position for a in agents],
                 [s.target_rel for s in sensed], config.dt,
             )
         fragments = [
-            self._fragment(agent, s, own, f, command.row(agent.id), v, log)
-            for agent, s, own, f, v, log in zip(
-                agents, sensed, own_states, fused, views, estimates_logs)
+            self._fragment(agent, s, own, f, command.row(agent.id), tracks, log)
+            for agent, s, own, f, tracks, log in zip(
+                agents, sensed, own_states, fused, _track_logs(self.bank),
+                estimates_logs)
         ]
 
         # After every stage: broadcasts and plant integration in id order.
@@ -465,6 +462,23 @@ class Simulation:
 
 def _vec(value) -> list[float]:
     return np.asarray(value, dtype=float).tolist()
+
+
+def _tracked(tracks: np.ndarray) -> list[list[tuple[int, int]]]:
+    """Per row of a track bank's mask, the ids tracked in ascending order,
+    each with its entry's index e * N + j in the flattened table."""
+    n = len(tracks)
+    return [[(j, e * n + j) for j in np.flatnonzero(row).tolist()]
+            for e, row in enumerate(tracks)]
+
+
+def _track_logs(bank: TrackBank) -> list[dict]:
+    """Each agent's row of the bank's table, as its tick record's `tracks`."""
+    p = bank.state[..., :2].reshape(-1, 2).tolist()
+    v = bank.state[..., 2:4].reshape(-1, 2).tolist()
+    stale = bank.staleness.ravel().tolist()
+    return [{str(j): {"p": p[k], "v": v[k], "stale": stale[k]} for j, k in row}
+            for row in _tracked(bank.tracks)]
 
 
 def run_scenario(

@@ -12,7 +12,11 @@ arrays of member ids, bearings and distances, and `neighborhood_heading_stack`,
 one pass: every agent's command in one call of `FlockingController.update`,
 the swarm's controller, and velocity inference's replay of every tracked
 neighbour in another. `neighborhood_heading`, `desired_offset` and
-`flocking_command` are the E = 1 case of the same code.
+`flocking_command` are the E = 1 case of the same code. The controller
+reads the track bank's table as it stands: `states` (E, N, 6) and the mask
+`tracks` (E, N), agent e tracking agent j where tracks[e, j] holds; the
+column is the id, so `select_neighbors_stack` gathers candidates in
+ascending id without sorting.
 
 A stack rounds each row exactly as the row alone rounds:
 - lengths and dot products are stacked 1x2 @ 2x1 products
@@ -38,7 +42,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .geometry import bearings, dots, heading_vectors, lengths, wrap_angles
-from .tracking import TrackView
 
 TARGET_MEMBER_ID = -1
 # Cutoff of the controller's low-pass filter on the offset rate.
@@ -229,28 +232,27 @@ def append_member(hoods: Neighborhoods, where: np.ndarray, agent_id: int,
 
 
 def select_neighbors_stack(
-    views: Sequence[Sequence[TrackView]], own_positions: Sequence[np.ndarray],
+    states: np.ndarray, tracks: np.ndarray, own_positions: Sequence[np.ndarray],
     max_neighbors: int,
 ) -> Neighborhoods:
     """Each agent's neighborhood, one row per agent: its nearest
     `max_neighbors` tracks by distance from its own position, ties broken
-    by ascending id."""
-    rows = np.array([e for e, vs in enumerate(views) for _ in vs], dtype=int)
-    ids = np.array([v.agent_id for vs in views for v in vs], dtype=int)
-    positions = np.array([v.position for vs in views for v in vs],
-                         dtype=float).reshape(-1, 2)
+    by ascending id. Agent e tracks agent j where tracks[e, j] holds, at
+    position states[e, j, :2]."""
+    rows, ids = np.nonzero(tracks)
     own = np.asarray(own_positions, dtype=float).reshape(-1, 2)
-    rel = positions - own[rows]
-    return nearest(rows, ids, bearings(rel), lengths(rel), len(views),
+    rel = states[rows, ids, :2] - own[rows]
+    return nearest(rows, ids, bearings(rel), lengths(rel), len(tracks),
                    max_neighbors)
 
 
 def select_neighbors(
-    views: Sequence[TrackView], own_position: np.ndarray, max_neighbors: int
+    state: np.ndarray, tracks: np.ndarray, own_position: np.ndarray,
+    max_neighbors: int,
 ) -> list[NeighborInfo]:
-    """The agent's neighborhood: its nearest `max_neighbors` tracks by
-    distance from `own_position`, ties broken by ascending id."""
-    return select_neighbors_stack([views], [own_position],
+    """One agent's neighborhood from its row of the track table (see
+    `select_neighbors_stack`)."""
+    return select_neighbors_stack(state[None], tracks[None], [own_position],
                                   max_neighbors).members()[0]
 
 
@@ -542,16 +544,19 @@ class FlockingController:
 
     def update(
         self,
-        views: Sequence[Sequence[TrackView]],
+        states: np.ndarray,
+        tracks: np.ndarray,
         own_positions: Sequence[np.ndarray],
         target_rels: Sequence[np.ndarray | None],
         dt: float,
     ) -> FlockingCommand:
         """One tick of every agent, with the law evaluated once for all of
-        them; agent e sees views[e] from own_positions[e]. Returns the
+        them; agent e sees its row of the track table (`states[e]`, masked
+        by `tracks[e]`, indexed by id) from own_positions[e]. Returns the
         stacked commands, row e agent e's."""
         gains = self.gains
-        hoods = select_neighbors_stack(views, own_positions, gains.max_neighbors)
+        hoods = select_neighbors_stack(states, tracks, own_positions,
+                                       gains.max_neighbors)
         target, has_target = _optional_rows(target_rels)
         psi = neighborhood_heading_stack(hoods, target, has_target, self.psi)
         offset = desired_offset_stack(

@@ -207,7 +207,7 @@ def predict_stack(
     """
     states = np.asarray(states, dtype=float)
     covs = np.asarray(covs, dtype=float)
-    names = names or ["lkf"] * len(states)
+    names = ["lkf"] * len(states) if names is None else names
     _require_finite(names, state=states, cov=covs)
     if (controls is None) != (model.b is None):
         if model.b is None:
@@ -273,7 +273,7 @@ def correct_stack(
     z = np.asarray(z, dtype=float)
     r = np.asarray(r, dtype=float)
     k = len(states)
-    names = names or ["lkf"] * k
+    names = ["lkf"] * k if names is None else names
     if h.shape != (2, STATE_DIM) or z.shape != (k, 2):
         raise ValueError("measurements must be (K, 2) with a 2x6 H")
     _validate_h(h)

@@ -1,18 +1,21 @@
 """The swarm's bank of per-neighbor Kalman filters.
 
-Each observer gets one constant-acceleration filter per agent it can see,
+Each observer runs one constant-acceleration filter per agent it can see,
 fed by bearing/range observations (converted into the observer's local frame)
 and by communicated or inferred velocities. One bank holds the filters of the
-whole swarm; an observer's filters take only its own inputs, so no observer's
-tracks depend on another's.
+whole swarm as one dense table indexed by (observer, agent id): `state`
+(N, N, 6), `cov` (N, N, 6, 6), `staleness` and `last_pos_stamp` (N, N), and
+the mask `tracks` (N, N), where tracks[e, j] means observer e tracks agent j.
+An observer's filters take only its own inputs, so no observer's tracks
+depend on another's.
 
 The filters are independent, so the bank runs them as stacks across the
-swarm: `step` makes one stacked predict of every track of every observer,
-and `apply_tick` one stacked correction per measurement kind (positions, then
-velocities), rows in ascending id within each observer. Tracks stay in one
-dict per observer, keyed by id; a stack is gathered from them and the
-results written back. A single-observer bank is the one-row case of the same
-code, the way `kalman.predict` is the K = 1 case of `kalman.predict_stack`.
+swarm: `step` makes one stacked predict of every live entry, and
+`apply_tick` one stacked correction per measurement kind (positions, then
+velocities); a stack's rows are gathered from the table and its results
+written back by (observer, id) index. The controller, velocity
+inference and the position fix read the table directly: an observer's row
+of `state` with its row of `tracks`, the column being the id.
 """
 
 from __future__ import annotations
@@ -59,22 +62,6 @@ class VelocityReport(NamedTuple):
     sigma: float | None = None
 
 
-class TrackView(NamedTuple):
-    agent_id: int
-    position: np.ndarray
-    velocity: np.ndarray
-    staleness: float
-
-
-@dataclass
-class NeighborTrack:
-    agent_id: int
-    state: np.ndarray
-    cov: np.ndarray
-    last_pos_stamp: float
-    staleness: float = 0.0
-
-
 @dataclass
 class TrackParams:
     """Noise model and lifecycle settings for the filter bank.
@@ -102,20 +89,24 @@ class TrackParams:
 
 
 class TrackBank:
-    """One Kalman filter per (observer, observed agent): `tracks[e]` holds
-    observer e's filters keyed by the observed id. The drop counters are
-    totals over the swarm."""
+    """One Kalman filter per (observer, observed agent), in arrays indexed
+    by (observer, id) over `n_agents` agents; entries where `tracks` is
+    false hold no filter. The drop counters are totals over the swarm."""
 
-    def __init__(self, params: TrackParams, dt: float, n_observers: int = 1):
+    def __init__(self, params: TrackParams, dt: float, n_agents: int):
         self.params = params
         self.model = kalman.constant_acceleration_model(
             dt, np.asarray(params.q_rate) * dt
         )
-        self.tracks: list[dict[int, NeighborTrack]] = [
-            {} for _ in range(n_observers)
-        ]
+        self.state = np.zeros((n_agents, n_agents, 6))
+        self.cov = np.zeros((n_agents, n_agents, 6, 6))
+        self.tracks = np.zeros((n_agents, n_agents), dtype=bool)
+        self.staleness = np.zeros((n_agents, n_agents))
+        self.last_pos_stamp = np.zeros((n_agents, n_agents))
         self.dropped_stale = 0
         self.dropped_unknown = 0
+        # Fault labels of the stacked rows, by column.
+        self._names = np.array([f"track-{j}" for j in range(n_agents)])
 
     def ingest_position(
         self,
@@ -123,15 +114,8 @@ class TrackBank:
         observer_position: np.ndarray,
         observer_heading: float,
     ) -> None:
-        """Apply one bearing/range observation to observer 0's tracks as a
-        position correction.
-
-        The first sighting of an id spawns a track at the measured position
-        with zero velocity/acceleration and wide initial covariance.
-        """
-        self._ingest_positions(
-            [(0, obs)], [observer_position], [rotation(observer_heading)]
-        )
+        """`apply_tick` of one bearing/range observation by observer 0."""
+        self.apply_tick([[obs]], [], [observer_position], [observer_heading])
 
     def ingest_velocity(
         self,
@@ -139,36 +123,22 @@ class TrackBank:
         velocity: np.ndarray,
         sigma: float | None = None,
     ) -> None:
-        """Apply a velocity correction to one of observer 0's tracks;
-        velocities for ids it does not track are dropped."""
-        self._ingest_velocities([(0, VelocityReport(agent_id, velocity, sigma))])
+        """`apply_tick` of one velocity report to observer 0."""
+        self.apply_tick([], [[VelocityReport(agent_id, velocity, sigma)]], [], [])
 
-    def step(self, dt: float) -> None:
-        """Predict every track of every observer forward and retire the
-        stale ones."""
-        if not dt > 0.0:
-            raise ValueError("dt must be > 0")
-        if dt != self.model.dt:
-            self.model = kalman.constant_acceleration_model(
-                dt, np.asarray(self.params.q_rate) * dt
-            )
-        tracks = [t for bank in self.tracks for t in bank.values()]
-        if tracks:
-            owners = [e for e, bank in enumerate(self.tracks) for _ in bank]
-            with kalman.owned_rows(owners):
-                states, covs = kalman.predict_stack(
-                    np.array([t.state for t in tracks]),
-                    np.array([t.cov for t in tracks]),
-                    self.model,
-                    names=[f"track-{t.agent_id}" for t in tracks],
+    def step(self) -> None:
+        """Predict every track of every observer one step forward and retire
+        the stale ones."""
+        live = self.tracks
+        if live.any():
+            e, j = np.nonzero(live)
+            with kalman.owned_rows(e):
+                self.state[live], self.cov[live] = kalman.predict_stack(
+                    self.state[live], self.cov[live], self.model,
+                    names=self._names[j],
                 )
-            for track, x, p in zip(tracks, states, covs):
-                track.state, track.cov = x, p
-                track.staleness += dt
-        drop_after = self.params.drop_after
-        for bank in self.tracks:
-            for tid in [t for t, tr in bank.items() if tr.staleness > drop_after]:
-                del bank[tid]
+            self.staleness[live] += self.model.dt
+        live[self.staleness > self.params.drop_after] = False
 
     def apply_tick(
         self,
@@ -181,144 +151,91 @@ class TrackBank:
         `velocities[e]` are observer e's, taken from `observer_positions[e]`
         with heading `observer_headings[e]`; an observer may have none.
 
-        Within each observer the order is canonical: position corrections by
-        ascending id, then velocity corrections by ascending id, which makes
-        the bank state independent of input-list permutations. Each kind
-        runs as one stacked correction over the swarm; an id that repeats
-        within an observer's tick goes into a later stack, so its inputs
-        apply in order."""
-        batches = _rounds(observations, lambda o: o.observed_id)
-        if batches:
-            positions = np.asarray(observer_positions, dtype=float)
-            rotations = np.array([rotation(h) for h in observer_headings])
-        for batch in batches:
-            self._ingest_positions(batch, positions, rotations)
-        for batch in _rounds(velocities, lambda r: r.agent_id):
-            self._ingest_velocities(batch)
+        The first sighting of an id spawns a track at the measured position
+        with zero velocity/acceleration and wide initial covariance; a
+        sighting older than the track's last one is dropped as stale; the
+        others correct their tracks. Velocities for untracked ids are
+        dropped. Positions apply before velocities, each kind as one stacked
+        correction over the swarm; the rows are independent, so the result
+        does not depend on the order of the inputs. Within a kind an
+        (observer, id) pair may appear once, and ids must lie in 0..N-1;
+        anything else raises ValueError."""
+        params = self.params
+        seen = [o for items in observations for o in items]
+        if seen:
+            e, j = self._pairs([[o.observed_id for o in items]
+                                for items in observations])
+            rows = np.array([(o.distance * math.cos(o.bearing),
+                              o.distance * math.sin(o.bearing), o.stamp,
+                              params.pos_sigma(o.distance) ** 2) for o in seen])
+            stamp, var = rows[:, 2], rows[:, 3]
+            turns = np.array([rotation(h) for h in observer_headings])[e]
+            z = (np.asarray(observer_positions, dtype=float)[e]
+                 + (turns @ rows[:, :2, None])[..., 0])
+            known = self.tracks[e, j]
+            stale = known & (stamp < self.last_pos_stamp[e, j])
+            if stale.any():
+                for a, b in zip(e[stale].tolist(), j[stale].tolist()):
+                    log.debug("agent %d dropping stale observation of %d", a, b)
+                self.dropped_stale += int(np.count_nonzero(stale))
+            if not known.all():
+                self._spawn(e[~known], j[~known], z[~known], var[~known])
+            fresh = ~stale
+            self.last_pos_stamp[e[fresh], j[fresh]] = stamp[fresh]
+            hit = known & fresh
+            self._correct(e[hit], j[hit], kalman.H_POS, z[hit], var[hit])
+        reports = [r for items in velocities for r in items]
+        if reports:
+            e, j = self._pairs([[r.agent_id for r in items]
+                                for items in velocities])
+            known = self.tracks[e, j]
+            if not known.all():
+                for a, b in zip(e[~known].tolist(), j[~known].tolist()):
+                    log.debug("agent %d dropping velocity for untracked agent %d",
+                              a, b)
+                self.dropped_unknown += int(np.count_nonzero(~known))
+            z = np.array([r.velocity for r in reports], dtype=float)
+            var = np.array([(params.vel_sigma if r.sigma is None else r.sigma) ** 2
+                            for r in reports])
+            self._correct(e[known], j[known], kalman.H_VEL, z[known], var[known])
 
-    def _ingest_positions(
-        self,
-        batch: list[tuple[int, RelativeObservation]],
-        positions,
-        rotations,
-    ) -> None:
-        """Spawn, drop as stale, or correct each (observer, observation)
-        pair; observer e sits at positions[e] with heading rotation
-        rotations[e], and no pair repeats within `batch`."""
-        observers = [e for e, _ in batch]
-        local = np.array(
-            [
-                [o.distance * math.cos(o.bearing), o.distance * math.sin(o.bearing)]
-                for _, o in batch
-            ]
-        )
-        origins = np.array([positions[e] for e in observers])
-        turns = np.array([rotations[e] for e in observers])
-        zs = origins + (turns @ local[..., None])[..., 0]
-        hits, owners, rows, variances = [], [], [], []
-        for (e, obs), z in zip(batch, zs):
-            var = self.params.pos_sigma(obs.distance) ** 2
-            bank = self.tracks[e]
-            track = bank.get(obs.observed_id)
-            if track is None:
-                cov = np.diag(
-                    [
-                        var,
-                        var,
-                        self.params.init_vel_var,
-                        self.params.init_vel_var,
-                        self.params.init_acc_var,
-                        self.params.init_acc_var,
-                    ]
-                )
-                bank[obs.observed_id] = NeighborTrack(
-                    agent_id=obs.observed_id,
-                    state=np.concatenate([z, np.zeros(4)]),
-                    cov=cov,
-                    last_pos_stamp=obs.stamp,
-                )
-            elif obs.stamp < track.last_pos_stamp:
-                self.dropped_stale += 1
-                log.debug(
-                    "agent %d dropping stale observation of %d (stamp %.3f < %.3f)",
-                    e, obs.observed_id, obs.stamp, track.last_pos_stamp,
-                )
-            else:
-                hits.append(track)
-                owners.append(e)
-                rows.append(z)
-                variances.append(var)
-                track.last_pos_stamp = obs.stamp
-        self._correct(hits, owners, kalman.H_POS, rows, variances)
+    def _pairs(self, ids: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+        """The observers and ids of a tick's inputs, flattened observer by
+        observer; ids[e] are the ids of observer e's inputs."""
+        n = len(self.tracks)
+        e = np.repeat(np.arange(len(ids)), [len(row) for row in ids])
+        j = np.array([i for row in ids for i in row], dtype=int)
+        if not (0 <= j.min() and j.max() < n):
+            raise ValueError(f"agent ids must lie in 0..{n - 1}")
+        if len(set((e * n + j).tolist())) < len(j):
+            raise ValueError("an (observer, id) pair repeats within one tick")
+        return e, j
 
-    def _ingest_velocities(self, batch: list[tuple[int, VelocityReport]]) -> None:
-        """Correct each (observer, report) pair's track or count it dropped;
-        no pair repeats within `batch`."""
-        hits, owners, rows, variances = [], [], [], []
-        for e, report in batch:
-            track = self.tracks[e].get(report.agent_id)
-            if track is None:
-                self.dropped_unknown += 1
-                log.debug("agent %d dropping velocity for untracked agent %d",
-                          e, report.agent_id)
-                continue
-            s = self.params.vel_sigma if report.sigma is None else report.sigma
-            hits.append(track)
-            owners.append(e)
-            rows.append(report.velocity)
-            variances.append(s**2)
-        self._correct(hits, owners, kalman.H_VEL, rows, variances)
+    def _spawn(self, e: np.ndarray, j: np.ndarray, z: np.ndarray,
+               variances: np.ndarray) -> None:
+        """New tracks (e, j) at positions z with zero velocity and
+        acceleration: position variance `variances`, the initial velocity
+        and acceleration variances for the rest."""
+        params = self.params
+        diag = np.repeat([[0.0, 0.0, params.init_vel_var, params.init_vel_var,
+                           params.init_acc_var, params.init_acc_var]],
+                         len(e), axis=0)
+        diag[:, :2] = variances[:, None]
+        self.state[e, j] = 0.0
+        self.state[e, j, :2] = z
+        self.cov[e, j] = diag[:, :, None] * np.eye(6)
+        self.staleness[e, j] = 0.0
+        self.tracks[e, j] = True
 
-    def _correct(
-        self,
-        tracks: list[NeighborTrack],
-        owners: list[int],
-        h: np.ndarray,
-        z: list[np.ndarray],
-        variances: list[float],
-    ) -> None:
-        """One stacked correction with R = variance * I per track; owners[i]
-        is the observer holding tracks[i]."""
-        if not tracks:
+    def _correct(self, e: np.ndarray, j: np.ndarray, h: np.ndarray,
+                 z: np.ndarray, variances: np.ndarray) -> None:
+        """One stacked correction of the tracks (e, j) with R = variance * I
+        per row."""
+        if not len(e):
             return
-        with kalman.owned_rows(owners):
-            states, covs = kalman.correct_stack(
-                np.array([t.state for t in tracks]),
-                np.array([t.cov for t in tracks]),
-                h,
-                np.array(z, dtype=float),
-                np.array(variances)[:, None, None] * np.eye(2),
-                names=[f"track-{t.agent_id}" for t in tracks],
+        with kalman.owned_rows(e):
+            self.state[e, j], self.cov[e, j] = kalman.correct_stack(
+                self.state[e, j], self.cov[e, j], h, z,
+                variances[:, None, None] * np.eye(2), names=self._names[j],
             )
-        for track, x, p in zip(tracks, states, covs):
-            track.state, track.cov = x, p
-            track.staleness = 0.0
-
-    def snapshot(self) -> list[list[TrackView]]:
-        """Read-only views for the controller and velocity inference, one
-        list per observer, sorted by id for determinism."""
-        return [
-            [
-                TrackView(tid, track.state[:2].copy(), track.state[2:4].copy(),
-                          track.staleness)
-                for tid, track in sorted(bank.items())
-            ]
-            for bank in self.tracks
-        ]
-
-
-def _rounds(inputs: Sequence[Sequence], key) -> list[list[tuple[int, object]]]:
-    """Pair each input with its observer (`inputs[e]` are observer e's) and
-    split the pairs into successive batches in which each (observer, key)
-    appears once: the k-th input an observer has with a given key lands in
-    batch k. Each batch is sorted by observer, then by key."""
-    batches: list[list] = []
-    for e, items in enumerate(inputs):
-        k, last = 0, None
-        for item in sorted(items, key=key):
-            k = k + 1 if key(item) == last else 0
-            last = key(item)
-            if k == len(batches):
-                batches.append([])
-            batches[k].append((e, item))
-    return batches
+        self.staleness[e, j] = 0.0

@@ -8,12 +8,15 @@ own neighborhood model from `flocking`: its members, nearest-K selection and
 group heading, evaluated from the neighbor's estimated position.
 
 The replay runs on stacks: `VelocityEstimator.update`, the swarm's
-estimator, does the whole swarm's tick at once. One stacked
-`geometry.pairwise` over each focal agent's own position and track positions
-gives every member's offset, and one call of the stacked law
-(`flocking.neighborhood_heading_stack`, then
+estimator, does the whole swarm's tick at once on the track bank's table
+(`states` (A, N, 6) and the mask `tracks` (A, N), indexed by (focal agent,
+neighbour id)), and returns the estimates as a table of the same shape. One
+stacked `geometry.pairwise` over each focal agent's own position and its row
+of track positions gives every member's offset, and one call of the stacked
+law (`flocking.neighborhood_heading_stack`, then
 `flocking.flocking_command_stack`) replays every tracked neighbour of every
-agent. `estimate_velocities` and `estimate_view` are the one-agent case.
+agent. `estimate_velocities` and `estimate_view` are the one-agent case,
+on one row of the table.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .flocking import (FOCAL_MEMBER_ID, ControllerGains, NeighborInfo,
                        flocking_command_stack, nearest,
                        neighborhood_heading_stack, select_neighbors_stack)
 from .geometry import bearings, lengths, pairwise, wrap_angles
-from .tracking import TrackView
 
 
 class FitError(RuntimeError):
@@ -84,66 +86,61 @@ def fit_response_model(
 
 
 def _replay_neighborhoods(
-    views: Sequence[Sequence[TrackView]],
+    states: np.ndarray,
+    tracks: np.ndarray,
     own_positions: Sequence[np.ndarray],
     psis: Sequence[float],
     sensor_range: float,
     fov: float,
     max_neighbors: int,
-    focal: Sequence[set[int]],
-) -> tuple[Neighborhoods, list[list[TrackView]]]:
+    focal: np.ndarray,
+) -> Neighborhoods:
     """The neighbourhood each focal agent believes each of its tracked
-    neighbours can see, one row per neighbour, agent by agent and by
-    ascending id within an agent; also each agent's views by ascending id.
+    neighbours can see, one row per entry of the track table (agent a
+    tracks agent j where tracks[a, j] holds, with state states[a, j]), in
+    ascending (agent, id).
 
     Built purely from the focal agent's own tracks, with the members
     measured from the neighbour: the nearest `max_neighbors` other tracked
     agents within sensor range and inside the field of view around the
     neighbor's estimated heading (its tracked velocity direction, falling
     back to the group heading psis[a]). The focal agent is then appended as
-    `FOCAL_MEMBER_ID` when the neighbour's id is in focal[a], the ids of
+    `FOCAL_MEMBER_ID` where focal[a, j] holds, which marks the members of
     its own neighbourhood. Known to overestimate: occlusions and the
     neighbor's actual sensor state are invisible from here.
     """
-    tracks = [sorted(vs, key=lambda v: v.agent_id) for vs in views]
-    n = np.array([len(t) for t in tracks], dtype=int)
-    rows = [v for t in tracks for v in t]
-    if not rows:
-        return Neighborhoods.of([]), tracks
-    # Agent a's own position and its tracks, padded to the most tracks any
-    # agent has: points (A, T + 1, 2), with present (A, T) marking tracks.
-    present = np.arange(n.max()) < n[:, None]
-    points = np.zeros(present.shape + (2,))
-    points[present] = [v.position for v in rows]
+    present = np.asarray(tracks, dtype=bool)
+    if not present.any():
+        return Neighborhoods.of([])
+    agent = np.nonzero(present)[0]
+    # Agent a's own position, then its row of tracks: points (A, N + 1, 2).
     points = np.concatenate(
-        [np.asarray(own_positions, dtype=float).reshape(-1, 1, 2), points], axis=1)
-    velocity = np.array([v.velocity for v in rows], dtype=float)
-    track_ids = np.zeros(present.shape, dtype=int)
-    track_ids[present] = [v.agent_id for v in rows]
+        [np.asarray(own_positions, dtype=float).reshape(-1, 1, 2),
+         states[..., :2]], axis=1)
+    velocity = states[present][:, 2:4]
     rel, dist = pairwise(points)
     heading = np.zeros(present.shape)
     heading[present] = np.where(lengths(velocity) > 0.1, bearings(velocity),
-                                np.repeat(np.asarray(psis, dtype=float), n))
+                                np.asarray(psis, dtype=float)[agent])
     between = dist[:, 1:, 1:]
     a, j, k = np.nonzero(present[:, :, None] & present[:, None, :]
-                         & ~np.eye(len(present[0]), dtype=bool)
+                         & ~np.eye(present.shape[1], dtype=bool)
                          & (1e-9 <= between) & (between <= sensor_range))
     angle = bearings(rel[a, 1 + j, 1 + k])
     seen = np.abs(wrap_angles(angle - heading[a, j])) <= fov / 2.0
     a, j, k, angle = a[seen], j[seen], k[seen], angle[seen]
     row = np.zeros(present.shape, dtype=int)
-    row[present] = np.arange(len(rows))
-    hoods = nearest(row[a, j], track_ids[a, k], angle,
-                    between[a, j, k], len(rows), max_neighbors)
-    in_focal = np.array([v.agent_id in ids for t, ids in zip(tracks, focal)
-                         for v in t])
-    return append_member(hoods, in_focal & (dist[:, 1:, 0][present] > 1e-9),
-                         FOCAL_MEMBER_ID, rel[:, 1:, 0][present]), tracks
+    row[present] = np.arange(len(agent))
+    hoods = nearest(row[a, j], k, angle, between[a, j, k], len(agent),
+                    max_neighbors)
+    return append_member(hoods, focal[present] & (dist[:, 1:, 0][present] > 1e-9),
+                         FOCAL_MEMBER_ID, rel[:, 1:, 0][present])
 
 
 def estimate_view(
-    views: Sequence[TrackView],
-    target: TrackView,
+    state: np.ndarray,
+    tracks: np.ndarray,
+    target_id: int,
     own_position: np.ndarray,
     psi: float,
     sensor_range: float,
@@ -151,20 +148,24 @@ def estimate_view(
     max_neighbors: int,
     in_focal_neighborhood: bool,
 ) -> list[NeighborInfo]:
-    """The neighborhood the focal agent believes the tracked neighbor
-    `target`, one of `views`, can see (see `_replay_neighborhoods`); the
-    focal agent is a member when `in_focal_neighborhood` holds."""
-    focal = {target.agent_id} if in_focal_neighborhood else set()
-    hoods, tracks = _replay_neighborhoods(
-        [views], [np.asarray(own_position, dtype=float)], [psi], sensor_range,
-        fov, max_neighbors, [focal],
+    """The neighborhood the focal agent believes its tracked neighbor
+    `target_id` can see, from the focal agent's row of the track table (see
+    `_replay_neighborhoods`); the focal agent is a member when
+    `in_focal_neighborhood` holds."""
+    if not tracks[target_id]:
+        raise ValueError(f"agent {target_id} is not tracked")
+    focal = np.zeros((1, len(tracks)), dtype=bool)
+    focal[0, target_id] = in_focal_neighborhood
+    hoods = _replay_neighborhoods(
+        state[None], tracks[None], [own_position], [psi], sensor_range, fov,
+        max_neighbors, focal,
     )
-    row = [v.agent_id for v in tracks[0]].index(target.agent_id)
-    return hoods.members()[row]
+    return hoods.members()[int(np.count_nonzero(tracks[:target_id]))]
 
 
 def estimate_velocities_stack(
-    views: Sequence[Sequence[TrackView]],
+    states: np.ndarray,
+    tracks: np.ndarray,
     own_positions: Sequence[np.ndarray],
     target_rels: Sequence[np.ndarray | None],
     psis: Sequence[float],
@@ -172,44 +173,43 @@ def estimate_velocities_stack(
     model: ResponseModel,
     sensor_range: float,
     fov: float,
-    previous: Sequence[dict[int, np.ndarray]],
-) -> list[list[tuple[int, np.ndarray]]]:
+    previous: np.ndarray,
+) -> np.ndarray:
     """One tick of neighbor-velocity estimation for each of several focal
-    agents, each agent's list ordered by ascending id.
+    agents, from their rows of the track table: agent a tracks agent j
+    where tracks[a, j] holds, with state states[a, j]. Returns the
+    estimates (A, N, 2), zero where tracks is false.
 
-    Pure function of its inputs: previous estimates are read from
-    previous[a] (missing ids fall back to the track velocity) and the
-    updated values are returned, not written back.
+    Pure function of its inputs: previous[a, j] is agent a's previous
+    estimate of agent j, and the updated values are returned, not written
+    back.
     """
+    present = np.asarray(tracks, dtype=bool)
     own = np.asarray(own_positions, dtype=float).reshape(-1, 2)
-    mine = select_neighbors_stack(views, own, gains.max_neighbors)
-    focal = [set(mine.ids[a, :mine.count[a]].tolist()) for a in range(len(own))]
-    hoods, tracks = _replay_neighborhoods(views, own, psis, sensor_range, fov,
-                                          gains.max_neighbors, focal)
+    out = np.zeros(present.shape + (2,))
+    mine = select_neighbors_stack(states, present, own, gains.max_neighbors)
+    focal = np.zeros(present.shape, dtype=bool)
+    focal[np.nonzero(mine.valid)[0], mine.ids[mine.valid]] = True
+    hoods = _replay_neighborhoods(states, present, own, psis, sensor_range,
+                                  fov, gains.max_neighbors, focal)
     if not len(hoods.count):
-        return [[] for _ in tracks]
-    agent = np.repeat(np.arange(len(tracks)), [len(t) for t in tracks])
+        return out
+    agent = np.nonzero(present)[0]
     target, has_target = _optional_rows(target_rels)
-    positions = np.array([v.position for t in tracks for v in t], dtype=float)
-    neighbor_target = (own + target)[agent] - positions
+    neighbor_target = (own + target)[agent] - states[present][:, :2]
     psi = neighborhood_heading_stack(
         hoods, neighbor_target, has_target[agent],
         np.asarray(psis, dtype=float)[agent],
     )
     desired = flocking_command_stack(hoods, psi, neighbor_target,
                                      has_target[agent], gains)
-    prev = np.array([previous[a].get(v.agent_id, v.velocity)
-                     for a, t in enumerate(tracks) for v in t], dtype=float)
-    estimate = model.a * prev + model.b * desired.velocity
-    out, row = [], 0
-    for t in tracks:
-        out.append([(v.agent_id, estimate[row + i]) for i, v in enumerate(t)])
-        row += len(t)
+    out[present] = model.a * previous[present] + model.b * desired.velocity
     return out
 
 
 def estimate_velocities(
-    views: Sequence[TrackView],
+    state: np.ndarray,
+    tracks: np.ndarray,
     own_position: np.ndarray,
     target_rel: np.ndarray | None,
     psi: float,
@@ -217,18 +217,20 @@ def estimate_velocities(
     model: ResponseModel,
     sensor_range: float,
     fov: float,
-    previous: dict[int, np.ndarray],
-) -> list[tuple[int, np.ndarray]]:
-    """`estimate_velocities_stack` for one focal agent."""
+    previous: np.ndarray,
+) -> np.ndarray:
+    """`estimate_velocities_stack` for one focal agent's row of the track
+    table; previous is (N, 2)."""
     return estimate_velocities_stack(
-        [views], [own_position], [target_rel], [psi], gains, model,
-        sensor_range, fov, [previous],
+        state[None], tracks[None], [own_position], [target_rel], [psi], gains,
+        model, sensor_range, fov, previous[None],
     )[0]
 
 
 class VelocityEstimator:
-    """The swarm's estimator: estimates[e] holds agent e's previous estimate
-    of each tracked neighbour, by id."""
+    """The swarm's estimator: estimates[e, j] holds agent e's previous
+    estimate of agent j's velocity where estimated[e, j] holds, that is,
+    where agent e tracked agent j at the last update."""
 
     def __init__(
         self,
@@ -242,24 +244,30 @@ class VelocityEstimator:
         self.model = model
         self.sensor_range = sensor_range
         self.fov = fov
-        self.estimates: list[dict[int, np.ndarray]] = [{} for _ in range(n_agents)]
+        self.estimates = np.zeros((n_agents, n_agents, 2))
+        self.estimated = np.zeros((n_agents, n_agents), dtype=bool)
 
     def update(
         self,
-        views: Sequence[Sequence[TrackView]],
+        states: np.ndarray,
+        tracks: np.ndarray,
         own_positions: Sequence[np.ndarray],
         target_rels: Sequence[np.ndarray | None],
         psis: Sequence[float],
-    ) -> list[list[tuple[int, np.ndarray]]]:
-        """One tick of every agent's estimates, with one replay of the law
-        for all of them; agent e sees views[e] from own_positions[e]."""
+    ) -> np.ndarray:
+        """One tick of every agent's estimates (N, N, 2), with one replay of
+        the law for all of them; agent e sees its row of the track table
+        from own_positions[e]. A track without a previous estimate starts
+        from its own velocity."""
         if self.model is None:
             raise NotFittedError(
                 "no response model configured; fit one before estimating"
             )
-        out = estimate_velocities_stack(
-            views, own_positions, target_rels, psis, self.gains, self.model,
-            self.sensor_range, self.fov, self.estimates,
+        previous = np.where(self.estimated[..., None], self.estimates,
+                            states[..., 2:4])
+        self.estimates = estimate_velocities_stack(
+            states, tracks, own_positions, target_rels, psis, self.gains,
+            self.model, self.sensor_range, self.fov, previous,
         )
-        self.estimates = [dict(estimates) for estimates in out]
-        return out
+        self.estimated = np.array(tracks, dtype=bool)
+        return self.estimates

@@ -172,6 +172,16 @@ def test_comm_off_without_response_model_is_invalid(modelless_config, capsys):
     assert exit_code(["run", str(modelless_config)]) == 2
 
 
+@pytest.mark.parametrize("duration", [0.05, 0.01])
+def test_run_shorter_than_two_ticks_is_invalid(tiny_config, tmp_path, duration,
+                                               capsys):
+    data = yaml.safe_load(tiny_config.read_text())
+    data["duration"] = duration
+    tiny_config.write_text(yaml.safe_dump(data))
+    assert exit_code(["run", str(tiny_config), "--out", str(tmp_path / "out")]) == 2
+    assert "two ticks" in capsys.readouterr().err
+
+
 def test_run_no_comm_without_response_model_is_invalid(modelless_config, capsys):
     assert exit_code(["run", str(modelless_config), "--no-comm"]) == 2
     assert "response_model" in capsys.readouterr().err

@@ -85,6 +85,8 @@ def test_errors_are_collected_not_first_only():
     ({"response_model": {"a": "x", "b": 0.1}}, "response_model.a"),
     ({"comm": False}, "response_model"),
     ({"sensors": {"comm": {"enabled": False}}}, "unknown field 'enabled'"),
+    ({"duration": 0.05}, "two ticks"),  # one tick of the default dt
+    ({"duration": 0.01}, "two ticks"),  # none
 ])
 def test_bad_values_raise_config_error(data, field):
     with pytest.raises(ConfigError) as excinfo:

@@ -15,9 +15,10 @@ from fastflock.ego_estimation import (
     slew_weight,
     vio_weight_target,
 )
-from fastflock.tracking import RelativeObservation, TrackView
+from fastflock.tracking import RelativeObservation
 
 from .kalman_oracle import oracle_correct, oracle_predict
+from .tracking_oracle import TrackView, table
 
 
 def vio(c_f, ages, t_a=2.0, c_max=150):
@@ -33,7 +34,13 @@ def vio(c_f, ages, t_a=2.0, c_max=150):
 
 
 def track(agent_id, x, y):
-    return TrackView(agent_id, np.array([x, y]), np.zeros(2), 0.0)
+    return TrackView(agent_id, np.array([x, y]), np.zeros(2))
+
+
+def fix_from(views, observations, heading):
+    """`position_fix` on the one-row track table holding `views`."""
+    states, tracks = table([views], width=10)
+    return position_fix(states[0], tracks[0], observations, heading)
 
 
 def obs(observed_id, bearing, distance):
@@ -62,7 +69,7 @@ class TestFocalModel:
         )
         cmd = np.array([1.0, 0.0])
         for k in range(1, 200):
-            [state] = filt.step([cmd], [None], [None], dt)
+            [state] = filt.step([cmd], [None], [None])
             expected_err = math.exp(-k * dt / tau)
             assert abs(state[2] - 1.0) < expected_err + 1e-9
 
@@ -70,7 +77,7 @@ class TestFocalModel:
         dt = 0.1
         filt = SelfStateFilter(FocalParams(), dt, np.zeros((1, 2)))
         for _ in range(50):
-            [state] = filt.step([np.zeros(2)], [np.zeros(2)], [np.zeros(2)], dt)
+            [state] = filt.step([np.zeros(2)], [np.zeros(2)], [np.zeros(2)])
         assert np.allclose(state, 0.0, atol=1e-12)
 
     def test_matches_oracle_recursion(self):
@@ -87,7 +94,7 @@ class TestFocalModel:
             cmd = rng.standard_normal(2)
             fix = rng.standard_normal(2) if rng.random() < 0.7 else None
             acc = rng.standard_normal(2) if rng.random() < 0.7 else None
-            [state] = filt.step([cmd], [fix], [acc], dt)
+            [state] = filt.step([cmd], [fix], [acc])
             ox, op = oracle_predict(ox, op, model.a, model.q, b=model.b, u=cmd)
             if fix is not None:
                 ox, op = oracle_correct(
@@ -120,9 +127,9 @@ class TestFocalModel:
             fixes = [None if k == 7 or rng.random() < 0.4
                      else starts[e] + rng.standard_normal(2) for e in range(n)]
             accels = list(rng.standard_normal((n, 2)))
-            states = swarm.step(commands, fixes, accels, dt)
+            states = swarm.step(commands, fixes, accels)
             for e, single in enumerate(singles):
-                [row] = single.step([commands[e]], [fixes[e]], [accels[e]], dt)
+                [row] = single.step([commands[e]], [fixes[e]], [accels[e]])
                 assert np.array_equal(states[e], row)
                 assert np.array_equal(swarm.cov[e], single.cov[0])
                 assert np.array_equal(swarm.integral_position[e],
@@ -145,29 +152,29 @@ class TestFocalModel:
         )
         total = np.zeros(2)
         for _ in range(30):
-            [state] = filt.step([np.array([1.0, 0.0])], [None], [None], dt)
+            [state] = filt.step([np.array([1.0, 0.0])], [None], [None])
             total = total + state[2:4] * dt
         assert np.allclose(filt.integral_position[0], total)
 
 
 class TestPositionFix:
     def test_single_consistent_neighbor(self):
-        fix = position_fix([track(1, 10.0, 0.0)], [obs(1, 0.0, 10.0)], 0.0)
+        fix = fix_from([track(1, 10.0, 0.0)], [obs(1, 0.0, 10.0)], 0.0)
         assert np.allclose(fix, [0.0, 0.0], atol=1e-12)
 
     def test_mean_of_candidates(self):
         views = [track(1, 10.0, 0.0), track(2, 12.0, 0.0)]
         observations = [obs(1, 0.0, 10.0), obs(2, 0.0, 10.0)]
-        fix = position_fix(views, observations, 0.0)
+        fix = fix_from(views, observations, 0.0)
         assert np.allclose(fix, [1.0, 0.0], atol=1e-12)
 
     def test_heading_rotation_applied(self):
-        fix = position_fix([track(1, 0.0, 10.0)], [obs(1, 0.0, 10.0)], math.pi / 2)
+        fix = fix_from([track(1, 0.0, 10.0)], [obs(1, 0.0, 10.0)], math.pi / 2)
         assert np.allclose(fix, [0.0, 0.0], atol=1e-12)
 
     def test_no_qualifying_neighbor(self):
-        assert position_fix([track(1, 10.0, 0.0)], [obs(2, 0.0, 5.0)], 0.0) is None
-        assert position_fix([], [obs(1, 0.0, 5.0)], 0.0) is None
+        assert fix_from([track(1, 10.0, 0.0)], [obs(2, 0.0, 5.0)], 0.0) is None
+        assert fix_from([], [obs(1, 0.0, 5.0)], 0.0) is None
 
     def test_fix_error_bounded_under_noise(self):
         # 200 ticks, 3 neighbors, 1 m observation noise: fix RMS below 1 m.
@@ -180,12 +187,12 @@ class TestPositionFix:
             views, observations = [], []
             for nid, pos in neighbors.items():
                 views.append(TrackView(nid, pos + rng.normal(0, 0.3, 2),
-                                       np.zeros(2), 0.0))
+                                       np.zeros(2)))
                 rel = pos - truth + rng.normal(0, 1.0, 2)
                 observations.append(
                     obs(nid, math.atan2(rel[1], rel[0]), float(np.linalg.norm(rel)))
                 )
-            fix = position_fix(views, observations, 0.0)
+            fix = fix_from(views, observations, 0.0)
             errors.append(np.linalg.norm(fix - truth) ** 2)
         assert math.sqrt(np.mean(errors)) < 1.0
 

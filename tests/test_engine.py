@@ -20,6 +20,7 @@ from fastflock.engine import (
     write_log,
 )
 from fastflock.geometry import pairwise
+from fastflock.tracking import TrackBank
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -233,7 +234,7 @@ class TestFaults:
         sim = Simulation(small_scenario(n_agents=5))
         for _ in range(3):
             sim.tick()
-        next(iter(sim.bank.tracks[3].values())).cov[0, 0] = np.nan
+        sim.bank.cov[3, np.flatnonzero(sim.bank.tracks[3])[0], 0, 0] = np.nan
         with pytest.raises(SimulationFault, match=r"^agent 3 stage tracker"):
             sim.tick()
         sim = Simulation(small_scenario(n_agents=5))
@@ -270,6 +271,30 @@ class TestSwarmFilters:
             calls.update(predict=0, correct=0)
             sim.tick()
             assert calls == {"predict": 2, "correct": 4}
+
+
+    @pytest.mark.parametrize("latency", [0, 1, 2, 3])
+    def test_inputs_never_repeat_a_pair(self, latency, monkeypatch):
+        # The bank rejects an (observer, id) pair that repeats within a
+        # tick: sensing sees each agent once, and an inbox holds at most one
+        # report per sender, whatever the latency and drops.
+        counts = []
+        original = TrackBank.apply_tick
+
+        def recording(bank, observations, velocities, *args):
+            for inputs, key in ((observations, "observed_id"),
+                                (velocities, "agent_id")):
+                for items in inputs:
+                    ids = [getattr(item, key) for item in items]
+                    counts.append(len(ids))
+                    assert len(set(ids)) == len(ids)
+            return original(bank, observations, velocities, *args)
+
+        monkeypatch.setattr(TrackBank, "apply_tick", recording)
+        run_scenario(small_scenario(
+            n_agents=5, duration=3.0,
+            sensors={"comm": {"latency_ticks": latency, "drop_prob": 0.3}}))
+        assert max(counts) >= 3
 
 
 class TestLogRoundTrip:

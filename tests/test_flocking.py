@@ -18,7 +18,8 @@ from fastflock.flocking import (
     select_neighbors,
 )
 from fastflock.geometry import heading_vectors, rotation, wrap_angle
-from fastflock.tracking import TrackView
+
+from .tracking_oracle import TrackView, table
 
 GAINS = ControllerGains(
     kp=1.0, kv=0.5, cruise_speed=5.0, d_min=15.0, d_max=40.0, spacing=13.0
@@ -30,28 +31,35 @@ def member(bearing, distance, agent_id=1):
 
 
 def view(agent_id, x, y):
-    return TrackView(
-        agent_id=agent_id,
-        position=np.array([x, y]),
-        velocity=np.zeros(2),
-        staleness=0.0,
-    )
+    return TrackView(agent_id, np.array([x, y]), np.zeros(2))
+
+
+def nearest_of(views, own_position, max_neighbors):
+    """`select_neighbors` on the one-row track table holding `views`."""
+    states, tracks = table([views], width=10)
+    return select_neighbors(states[0], tracks[0], own_position, max_neighbors)
+
+
+def update(ctrl, views, own_position, target):
+    """One controller tick of one agent that tracks `views`."""
+    states, tracks = table([views], width=10)
+    return ctrl.update(states, tracks, [own_position], [target], 0.1)
 
 
 class TestSelectNeighbors:
     def test_all_selected_when_few(self):
         views = [view(1, 10, 0), view(2, 0, 10)]
-        chosen = select_neighbors(views, np.zeros(2), max_neighbors=3)
+        chosen = nearest_of(views, np.zeros(2), max_neighbors=3)
         assert [m.agent_id for m in chosen] == [1, 2]
 
     def test_nearest_win(self):
         views = [view(i, 5.0 + i, 0.0) for i in range(5)]  # distances 5..9
-        chosen = select_neighbors(views, np.zeros(2), max_neighbors=3)
+        chosen = nearest_of(views, np.zeros(2), max_neighbors=3)
         assert [m.agent_id for m in chosen] == [0, 1, 2]
 
     def test_ties_broken_by_id(self):
         views = [view(7, 10, 0), view(3, 0, 10), view(5, -10, 0)]
-        chosen = select_neighbors(views, np.zeros(2), max_neighbors=2)
+        chosen = nearest_of(views, np.zeros(2), max_neighbors=2)
         assert [m.agent_id for m in chosen] == [3, 5]
 
 
@@ -282,17 +290,17 @@ class TestFlockingCommand:
 def test_controller_rate_filtering_starts_at_zero():
     ctrl = FlockingController(GAINS, 1)
     views = [view(1, GAINS.spacing + 4.0, 0.0)]
-    cmd = ctrl.update([views], [np.zeros(2)], [np.array([100.0, 0.0])], 0.1)
+    cmd = update(ctrl, views, np.zeros(2), np.array([100.0, 0.0]))
     assert np.allclose(cmd.velocity_term, 0.0)
-    cmd2 = ctrl.update([views], [np.zeros(2)], [np.array([100.0, 0.0])], 0.1)
+    cmd2 = update(ctrl, views, np.zeros(2), np.array([100.0, 0.0]))
     assert np.allclose(cmd2.velocity_term, 0.0, atol=1e-9)  # offset unchanged
 
 
 def test_controller_holds_heading_when_goal_on_center():
     ctrl = FlockingController(GAINS, 1)
-    ctrl.update([[]], [np.zeros(2)], [np.array([50.0, 0.0])], 0.1)
+    update(ctrl, [], np.zeros(2), np.array([50.0, 0.0]))
     assert ctrl.psi[0] == 0.0
-    ctrl.update([[]], [np.zeros(2)], [np.zeros(2)], 0.1)
+    update(ctrl, [], np.zeros(2), np.zeros(2))
     assert ctrl.psi[0] == 0.0
 
 
@@ -313,9 +321,9 @@ def test_controller_evaluates_offset_once_and_matches_stateless_law(monkeypatch)
     for step in range(3):
         calls.clear()
         own = np.array([0.5 * step, 0.0])
-        cmd = ctrl.update([views], [own], [target], 0.1).row(0)
+        cmd = update(ctrl, views, own, target).row(0)
         assert len(calls) == 1
-        neighbors = select_neighbors(views, own, GAINS.max_neighbors)
+        neighbors = nearest_of(views, own, GAINS.max_neighbors)
         assert [m.agent_id for m in neighbors] == ctrl.neighbors[0]
         members = flocking._with_target(
             flocking.Neighborhoods.of([neighbors]), target[None],
@@ -343,5 +351,5 @@ def test_controller_computes_heading_once_per_tick(monkeypatch):
     views = [view(1, 10.0, 4.0), view(2, 9.0, -6.0), view(3, -12.0, 1.0)]
     for target in (np.array([60.0, 10.0]), None):
         calls.clear()
-        ctrl.update([views], [np.zeros(2)], [target], 0.1)
+        update(ctrl, views, np.zeros(2), target)
         assert len(calls) == 1

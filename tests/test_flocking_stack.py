@@ -21,7 +21,6 @@ from fastflock.flocking import (
     flocking_command_stack,
     neighborhood_heading_stack,
 )
-from fastflock.tracking import TrackView
 from fastflock.velocity_inference import (
     ResponseModel,
     estimate_velocities_stack,
@@ -29,6 +28,7 @@ from fastflock.velocity_inference import (
 )
 
 from . import flocking_oracle as oracle
+from .tracking_oracle import TrackView, table
 
 # max_neighbors >= 7, so that a row can hold eight or more members once the
 # focal agent and the target join it.
@@ -120,7 +120,8 @@ def test_command_matches_scalar_law(cases):
 
 
 def world(draw, agent_id, own):
-    """Tracks around `own`: some mirrored, which ties their distances."""
+    """Tracks around `own`, ids agent_id * 10 + k: some mirrored, which ties
+    their distances."""
     tracks = []
     for k, (b, d) in enumerate(draw(st.lists(st.tuples(angles, distances),
                                              max_size=9))):
@@ -130,8 +131,8 @@ def world(draw, agent_id, own):
             rel = np.array([-rel[0], rel[1]])
         velocity = draw(st.sampled_from([(0.0, 0.0), (0.05, 0.0), (2.0, -1.0),
                                          (-3.0, 0.5)]))
-        tracks.append(TrackView(agent_id * 100 + k, own + rel,
-                                np.array(velocity), 0.0))
+        tracks.append(TrackView(agent_id * 10 + k, own + rel,
+                                np.array(velocity)))
     return draw(st.permutations(tracks))
 
 
@@ -156,8 +157,9 @@ def test_controllers_match_scalar_controller(agents, drift):
     for step in range(3):
         shift = np.array([drift * step, -0.5 * drift * step])
         owns = [own + shift for own, *_ in agents]
-        commands = ours.update([views for _, views, _, _ in agents],
-                               owns, [t for *_, t, _ in agents], 0.05)
+        states, tracks = table([views for _, views, _, _ in agents])
+        commands = ours.update(states, tracks, owns,
+                               [t for *_, t, _ in agents], 0.05)
         for e, (_, views, target, _) in enumerate(agents):
             expected = theirs[e].update(views, owns[e], target, 0.05)
             assert same_bits(ours.psi[e], theirs[e].psi)
@@ -173,23 +175,30 @@ def test_controllers_match_scalar_controller(agents, drift):
 def test_replay_matches_scalar_replay(agents):
     previous = [{v.agent_id: np.array([0.3, -0.2]) for v in views[::2]}
                 for _, views, _, _ in agents]
+    states, tracks = table([views for _, views, _, _ in agents])
+    prev_table = states[..., 2:4].copy()
+    for a, prev in enumerate(previous):
+        for agent_id, estimate in prev.items():
+            prev_table[a, agent_id] = estimate
     out = estimate_velocities_stack(
-        [views for _, views, _, _ in agents], [own for own, *_ in agents],
+        states, tracks, [own for own, *_ in agents],
         [t for *_, t, _ in agents], [psi for *_, psi in agents], GAINS, MODEL,
-        SENSOR_RANGE, FOV, previous,
+        SENSOR_RANGE, FOV, prev_table,
     )
-    for (own, views, target, psi), prev, got in zip(agents, previous, out):
+    for a, ((own, views, target, psi), prev) in enumerate(zip(agents, previous)):
         expected = oracle.estimate_velocities(views, own, target, psi, GAINS,
                                               MODEL, SENSOR_RANGE, FOV, prev)
-        assert [i for i, _ in got] == [i for i, _ in expected]
-        for (_, a), (_, b) in zip(got, expected):
-            assert same_bits(a, b)
+        assert np.flatnonzero(tracks[a]).tolist() == [i for i, _ in expected]
+        for i, b in expected:
+            assert same_bits(out[a, i], b)
         for v in views:
             for in_focal in (True, False):
-                view_args = (views, v, own, psi, SENSOR_RANGE, FOV,
-                             GAINS.max_neighbors, in_focal)
-                assert (estimate_view(*view_args)
-                        == [tuple(m) for m in oracle.estimate_view(*view_args)])
+                view_args = (own, psi, SENSOR_RANGE, FOV, GAINS.max_neighbors,
+                             in_focal)
+                assert (estimate_view(states[a], tracks[a], v.agent_id,
+                                      *view_args)
+                        == [tuple(m) for m in oracle.estimate_view(
+                            views, v, *view_args)])
 
 
 def test_rows_of_eight_or_more_members_sum_like_one_row():

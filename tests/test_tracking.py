@@ -12,9 +12,11 @@ from fastflock.tracking import (
     VelocityReport,
 )
 
+from .tracking_oracle import DictBank
 
-def make_bank(dt=0.1, **overrides):
-    return TrackBank(TrackParams(**overrides), dt=dt)
+
+def make_bank(dt=0.1, n_agents=10, **overrides):
+    return TrackBank(TrackParams(**overrides), dt=dt, n_agents=n_agents)
 
 
 def obs(observed_id, bearing, distance, stamp=0.0, observer_id=0):
@@ -37,33 +39,31 @@ def test_observation_validation():
 def test_position_ingest_axis_aligned():
     bank = make_bank()
     bank.ingest_position(obs(1, 0.0, 10.0), np.zeros(2), 0.0)
-    view = bank.snapshot()[0][0]
-    assert np.allclose(view.position, [10.0, 0.0])
+    assert np.allclose(bank.state[0, 1, :2], [10.0, 0.0])
 
 
 def test_position_ingest_rotated_observer():
     bank = make_bank()
     bank.ingest_position(obs(1, 0.0, 10.0), np.array([5.0, 5.0]), math.pi / 2)
-    view = bank.snapshot()[0][0]
-    assert np.allclose(view.position, [5.0, 15.0])
+    assert np.allclose(bank.state[0, 1, :2], [5.0, 15.0])
 
 
 def test_new_track_initialization():
     bank = make_bank()
     bank.ingest_position(obs(3, 0.5, 8.0, stamp=1.0), np.zeros(2), 0.0)
-    track = bank.tracks[0][3]
-    assert np.allclose(track.state[2:], 0.0)
-    assert track.last_pos_stamp == 1.0
-    assert track.staleness == 0.0
-    assert np.allclose(track.cov[2:, 2:], np.diag([25.0, 25.0, 10.0, 10.0]))
+    assert np.flatnonzero(bank.tracks[0]).tolist() == [3]
+    assert np.allclose(bank.state[0, 3, 2:], 0.0)
+    assert bank.last_pos_stamp[0, 3] == 1.0
+    assert bank.staleness[0, 3] == 0.0
+    assert np.allclose(bank.cov[0, 3, 2:, 2:], np.diag([25.0, 25.0, 10.0, 10.0]))
 
 
 def test_stale_observation_dropped_with_count():
     bank = make_bank()
     bank.ingest_position(obs(1, 0.0, 10.0, stamp=5.0), np.zeros(2), 0.0)
-    before = bank.tracks[0][1].state.copy()
+    before = bank.state[0, 1].copy()
     bank.ingest_position(obs(1, 0.1, 12.0, stamp=4.0), np.zeros(2), 0.0)
-    assert np.array_equal(bank.tracks[0][1].state, before)
+    assert np.array_equal(bank.state[0, 1], before)
     assert bank.dropped_stale == 1
 
 
@@ -71,25 +71,24 @@ def test_velocity_dominant_measurement():
     bank = make_bank()
     bank.ingest_position(obs(1, 0.0, 10.0), np.zeros(2), 0.0)
     bank.ingest_velocity(1, np.array([5.0, 0.0]), sigma=1e-5)
-    view = bank.snapshot()[0][0]
-    assert np.allclose(view.velocity, [5.0, 0.0], atol=1e-4)
+    assert np.allclose(bank.state[0, 1, 2:4], [5.0, 0.0], atol=1e-4)
 
 
 def test_velocity_for_unknown_id_dropped():
     bank = make_bank()
     bank.ingest_velocity(9, np.array([1.0, 0.0]))
-    assert len(bank.tracks[0]) == 0
+    assert not bank.tracks.any()
     assert bank.dropped_unknown == 1
 
 
 def test_simultaneous_corrections_position_first():
     bank = make_bank()
     bank.ingest_position(obs(1, 0.0, 10.0, stamp=0.0), np.zeros(2), 0.0)
-    bank.step(0.1)
+    bank.step()
     # Reference: apply position then velocity by hand on a twin bank.
     twin = make_bank()
     twin.ingest_position(obs(1, 0.0, 10.0, stamp=0.0), np.zeros(2), 0.0)
-    twin.step(0.1)
+    twin.step()
     twin.ingest_position(obs(1, 0.01, 10.5, stamp=0.1), np.zeros(2), 0.0)
     twin.ingest_velocity(1, np.array([2.0, 0.0]))
 
@@ -99,8 +98,8 @@ def test_simultaneous_corrections_position_first():
         [np.zeros(2)],
         [0.0],
     )
-    assert np.array_equal(bank.tracks[0][1].state, twin.tracks[0][1].state)
-    assert np.array_equal(bank.tracks[0][1].cov, twin.tracks[0][1].cov)
+    assert np.array_equal(bank.state[0, 1], twin.state[0, 1])
+    assert np.array_equal(bank.cov[0, 1], twin.cov[0, 1])
 
 
 def test_tick_permutation_invariance():
@@ -125,25 +124,25 @@ def test_tick_permutation_invariance():
         banks.append(bank)
     ref = banks[0]
     for other in banks[1:]:
-        assert sorted(ref.tracks[0]) == sorted(other.tracks[0])
-        for tid in ref.tracks[0]:
-            assert np.array_equal(ref.tracks[0][tid].state, other.tracks[0][tid].state)
+        assert np.array_equal(ref.tracks, other.tracks)
+        assert np.array_equal(ref.state, other.state)
+        assert np.array_equal(ref.cov, other.cov)
 
 
 def test_step_empty_bank():
     bank = make_bank()
-    bank.step(0.1)
-    assert bank.snapshot() == [[]]
+    bank.step()
+    assert not bank.tracks.any()
 
 
 def test_staleness_drop_threshold():
     bank = make_bank(dt=0.125, drop_after=2.0)
     bank.ingest_position(obs(1, 0.0, 10.0), np.zeros(2), 0.0)
     for _ in range(16):  # 2.0 s exactly: staleness == drop_after, kept
-        bank.step(0.125)
-    assert 1 in bank.tracks[0]
-    bank.step(0.125)  # crosses the threshold
-    assert 1 not in bank.tracks[0]
+        bank.step()
+    assert bank.tracks[0, 1]
+    bank.step()  # crosses the threshold
+    assert not bank.tracks[0, 1]
 
 
 def test_step_matches_per_track_predict():
@@ -151,19 +150,19 @@ def test_step_matches_per_track_predict():
     bank.ingest_position(obs(1, 0.2, 12.0), np.zeros(2), 0.0)
     bank.ingest_position(obs(2, -0.4, 7.0), np.zeros(2), 0.0)
     expected = {
-        tid: kalman.predict(t.state, t.cov, bank.model)
-        for tid, t in bank.tracks[0].items()
+        tid: kalman.predict(bank.state[0, tid], bank.cov[0, tid], bank.model)
+        for tid in (1, 2)
     }
-    bank.step(0.1)
+    bank.step()
     for tid, (x, p) in expected.items():
-        assert np.array_equal(bank.tracks[0][tid].state, x)
-        assert np.array_equal(bank.tracks[0][tid].cov, p)
+        assert np.array_equal(bank.state[0, tid], x)
+        assert np.array_equal(bank.cov[0, tid], p)
 
 
 def test_apply_tick_matches_sequential_ingest():
-    # Spawns, stale drops, repeated ids and unknown velocities in one tick:
-    # the stacked tick must equal ingesting one input at a time in the
-    # canonical order (positions by id, then velocities by id).
+    # Spawns, stale drops and unknown velocities in one tick: the stacked
+    # tick must equal ingesting one input at a time in the canonical order
+    # (positions by id, then velocities by id).
     rng = np.random.default_rng(21)
     position = np.array([3.0, -2.0])
     heading = 0.7
@@ -176,7 +175,7 @@ def test_apply_tick_matches_sequential_ingest():
                 obs(tid, float(init.uniform(-3, 3)), 8.0 + tid, stamp=0.2),
                 position, heading,
             )
-        bank.step(0.1)
+        bank.step()
         return bank
 
     bank, twin = seeded(), seeded()
@@ -184,37 +183,54 @@ def test_apply_tick_matches_sequential_ingest():
     observations = [
         obs(tid, float(rng.uniform(-3, 3)), float(rng.uniform(5, 30)), stamp=stamp,
             observer_id=2)
-        for tid, stamp in [(5, 0.3), (2, 0.3), (7, 0.3), (3, 0.1), (2, 0.35),
-                           (7, 0.3), (1, 0.3), (2, 0.32)]
+        for tid, stamp in [(5, 0.3), (2, 0.3), (7, 0.3), (3, 0.1), (1, 0.3)]
     ]
     reports = [
         VelocityReport(agent_id=tid, velocity=rng.standard_normal(2),
                        sigma=sigma)
-        for tid, sigma in [(8, None), (1, 0.2), (4, None), (8, 0.5), (7, None)]
+        for tid, sigma in [(8, None), (1, 0.2), (4, None), (7, None)]
     ]
     bank.apply_tick([observations], [reports], [position], [heading])
     for o in sorted(observations, key=lambda o: o.observed_id):
         twin.ingest_position(o, position, heading)
     for rep in sorted(reports, key=lambda r: r.agent_id):
         twin.ingest_velocity(rep.agent_id, rep.velocity, rep.sigma)
-    assert sorted(bank.tracks[0]) == sorted(twin.tracks[0]) == [1, 2, 3, 5, 7, 8]
-    for tid, track in bank.tracks[0].items():
-        other = twin.tracks[0][tid]
-        assert np.array_equal(track.state, other.state)
-        assert np.array_equal(track.cov, other.cov)
-        assert track.last_pos_stamp == other.last_pos_stamp
-        assert track.staleness == other.staleness
-    assert bank.dropped_stale == twin.dropped_stale == 2
+    assert np.flatnonzero(bank.tracks[0]).tolist() == [1, 2, 3, 5, 7, 8]
+    for name in ("tracks", "state", "cov", "last_pos_stamp", "staleness"):
+        assert np.array_equal(getattr(bank, name), getattr(twin, name)), name
+    assert bank.dropped_stale == twin.dropped_stale == 1
     assert bank.dropped_unknown == twin.dropped_unknown == 1
+
+
+def test_repeated_pair_or_bad_id_raises():
+    # Each (observer, id) pair appears at most once per kind and tick, and
+    # ids index the table: a negative id would otherwise wrap silently.
+    bank = make_bank(n_agents=4)
+    with pytest.raises(ValueError, match="repeats"):
+        bank.apply_tick([[obs(1, 0.0, 10.0), obs(1, 0.1, 11.0)]], [],
+                        [np.zeros(2)], [0.0])
+    bank.ingest_position(obs(1, 0.0, 10.0), np.zeros(2), 0.0)
+    with pytest.raises(ValueError, match="repeats"):
+        bank.apply_tick([], [[VelocityReport(1, np.ones(2)),
+                              VelocityReport(1, np.zeros(2))]], [], [])
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match="0..3"):
+            bank.ingest_position(obs(bad, 0.0, 10.0), np.zeros(2), 0.0)
+        with pytest.raises(ValueError, match="0..3"):
+            bank.ingest_velocity(bad, np.ones(2))
+    # The same id seen by two observers is two pairs.
+    bank.apply_tick([[obs(2, 0.0, 10.0)], [obs(2, 0.0, 12.0)]], [],
+                    [np.zeros(2)] * 2, [0.0, 0.0])
+    assert bank.tracks[:2, 2].all()
 
 
 def test_stacked_fault_names_the_track():
     bank = make_bank()
     for tid in (2, 6, 9):
         bank.ingest_position(obs(tid, 0.0, 10.0 + tid), np.zeros(2), 0.0)
-    bank.tracks[0][6].cov[0, 0] = np.nan
+    bank.cov[0, 6, 0, 0] = np.nan
     with pytest.raises(kalman.NumericalFaultError, match="track-6"):
-        bank.step(0.1)
+        bank.step()
     with pytest.raises(kalman.NumericalFaultError, match="track-6"):
         bank.apply_tick(
             [[obs(tid, 0.0, 10.0 + tid, stamp=0.1) for tid in (9, 6, 2)]],
@@ -230,17 +246,6 @@ def test_zero_velocity_sigma_rejected():
             [], [[VelocityReport(agent_id=1, velocity=np.ones(2), sigma=0.0)]],
             [np.zeros(2)], [0.0],
         )
-
-
-def test_snapshot_sorted_and_pure():
-    bank = make_bank()
-    for tid in (5, 2, 9):
-        bank.ingest_position(obs(tid, 0.0, 10.0 + tid), np.zeros(2), 0.0)
-    [views] = bank.snapshot()
-    assert [v.agent_id for v in views] == [2, 5, 9]
-    for view in views:
-        assert np.array_equal(view.position, bank.tracks[0][view.agent_id].state[:2])
-        assert np.array_equal(view.velocity, bank.tracks[0][view.agent_id].state[2:4])
 
 
 def test_constant_velocity_stream_recovers_velocity():
@@ -260,7 +265,7 @@ def test_constant_velocity_stream_recovers_velocity():
     pos = np.array([20.0, 5.0])
     vel = np.array([2.0, -1.0])
     for k in range(100):
-        bank.step(dt)
+        bank.step()
         noisy = pos + rng.normal(0.0, 1.0, size=2)
         bearing = math.atan2(noisy[1], noisy[0])
         bank.ingest_position(
@@ -269,7 +274,7 @@ def test_constant_velocity_stream_recovers_velocity():
             0.0,
         )
         pos = pos + vel * dt
-    err = np.linalg.norm(bank.snapshot()[0][0].velocity - vel)
+    err = np.linalg.norm(bank.state[0, 1, 2:4] - vel)
     assert err < 0.3
 
 
@@ -296,12 +301,11 @@ def test_track_innovation_consistency():
             truth = bank.model.a @ truth + rng.multivariate_normal(
                 np.zeros(6), bank.model.q
             )
-            bank.step(dt)
-            track = bank.tracks[0][1]
+            bank.step()
             z = truth[:2] + rng.normal(0.0, sigma, size=2)
             h = np.array([[1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0]])
-            innovation = z - h @ track.state
-            s = h @ track.cov @ h.T + sigma**2 * np.eye(2)
+            innovation = z - h @ bank.state[0, 1]
+            s = h @ bank.cov[0, 1] @ h.T + sigma**2 * np.eye(2)
             samples.append(float(innovation @ np.linalg.solve(s, innovation)))
             bank.ingest_position(
                 obs(1, math.atan2(z[1], z[0]), float(np.linalg.norm(z)),
@@ -315,21 +319,18 @@ def test_track_innovation_consistency():
     assert lo < np.mean(samples) < hi
 
 
-def test_swarm_bank_rows_equal_one_observer_banks():
-    # A three-observer bank against three one-observer banks fed the same
-    # inputs, over ticks with spawns, stale drops, repeated ids, velocities
-    # for unknown ids and observers with no input: every track equal.
-    rng = np.random.default_rng(31)
-    n = 3
-    swarm = TrackBank(TrackParams(), dt=0.1, n_observers=n)
-    singles = [make_bank() for _ in range(n)]
-    for k in range(12):
+def random_ticks(rng, n, ticks):
+    """Inputs of `ticks` ticks of an n-observer bank over ids 0..9: spawns,
+    late (stale) sightings, velocities for unknown ids, and observer 1 with
+    no input every third tick; no (observer, id) pair repeats in a tick."""
+    for k in range(ticks):
         stamp = 0.1 * k
         observations, velocities = [], []
         for e in range(n):
             mine = []
-            if not (e == 1 and k % 3 == 0):  # observer 1 sometimes sees nothing
-                for tid in rng.choice(8, size=int(rng.integers(1, 6))).tolist():
+            if not (e == 1 and k % 3 == 0):
+                for tid in rng.choice(8, size=int(rng.integers(1, 6)),
+                                      replace=False).tolist():
                     late = stamp - (0.3 if rng.random() < 0.2 else 0.0)
                     mine.append(obs(tid, float(rng.uniform(-3, 3)),
                                     float(rng.uniform(5, 30)), stamp=late,
@@ -338,23 +339,59 @@ def test_swarm_bank_rows_equal_one_observer_banks():
             velocities.append([
                 VelocityReport(int(tid), rng.standard_normal(2),
                                None if rng.random() < 0.5 else 0.4)
-                for tid in rng.choice(10, size=int(rng.integers(0, 5)))
+                for tid in rng.choice(10, size=int(rng.integers(0, 5)),
+                                      replace=False)
             ])
         positions = rng.normal(0.0, 5.0, size=(n, 2))
         headings = rng.uniform(-3, 3, size=n).tolist()
-        swarm.step(0.1)
+        yield observations, velocities, positions, headings
+
+
+def test_swarm_bank_rows_equal_one_observer_banks():
+    # A three-observer bank against three one-observer banks fed the same
+    # inputs, over ticks with spawns, stale drops, velocities for unknown
+    # ids and observers with no input: every track equal.
+    rng = np.random.default_rng(31)
+    n = 3
+    swarm = make_bank(n_agents=10)
+    singles = [make_bank(n_agents=10) for _ in range(n)]
+    for observations, velocities, positions, headings in random_ticks(rng, n, 12):
+        swarm.step()
         swarm.apply_tick(observations, velocities, positions, headings)
         for e, bank in enumerate(singles):
-            bank.step(0.1)
+            bank.step()
             bank.apply_tick([observations[e]], [velocities[e]], [positions[e]],
                             [headings[e]])
     for e, bank in enumerate(singles):
-        assert list(swarm.tracks[e]) == list(bank.tracks[0])
-        for tid, track in bank.tracks[0].items():
-            other = swarm.tracks[e][tid]
-            assert np.array_equal(other.state, track.state)
-            assert np.array_equal(other.cov, track.cov)
-            assert other.last_pos_stamp == track.last_pos_stamp
-            assert other.staleness == track.staleness
+        assert np.array_equal(swarm.tracks[e], bank.tracks[0])
+        live = bank.tracks[0]
+        for name in ("state", "cov", "last_pos_stamp", "staleness"):
+            assert np.array_equal(getattr(swarm, name)[e][live],
+                                  getattr(bank, name)[0][live]), name
     assert swarm.dropped_stale == sum(b.dropped_stale for b in singles) > 0
     assert swarm.dropped_unknown == sum(b.dropped_unknown for b in singles) > 0
+
+
+@pytest.mark.parametrize("seed", [3, 8, 13])
+def test_table_matches_dict_bank(seed):
+    # The table against the dict bank it replaced, tick by tick: the same
+    # live tracks, and bit for bit the same states, covariances, stamps,
+    # staleness and drop counters.
+    rng = np.random.default_rng(seed)
+    n = 4
+    ours = make_bank(n_agents=10, drop_after=0.35)
+    ref = DictBank(TrackParams(drop_after=0.35), 0.1, 10)
+    for observations, velocities, positions, headings in random_ticks(rng, n, 25):
+        for bank in (ours, ref):
+            bank.step()
+            bank.apply_tick(observations, velocities, positions, headings)
+        for e, tracks in enumerate(ref.tracks):
+            assert np.flatnonzero(ours.tracks[e]).tolist() == sorted(tracks)
+            for tid, track in tracks.items():
+                assert np.array_equal(ours.state[e, tid], track.state)
+                assert np.array_equal(ours.cov[e, tid], track.cov)
+                assert ours.last_pos_stamp[e, tid] == track.last_pos_stamp
+                assert ours.staleness[e, tid] == track.staleness
+        assert ours.dropped_stale == ref.dropped_stale
+        assert ours.dropped_unknown == ref.dropped_unknown
+    assert ours.dropped_stale > 0 and ours.dropped_unknown > 0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fastflock.flocking import FOCAL_MEMBER_ID, ControllerGains
-from fastflock.tracking import TrackView
 from fastflock.velocity_inference import (
     FitError,
     NotFittedError,
@@ -15,6 +14,8 @@ from fastflock.velocity_inference import (
     fit_response_model,
 )
 
+from .tracking_oracle import TrackView, table
+
 GAINS = ControllerGains(
     kp=1.0, kv=0.5, cruise_speed=5.0, d_min=15.0, d_max=40.0, spacing=13.0
 )
@@ -23,7 +24,34 @@ FOV = math.radians(320.0)
 
 
 def view(agent_id, x, y, vx=0.0, vy=0.0):
-    return TrackView(agent_id, np.array([x, y]), np.array([vx, vy]), 0.0)
+    return TrackView(agent_id, np.array([x, y]), np.array([vx, vy]))
+
+
+def view_of(views, target, *args, **kwargs):
+    """`estimate_view` of `target` on the one-row track table of `views`."""
+    states, tracks = table([views], width=10)
+    return estimate_view(states[0], tracks[0], target.agent_id, *args, **kwargs)
+
+
+def estimates_of(views, own_position, target_rel, psi, gains, model,
+                 sensor_range, fov, previous):
+    """`estimate_velocities` on the one-row track table of `views`, with
+    the previous estimates given by id; returns (id, estimate) pairs by
+    ascending id."""
+    states, tracks = table([views], width=10)
+    prev = states[0, :, 2:4].copy()
+    for agent_id, estimate in previous.items():
+        prev[agent_id] = estimate
+    out = estimate_velocities(states[0], tracks[0], own_position, target_rel,
+                              psi, gains, model, sensor_range, fov, prev)
+    return [(j, out[j]) for j in np.flatnonzero(tracks[0]).tolist()]
+
+
+def update(est, views):
+    """One estimator tick of one agent at the origin that tracks `views`."""
+    states, tracks = table([views], width=3)
+    return est.update(states, tracks, [np.zeros(2)], [np.array([50.0, 0.0])],
+                      [0.0])
 
 
 class TestFitResponseModel:
@@ -77,7 +105,7 @@ class TestFitResponseModel:
 class TestEstimateView:
     def test_lone_neighbor_sees_only_focal(self):
         views = [view(1, 13.0, 0.0)]
-        members = estimate_view(
+        members = view_of(
             views, views[0], np.zeros(2), 0.0,
             SENSOR_RANGE, FOV, 4, in_focal_neighborhood=True,
         )
@@ -85,9 +113,15 @@ class TestEstimateView:
         assert members[0].distance == pytest.approx(13.0)
         assert members[0].bearing == pytest.approx(math.pi)
 
+    def test_untracked_target_rejected(self):
+        states, tracks = table([[view(1, 13.0, 0.0)]], width=4)
+        with pytest.raises(ValueError, match="not tracked"):
+            estimate_view(states[0], tracks[0], 2, np.zeros(2), 0.0,
+                          SENSOR_RANGE, FOV, 4, in_focal_neighborhood=True)
+
     def test_focal_agent_tagged(self):
         views = [view(1, 13.0, 0.0), view(2, 20.0, 5.0)]
-        members = estimate_view(
+        members = view_of(
             views, views[0], np.zeros(2), 0.0,
             SENSOR_RANGE, FOV, 4, in_focal_neighborhood=True,
         )
@@ -98,7 +132,7 @@ class TestEstimateView:
         side = 13.0
         views = [view(1, side, 0.0), view(2, side / 2, side * math.sqrt(3) / 2)]
         for target, other_id in ((views[0], 2), (views[1], 1)):
-            members = estimate_view(
+            members = view_of(
                 views, target, np.zeros(2), 0.0,
                 SENSOR_RANGE, FOV, 4, in_focal_neighborhood=True,
             )
@@ -108,7 +142,7 @@ class TestEstimateView:
 
     def test_out_of_range_agent_excluded(self):
         views = [view(1, 13.0, 0.0), view(2, 13.0 + SENSOR_RANGE + 5.0, 0.0)]
-        members = estimate_view(
+        members = view_of(
             views, views[0], np.zeros(2), 0.0,
             SENSOR_RANGE, FOV, 4, in_focal_neighborhood=False,
         )
@@ -119,13 +153,13 @@ class TestEstimateView:
         # agent 2 due west of it is excluded, but sits in the view again
         # when 1 moves west.
         views_east = [view(1, 20.0, 0.0, vx=2.0), view(2, 0.0, 0.0)]
-        members = estimate_view(
+        members = view_of(
             views_east, views_east[0], np.array([100.0, 100.0]), 0.0,
             SENSOR_RANGE, FOV, 4, in_focal_neighborhood=False,
         )
         assert [m.agent_id for m in members] == []
         views_west = [view(1, 20.0, 0.0, vx=-2.0), view(2, 0.0, 0.0)]
-        members = estimate_view(
+        members = view_of(
             views_west, views_west[0], np.array([100.0, 100.0]), 0.0,
             SENSOR_RANGE, FOV, 4, in_focal_neighborhood=False,
         )
@@ -136,7 +170,7 @@ class TestEstimateView:
         # passes the range/field-of-view test is assumed visible to the
         # neighbor, even if the neighbor could not actually see it.
         views = [view(1, 20.0, 0.0, vx=-1.0), view(2, -5.0, 0.0)]
-        members = estimate_view(
+        members = view_of(
             views, views[0], np.zeros(2), 0.0,
             SENSOR_RANGE, FOV, 4, in_focal_neighborhood=False,
         )
@@ -146,7 +180,7 @@ class TestEstimateView:
 class TestEstimateVelocities:
     def test_empty_surroundings(self):
         model = ResponseModel(a=0.8, b=0.2)
-        out = estimate_velocities(
+        out = estimates_of(
             [], np.zeros(2), np.array([100.0, 0.0]), 0.0,
             GAINS, model, SENSOR_RANGE, FOV, {},
         )
@@ -159,7 +193,7 @@ class TestEstimateVelocities:
         prev = {1: np.zeros(2)}
         expected_err = GAINS.cruise_speed
         for _ in range(25):
-            out = estimate_velocities(
+            out = estimates_of(
                 views, np.zeros(2), target, 0.0,
                 GAINS, model, SENSOR_RANGE, FOV, prev,
             )
@@ -178,7 +212,7 @@ class TestEstimateVelocities:
         prev = {1: np.array([9.0, -4.0])}
         last = prev[1]
         for _ in range(30):
-            out = estimate_velocities(
+            out = estimates_of(
                 views, np.zeros(2), target, 0.0,
                 GAINS, model, SENSOR_RANGE, FOV, prev,
             )
@@ -202,8 +236,8 @@ class TestEstimateVelocities:
             views, np.zeros(2), np.array([60.0, 10.0]),
             0.3, GAINS, model, SENSOR_RANGE, FOV, dict(prev),
         )
-        first = estimate_velocities(*args)
-        second = estimate_velocities(*args)
+        first = estimates_of(*args)
+        second = estimates_of(*args)
         assert [i for i, _ in first] == [i for i, _ in second]
         for (_, a), (_, b) in zip(first, second):
             assert np.array_equal(a, b)
@@ -211,7 +245,7 @@ class TestEstimateVelocities:
     def test_output_ordered_by_id(self):
         model = ResponseModel(a=0.8, b=0.2)
         views = [view(5, 10.0, 0.0), view(2, 0.0, 10.0), view(9, -10.0, 0.0)]
-        out = estimate_velocities(
+        out = estimates_of(
             views, np.zeros(2), np.array([80.0, 0.0]), 0.0,
             GAINS, model, SENSOR_RANGE, FOV, {},
         )
@@ -229,7 +263,7 @@ class TestEstimateVelocities:
                  view(9, -10.0, 0.0)]
         args = (views, np.zeros(2), np.array([80.0, 0.0]), 0.0,
                 GAINS, model, SENSOR_RANGE, FOV, {})
-        expected = estimate_velocities(*args)
+        expected = estimates_of(*args)
         rows = []
         original = flocking.neighborhood_heading_stack
 
@@ -239,7 +273,7 @@ class TestEstimateVelocities:
 
         monkeypatch.setattr(velocity_inference, "neighborhood_heading_stack",
                             counting)
-        out = estimate_velocities(*args)
+        out = estimates_of(*args)
         assert rows == [len(views)]
         for (i, a), (j, b) in zip(out, expected):
             assert i == j and np.array_equal(a, b)
@@ -249,22 +283,18 @@ class TestVelocityEstimator:
     def test_unfitted_model_rejected(self):
         est = VelocityEstimator(GAINS, None, SENSOR_RANGE, FOV, 1)
         with pytest.raises(NotFittedError):
-            est.update([[view(1, 10.0, 0.0)]], [np.zeros(2)],
-                       [np.array([50.0, 0.0])], [0.0])
+            update(est, [view(1, 10.0, 0.0)])
 
     def test_state_initialized_from_track_velocity(self):
         model = ResponseModel(a=1.0 - 1e-12, b=1e-12)  # hold previous value
         est = VelocityEstimator(GAINS, model, SENSOR_RANGE, FOV, 1)
-        out = est.update([[view(1, 20.0, 0.0, vx=3.0, vy=1.0)]], [np.zeros(2)],
-                         [np.array([50.0, 0.0])], [0.0])[0]
-        assert np.allclose(out[0][1], [3.0, 1.0], atol=1e-6)
+        out = update(est, [view(1, 20.0, 0.0, vx=3.0, vy=1.0)])
+        assert np.allclose(out[0, 1], [3.0, 1.0], atol=1e-6)
 
     def test_dropped_tracks_pruned(self):
         model = ResponseModel(a=0.8, b=0.2)
         est = VelocityEstimator(GAINS, model, SENSOR_RANGE, FOV, 1)
-        est.update([[view(1, 20.0, 0.0)]], [np.zeros(2)],
-                   [np.array([50.0, 0.0])], [0.0])
-        assert 1 in est.estimates[0]
-        est.update([[view(2, 10.0, 0.0)]], [np.zeros(2)],
-                   [np.array([50.0, 0.0])], [0.0])
-        assert 1 not in est.estimates[0]
+        update(est, [view(1, 20.0, 0.0)])
+        assert est.estimated[0].tolist() == [False, True, False]
+        update(est, [view(2, 10.0, 0.0)])
+        assert est.estimated[0].tolist() == [False, False, True]
