@@ -272,7 +272,6 @@ class TestSwarmFilters:
             sim.tick()
             assert calls == {"predict": 2, "correct": 4}
 
-
     @pytest.mark.parametrize("latency", [0, 1, 2, 3])
     def test_inputs_never_repeat_a_pair(self, latency, monkeypatch):
         # The bank rejects an (observer, id) pair that repeats within a

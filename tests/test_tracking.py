@@ -190,6 +190,13 @@ def test_apply_tick_matches_sequential_ingest():
                        sigma=sigma)
         for tid, sigma in [(8, None), (1, 0.2), (4, None), (7, None)]
     ]
+    # This tick once also held repeats (id 2 three times, 7 twice, and two
+    # velocities for 8); a repeated pair now raises.
+    with pytest.raises(ValueError, match="repeats"):
+        seeded().apply_tick([observations + observations[1:3]], [],
+                            [position], [heading])
+    with pytest.raises(ValueError, match="repeats"):
+        seeded().apply_tick([], [reports + reports[:1]], [], [])
     bank.apply_tick([observations], [reports], [position], [heading])
     for o in sorted(observations, key=lambda o: o.observed_id):
         twin.ingest_position(o, position, heading)
