@@ -17,10 +17,12 @@ the swarm:
 4. fusion: per agent, `OdometryFusion.advance`;
 5. velocity-ingest: with comm off, one call of the swarm's
    `velocity_inference.VelocityEstimator` replays the flocking law for every
-   entry of the table; then one `TrackBank.apply_tick` takes every agent's
-   communicated or inferred velocities;
+   entry of the table, in one `velocity_inference.estimate_velocities` and
+   one `flocking.flocking_command`; then one `TrackBank.apply_tick` takes
+   every agent's communicated or inferred (id, velocity) pairs;
 6. controller: one call of the swarm's `flocking.FlockingController` on
-   the table, each agent's command one row of its result;
+   the table, with one `flocking.desired_offset`, each agent's command one
+   row of its result;
 7. per agent: heading, the finiteness checks and the tick record, whose
    `tracks` lists the agent's row of the table;
 then broadcasts (with comm on, one `CommChannel.send` per receiver) and
@@ -59,7 +61,7 @@ from .ego_estimation import (
 from .flocking import FlockingCommand, FlockingController
 from .geometry import pairwise
 from .sensors import CommChannel, VioEmulator, observe
-from .tracking import RelativeObservation, TrackBank, TrackParams, VelocityReport
+from .tracking import RelativeObservation, TrackBank, TrackParams
 from .velocity_inference import VelocityEstimator
 
 LOG_FORMAT_VERSION = 1
@@ -244,7 +246,8 @@ class Simulation:
                 range_sigma_rel=sensors.range_sigma_rel,
                 bearing_sigma=sensors.bearing_sigma,
                 pos_sigma_floor=filters.track_pos_sigma_floor,
-                vel_sigma=filters.vel_sigma_comm,
+                vel_sigma=(filters.vel_sigma_comm if config.comm
+                           else filters.vel_sigma_inferred),
                 drop_after=filters.track_drop_after,
             ),
             config.dt,
@@ -329,18 +332,16 @@ class Simulation:
 
     def _ingest_velocities(self, sensed: list[Sensed]) -> list[dict | None]:
         """The velocity-ingest phase: the bank takes every agent's
-        communicated velocities, or with comm off the velocities inferred
-        for every track in one replay of the bank's table. Returns each
-        agent's logged estimates (None with comm on)."""
+        communicated (id, velocity) pairs, or with comm off the velocities
+        inferred for every track in one replay of the bank's table. Returns
+        each agent's logged estimates (None with comm on)."""
         config = self.config
         agents = self.agents
         bank = self.bank
         if config.comm:
-            sigma = config.filters.vel_sigma_comm
             reports = [s.delivered for s in sensed]
             logs = [None] * len(agents)
         else:
-            sigma = config.filters.vel_sigma_inferred
             # One replay serves every agent, so a fault here is every
             # agent's; it is reported against the first, whose stage the
             # serial tick failed in.
@@ -356,13 +357,8 @@ class Simulation:
                        for row in _tracked(bank.tracks)]
             logs = [{str(j): velocity for j, velocity in row} for row in reports]
         with _fault(agents[0].id, "velocity-ingest"):
-            bank.apply_tick(
-                [],
-                [[VelocityReport(agent_id=nid, velocity=velocity, sigma=sigma)
-                  for nid, velocity in agent_reports]
-                 for agent_reports in reports],
-                [a.fused_position for a in agents], [a.heading for a in agents],
-            )
+            bank.apply_tick([], reports, [a.fused_position for a in agents],
+                            [a.heading for a in agents])
         return logs
 
     def _fragment(self, agent: Agent, sensed: Sensed, own_state: np.ndarray,

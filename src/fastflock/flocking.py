@@ -7,16 +7,15 @@ ramps down as the target gets close. Bearings further from the group heading
 are de-weighted, which damps oscillations fed back from trailing agents.
 
 The law runs on stacks. `Neighborhoods` holds E neighbourhoods as (E, W)
-arrays of member ids, bearings and distances, and `neighborhood_heading_stack`,
-`desired_offset_stack` and `flocking_command_stack` evaluate all of them in
-one pass: every agent's command in one call of `FlockingController.update`,
-the swarm's controller, and velocity inference's replay of every tracked
-neighbour in another. `neighborhood_heading`, `desired_offset` and
-`flocking_command` are the E = 1 case of the same code. The controller
+arrays of member ids, bearings and distances, and `neighborhood_heading`,
+`desired_offset` and `flocking_command` evaluate all of them in one pass:
+every agent's command in one call of `FlockingController.update`, the
+swarm's controller, and velocity inference's replay of every tracked
+neighbour in another. Every neighbourhood heads for a target. The controller
 reads the track bank's table as it stands: `states` (E, N, 6) and the mask
 `tracks` (E, N), agent e tracking agent j where tracks[e, j] holds; the
-column is the id, so `select_neighbors_stack` gathers candidates in
-ascending id without sorting.
+column is the id, so `select_neighbors` gathers candidates in ascending id
+without sorting.
 
 A stack rounds each row exactly as the row alone rounds:
 - lengths and dot products are stacked 1x2 @ 2x1 products
@@ -106,15 +105,6 @@ class ControllerGains:
             self.crowd_range = 0.8 * self.spacing
 
 
-class NeighborInfo(NamedTuple):
-    """One neighborhood member: bearing and distance of its offset from the
-    agent whose neighborhood it belongs to."""
-
-    agent_id: int
-    bearing: float
-    distance: float
-
-
 @dataclass
 class FlockingCommand:
     """Commanded lateral velocity and its decomposition; the three terms
@@ -145,28 +135,6 @@ class Neighborhoods(NamedTuple):
     distance: np.ndarray
     unit: np.ndarray
     count: np.ndarray
-
-    @classmethod
-    def of(cls, rows: Sequence[Sequence[NeighborInfo]]) -> "Neighborhoods":
-        """The neighbourhoods holding the members of each of `rows`."""
-        count = np.array([len(row) for row in rows], dtype=int)
-        width = int(count.max(initial=0))
-        ids = np.zeros((len(rows), width), dtype=int)
-        bearing = np.zeros((len(rows), width))
-        distance = np.zeros((len(rows), width))
-        for e, row in enumerate(rows):
-            for c, m in enumerate(row):
-                ids[e, c], bearing[e, c], distance[e, c] = m
-        return cls(ids, bearing, distance, heading_vectors(bearing), count)
-
-    def members(self) -> list[list[NeighborInfo]]:
-        """Each row as a list of members."""
-        return [
-            [NeighborInfo(*m) for m in zip(ids[:n], bearing[:n], distance[:n])]
-            for ids, bearing, distance, n in zip(
-                self.ids.tolist(), self.bearing.tolist(),
-                self.distance.tolist(), self.count.tolist())
-        ]
 
     @property
     def valid(self) -> np.ndarray:
@@ -231,7 +199,7 @@ def append_member(hoods: Neighborhoods, where: np.ndarray, agent_id: int,
     return Neighborhoods(ids, bearing, distance, unit, hoods.count + where)
 
 
-def select_neighbors_stack(
+def select_neighbors(
     states: np.ndarray, tracks: np.ndarray, own_positions: Sequence[np.ndarray],
     max_neighbors: int,
 ) -> Neighborhoods:
@@ -246,87 +214,41 @@ def select_neighbors_stack(
                    max_neighbors)
 
 
-def select_neighbors(
-    state: np.ndarray, tracks: np.ndarray, own_position: np.ndarray,
-    max_neighbors: int,
-) -> list[NeighborInfo]:
-    """One agent's neighborhood from its row of the track table (see
-    `select_neighbors_stack`)."""
-    return select_neighbors_stack(state[None], tracks[None], [own_position],
-                                  max_neighbors).members()[0]
-
-
-def _group_heading_stack(center: np.ndarray, goal: np.ndarray,
-                         has_goal: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    """`group_heading` per row; `previous` where has_goal is false."""
+def _group_heading(center: np.ndarray, goal: np.ndarray,
+                   previous: np.ndarray) -> np.ndarray:
+    """Angle of the line from each center (E, 2) to its goal; previous[e]
+    where the goal sits on the center."""
     d = goal - center
-    turn = has_goal & ~(lengths(d) < 1e-9)
+    turn = ~(lengths(d) < 1e-9)
     psi = np.array(previous, dtype=float)
     psi[turn] = bearings(d[turn])
     return psi
 
 
-def group_heading(
-    center: np.ndarray, goal: np.ndarray, previous: float
-) -> float:
-    """Angle of the line from the neighborhood center to the goal; holds the
-    previous value when the goal sits on the center."""
-    return float(_group_heading_stack(
-        np.asarray(center, dtype=float)[None], np.asarray(goal, dtype=float)[None],
-        np.ones(1, dtype=bool), np.array([previous], dtype=float),
-    )[0])
-
-
-def neighborhood_heading_stack(
-    hoods: Neighborhoods, goal: np.ndarray, has_goal: np.ndarray,
-    previous: np.ndarray,
+def neighborhood_heading(
+    hoods: Neighborhoods, goal: np.ndarray, previous: np.ndarray,
 ) -> np.ndarray:
     """Group heading of each neighbourhood, from its members' center (the
-    origin when there are none) to goal[e]; previous[e] where has_goal[e]
-    is false. `goal` is (E, 2); the others are (E,)."""
+    origin when there are none) to goal[e], holding previous[e] when the
+    goal sits on the center. `goal` is (E, 2); `previous` is (E,)."""
     # numpy sums over members one after another from +0.0, so the zero
     # offsets of the padding change no partial sum; a neighbourhood without
     # members is centred on the origin.
     offsets = hoods.distance[..., None] * hoods.unit
     center = offsets.sum(axis=1) / np.maximum(hoods.count, 1)[:, None]
-    return _group_heading_stack(center, goal, has_goal, previous)
+    return _group_heading(center, goal, previous)
 
 
-def neighborhood_heading(
-    members: Sequence[NeighborInfo], goal: np.ndarray | None, previous: float
-) -> float:
-    """Group heading from the members' center (the origin when there are
-    none) to `goal`; `previous` when there is no goal."""
-    goal_row, has_goal = _optional_rows([goal])
-    return float(neighborhood_heading_stack(
-        Neighborhoods.of([members]), goal_row, has_goal,
-        np.array([previous], dtype=float),
-    )[0])
-
-
-def _blend_weights_stack(bearing: np.ndarray, psi: np.ndarray,
-                         valid: np.ndarray, count: np.ndarray,
-                         scale: float) -> np.ndarray:
-    """`blend_weights` of each row's members (E, W), zero past count[e]."""
+def _blend_weights(bearing: np.ndarray, psi: np.ndarray, valid: np.ndarray,
+                   count: np.ndarray, scale: float) -> np.ndarray:
+    """Softmax weights (E, W) of each row's members over their bearing
+    misalignment with the row's group heading, zero past count[e]: a row's
+    weights sum to one and fall strictly with |wrap(bearing - psi)|."""
     theta = np.zeros(bearing.shape)
     theta[valid] = np.abs(wrap_angles((bearing - psi[:, None])[valid]))
     w = np.where(valid, np.exp(-theta / scale), 0.0)
     # A row without members keeps zero weights.
     return w / np.where(count > 0, _row_sums(w, count), 1.0)[:, None]
-
-
-def blend_weights(
-    bearings: Sequence[float], psi: float, scale: float = math.pi / 4
-) -> np.ndarray:
-    """Softmax weights over bearing misalignment with the group heading.
-
-    Sums to one; strictly decreasing in |wrap(bearing - psi)|.
-    """
-    bearing = np.asarray(bearings, dtype=float)[None]
-    count = np.array([bearing.shape[1]])
-    return _blend_weights_stack(bearing, np.array([psi], dtype=float),
-                                np.ones(bearing.shape, dtype=bool), count,
-                                scale)[0]
 
 
 def group_velocity(
@@ -402,7 +324,7 @@ def _triangle_apex(
     return np.where(take_b[:, None], b, a)
 
 
-def desired_offset_stack(
+def desired_offset(
     hoods: Neighborhoods, psi: np.ndarray, gains: ControllerGains
 ) -> np.ndarray:
     """Weighted formation offset (E, 2) of each neighbourhood under group
@@ -425,8 +347,8 @@ def desired_offset_stack(
                                        psi[e])
     # The padding's zero weights add zero terms, which leave the weighted
     # sum over members (one after another from +0.0) as it is.
-    weights = _blend_weights_stack(bearing, psi, valid, hoods.count,
-                                   gains.bearing_scale)
+    weights = _blend_weights(bearing, psi, valid, hoods.count,
+                             gains.bearing_scale)
     total = np.einsum("ei,eij->ej", weights, offsets)
     # Separation override: unweighted, so a close agent repels even from a
     # bearing the blend weights would otherwise ignore.
@@ -439,80 +361,40 @@ def desired_offset_stack(
     return total
 
 
-def desired_offset(
-    members: Sequence[NeighborInfo], psi: float, gains: ControllerGains
-) -> np.ndarray:
-    """`desired_offset_stack` of one neighbourhood."""
-    return desired_offset_stack(Neighborhoods.of([members]),
-                                np.array([psi], dtype=float), gains)[0]
-
-
 def _with_target(
-    hoods: Neighborhoods, target_rel: np.ndarray, has_target: np.ndarray,
-    gains: ControllerGains,
+    hoods: Neighborhoods, target_rel: np.ndarray, gains: ControllerGains,
 ) -> Neighborhoods:
     """Append the target as a formation member once it is inside d_min, so
     the approach stops at `spacing` instead of running it over."""
     r = lengths(target_rel)
-    return append_member(hoods, has_target & (1e-9 < r) & (r <= gains.d_min),
+    return append_member(hoods, (1e-9 < r) & (r <= gains.d_min),
                          TARGET_MEMBER_ID, target_rel)
 
 
-def _optional_rows(values: Sequence[np.ndarray | None]) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (E, 2) of optional planar vectors, zeros for None, and the
-    mask of the rows given."""
-    given = np.array([v is not None for v in values], dtype=bool)
-    rows = np.array([np.zeros(2) if v is None else v for v in values],
-                    dtype=float).reshape(-1, 2)
-    return rows, given
-
-
-def flocking_command_stack(
+def flocking_command(
     hoods: Neighborhoods,
     psi: np.ndarray,
     target_rel: np.ndarray,
-    has_target: np.ndarray,
     gains: ControllerGains,
     offset_rate: np.ndarray | None = None,
 ) -> FlockingCommand:
     """Evaluate the control law for each of E neighbourhoods (stateless);
-    the command's arrays are (E, 2). target_rel[e] counts only where
-    has_target[e] holds; a missing offset_rate is zero."""
-    offset = desired_offset_stack(
-        _with_target(hoods, target_rel, has_target, gains), psi, gains
-    )
-    return _command_from_offset(offset, psi, target_rel, has_target, gains,
-                                offset_rate)
-
-
-def flocking_command(
-    members: Sequence[NeighborInfo],
-    psi: float,
-    target_rel: np.ndarray | None,
-    gains: ControllerGains,
-    offset_rate: np.ndarray | None = None,
-) -> FlockingCommand:
-    """Evaluate the control law for one tick (stateless)."""
-    target, has_target = _optional_rows([target_rel])
-    rate = None if offset_rate is None else np.asarray(offset_rate, float)[None]
-    return flocking_command_stack(
-        Neighborhoods.of([members]), np.array([psi], dtype=float), target,
-        has_target, gains, rate,
-    ).row(0)
+    target_rel is (E, 2), and the command's arrays are too. A missing
+    offset_rate is zero."""
+    offset = desired_offset(_with_target(hoods, target_rel, gains), psi, gains)
+    return _command_from_offset(offset, psi, target_rel, gains, offset_rate)
 
 
 def _command_from_offset(
     offset: np.ndarray,
     psi: np.ndarray,
     target_rel: np.ndarray,
-    has_target: np.ndarray,
     gains: ControllerGains,
     offset_rate: np.ndarray | None,
 ) -> FlockingCommand:
     """The control law once the formation offsets (E, 2) are known."""
     rate = np.zeros_like(offset) if offset_rate is None else offset_rate
-    feedforward = np.where(has_target[:, None],
-                           group_velocity(target_rel, psi, gains), 0.0)
+    feedforward = group_velocity(target_rel, psi, gains)
     position_term = gains.kp * offset
     velocity_term = gains.kv * rate
     raw = position_term + velocity_term + feedforward
@@ -547,7 +429,7 @@ class FlockingController:
         states: np.ndarray,
         tracks: np.ndarray,
         own_positions: Sequence[np.ndarray],
-        target_rels: Sequence[np.ndarray | None],
+        target_rels: Sequence[np.ndarray],
         dt: float,
     ) -> FlockingCommand:
         """One tick of every agent, with the law evaluated once for all of
@@ -555,13 +437,11 @@ class FlockingController:
         by `tracks[e]`, indexed by id) from own_positions[e]. Returns the
         stacked commands, row e agent e's."""
         gains = self.gains
-        hoods = select_neighbors_stack(states, tracks, own_positions,
-                                       gains.max_neighbors)
-        target, has_target = _optional_rows(target_rels)
-        psi = neighborhood_heading_stack(hoods, target, has_target, self.psi)
-        offset = desired_offset_stack(
-            _with_target(hoods, target, has_target, gains), psi, gains
-        )
+        hoods = select_neighbors(states, tracks, own_positions,
+                                 gains.max_neighbors)
+        target = np.asarray(target_rels, dtype=float).reshape(-1, 2)
+        psi = neighborhood_heading(hoods, target, self.psi)
+        offset = desired_offset(_with_target(hoods, target, gains), psi, gains)
         if self._prev_offset is not None:
             alpha = dt / (dt + 1.0 / (2.0 * math.pi * RATE_CUTOFF_HZ))
             raw_rate = (offset - self._prev_offset) / dt
@@ -570,5 +450,4 @@ class FlockingController:
         self.neighbors = [ids[:n] for ids, n in zip(hoods.ids.tolist(),
                                                     hoods.count.tolist())]
         self._prev_offset = offset
-        return _command_from_offset(offset, psi, target, has_target, gains,
-                                    self._rate)
+        return _command_from_offset(offset, psi, target, gains, self._rate)

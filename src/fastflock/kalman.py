@@ -158,7 +158,9 @@ class Measurement:
     to 1, the rest 0); R must be symmetric positive definite. H_POS, H_VEL
     and H_ACC were checked at import and are not checked again. The
     measurement is immutable and holds read-only copies of z and R, so the
-    R that `correct` uses is the R checked here.
+    R that `correct` uses is the R checked here. The engine never builds
+    one; perfbench's hooks and its Kalman cross-check do, so deleting it
+    breaks the traced benchmark run.
     """
 
     z: np.ndarray
@@ -294,6 +296,8 @@ def predict(
     """Propagate (state, covariance) one step through the model.
 
     `control` must be given exactly when the model carries an input matrix.
+    The engine never calls this; perfbench's hooks and its Kalman
+    cross-check do, so deleting it breaks the traced benchmark run.
     """
     x, p = predict_stack(
         np.asarray(state, dtype=float)[None],
@@ -311,7 +315,11 @@ def correct(
     meas: Measurement,
     name: str = "lkf",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply one measurement: standard gain update, simple covariance form."""
+    """Apply one measurement: standard gain update, simple covariance form.
+
+    The engine never calls this; perfbench's hooks and its Kalman
+    cross-check do, so deleting it breaks the traced benchmark run.
+    """
     x, p = _correct_rows(
         np.asarray(state, dtype=float)[None],
         np.asarray(cov, dtype=float)[None],

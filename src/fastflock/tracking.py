@@ -2,12 +2,13 @@
 
 Each observer runs one constant-acceleration filter per agent it can see,
 fed by bearing/range observations (converted into the observer's local frame)
-and by communicated or inferred velocities. One bank holds the filters of the
-whole swarm as one dense table indexed by (observer, agent id): `state`
-(N, N, 6), `cov` (N, N, 6, 6), `staleness` and `last_pos_stamp` (N, N), and
-the mask `tracks` (N, N), where tracks[e, j] means observer e tracks agent j.
-An observer's filters take only its own inputs, so no observer's tracks
-depend on another's.
+and by communicated or inferred velocities, each an (id, velocity) pair with
+the bank's one noise level `TrackParams.vel_sigma`. One bank holds the
+filters of the whole swarm as one dense table indexed by (observer, agent
+id): `state` (N, N, 6), `cov` (N, N, 6, 6), `staleness` and
+`last_pos_stamp` (N, N), and the mask `tracks` (N, N), where tracks[e, j]
+means observer e tracks agent j. An observer's filters take only its own
+inputs, so no observer's tracks depend on another's.
 
 The filters are independent, so the bank runs them as stacks across the
 swarm: `step` makes one stacked predict of every live entry, and
@@ -23,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,14 +53,6 @@ class RelativeObservation:
             raise ValueError("observation distance must be > 0")
         if not (-math.pi < self.bearing <= math.pi):
             raise ValueError("bearing must lie in (-pi, pi]")
-
-
-class VelocityReport(NamedTuple):
-    """A velocity measurement for one tracked agent (communicated or inferred)."""
-
-    agent_id: int
-    velocity: np.ndarray
-    sigma: float | None = None
 
 
 @dataclass
@@ -114,17 +107,16 @@ class TrackBank:
         observer_position: np.ndarray,
         observer_heading: float,
     ) -> None:
-        """`apply_tick` of one bearing/range observation by observer 0."""
+        """`apply_tick` of one bearing/range observation by observer 0. The
+        engine never calls this; perfbench's hooks and layer metrics key on
+        it, so deleting it breaks the traced benchmark run."""
         self.apply_tick([[obs]], [], [observer_position], [observer_heading])
 
-    def ingest_velocity(
-        self,
-        agent_id: int,
-        velocity: np.ndarray,
-        sigma: float | None = None,
-    ) -> None:
-        """`apply_tick` of one velocity report to observer 0."""
-        self.apply_tick([], [[VelocityReport(agent_id, velocity, sigma)]], [], [])
+    def ingest_velocity(self, agent_id: int, velocity: np.ndarray) -> None:
+        """`apply_tick` of one velocity of `agent_id` to observer 0. The
+        engine never calls this; perfbench's hooks and layer metrics key on
+        it, so deleting it breaks the traced benchmark run."""
+        self.apply_tick([], [[(agent_id, velocity)]], [], [])
 
     def step(self) -> None:
         """Predict every track of every observer one step forward and retire
@@ -143,13 +135,14 @@ class TrackBank:
     def apply_tick(
         self,
         observations: Sequence[Sequence[RelativeObservation]],
-        velocities: Sequence[Sequence[VelocityReport]],
+        velocities: Sequence[Sequence[tuple[int, np.ndarray]]],
         observer_positions: Sequence[np.ndarray],
         observer_headings: Sequence[float],
     ) -> None:
         """Apply one tick's inputs of every observer: `observations[e]` and
-        `velocities[e]` are observer e's, taken from `observer_positions[e]`
-        with heading `observer_headings[e]`; an observer may have none.
+        the (id, velocity) pairs `velocities[e]` are observer e's, taken
+        from `observer_positions[e]` with heading `observer_headings[e]`;
+        an observer may have none.
 
         The first sighting of an id spawns a track at the measured position
         with zero velocity/acceleration and wide initial covariance; a
@@ -184,20 +177,18 @@ class TrackBank:
             self.last_pos_stamp[e[fresh], j[fresh]] = stamp[fresh]
             hit = known & fresh
             self._correct(e[hit], j[hit], kalman.H_POS, z[hit], var[hit])
-        reports = [r for items in velocities for r in items]
+        reports = [v for items in velocities for _, v in items]
         if reports:
-            e, j = self._pairs([[r.agent_id for r in items]
-                                for items in velocities])
+            e, j = self._pairs([[i for i, _ in items] for items in velocities])
             known = self.tracks[e, j]
             if not known.all():
                 for a, b in zip(e[~known].tolist(), j[~known].tolist()):
                     log.debug("agent %d dropping velocity for untracked agent %d",
                               a, b)
                 self.dropped_unknown += int(np.count_nonzero(~known))
-            z = np.array([r.velocity for r in reports], dtype=float)
-            var = np.array([(params.vel_sigma if r.sigma is None else r.sigma) ** 2
-                            for r in reports])
-            self._correct(e[known], j[known], kalman.H_VEL, z[known], var[known])
+            z = np.array(reports, dtype=float)[known]
+            self._correct(e[known], j[known], kalman.H_VEL, z,
+                          np.full(len(z), params.vel_sigma ** 2))
 
     def _pairs(self, ids: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
         """The observers and ids of a tick's inputs, flattened observer by

@@ -13,10 +13,8 @@ estimator, does the whole swarm's tick at once on the track bank's table
 neighbour id)), and returns the estimates as a table of the same shape. One
 stacked `geometry.pairwise` over each focal agent's own position and its row
 of track positions gives every member's offset, and one call of the stacked
-law (`flocking.neighborhood_heading_stack`, then
-`flocking.flocking_command_stack`) replays every tracked neighbour of every
-agent. `estimate_velocities` and `estimate_view` are the one-agent case,
-on one row of the table.
+law (`flocking.neighborhood_heading`, then `flocking.flocking_command`)
+replays every tracked neighbour of every agent.
 """
 
 from __future__ import annotations
@@ -27,10 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .flocking import (FOCAL_MEMBER_ID, ControllerGains, NeighborInfo,
-                       Neighborhoods, _optional_rows, append_member,
-                       flocking_command_stack, nearest,
-                       neighborhood_heading_stack, select_neighbors_stack)
+from .flocking import (FOCAL_MEMBER_ID, ControllerGains, Neighborhoods,
+                       append_member, flocking_command, nearest,
+                       neighborhood_heading, select_neighbors)
 from .geometry import bearings, lengths, pairwise, wrap_angles
 
 
@@ -110,8 +107,6 @@ def _replay_neighborhoods(
     neighbor's actual sensor state are invisible from here.
     """
     present = np.asarray(tracks, dtype=bool)
-    if not present.any():
-        return Neighborhoods.of([])
     agent = np.nonzero(present)[0]
     # Agent a's own position, then its row of tracks: points (A, N + 1, 2).
     points = np.concatenate(
@@ -137,37 +132,11 @@ def _replay_neighborhoods(
                          FOCAL_MEMBER_ID, rel[:, 1:, 0][present])
 
 
-def estimate_view(
-    state: np.ndarray,
-    tracks: np.ndarray,
-    target_id: int,
-    own_position: np.ndarray,
-    psi: float,
-    sensor_range: float,
-    fov: float,
-    max_neighbors: int,
-    in_focal_neighborhood: bool,
-) -> list[NeighborInfo]:
-    """The neighborhood the focal agent believes its tracked neighbor
-    `target_id` can see, from the focal agent's row of the track table (see
-    `_replay_neighborhoods`); the focal agent is a member when
-    `in_focal_neighborhood` holds."""
-    if not tracks[target_id]:
-        raise ValueError(f"agent {target_id} is not tracked")
-    focal = np.zeros((1, len(tracks)), dtype=bool)
-    focal[0, target_id] = in_focal_neighborhood
-    hoods = _replay_neighborhoods(
-        state[None], tracks[None], [own_position], [psi], sensor_range, fov,
-        max_neighbors, focal,
-    )
-    return hoods.members()[int(np.count_nonzero(tracks[:target_id]))]
-
-
-def estimate_velocities_stack(
+def estimate_velocities(
     states: np.ndarray,
     tracks: np.ndarray,
     own_positions: Sequence[np.ndarray],
-    target_rels: Sequence[np.ndarray | None],
+    target_rels: Sequence[np.ndarray],
     psis: Sequence[float],
     gains: ControllerGains,
     model: ResponseModel,
@@ -187,44 +156,21 @@ def estimate_velocities_stack(
     present = np.asarray(tracks, dtype=bool)
     own = np.asarray(own_positions, dtype=float).reshape(-1, 2)
     out = np.zeros(present.shape + (2,))
-    mine = select_neighbors_stack(states, present, own, gains.max_neighbors)
+    if not present.any():
+        return out
+    mine = select_neighbors(states, present, own, gains.max_neighbors)
     focal = np.zeros(present.shape, dtype=bool)
     focal[np.nonzero(mine.valid)[0], mine.ids[mine.valid]] = True
     hoods = _replay_neighborhoods(states, present, own, psis, sensor_range,
                                   fov, gains.max_neighbors, focal)
-    if not len(hoods.count):
-        return out
     agent = np.nonzero(present)[0]
-    target, has_target = _optional_rows(target_rels)
+    target = np.asarray(target_rels, dtype=float).reshape(-1, 2)
     neighbor_target = (own + target)[agent] - states[present][:, :2]
-    psi = neighborhood_heading_stack(
-        hoods, neighbor_target, has_target[agent],
-        np.asarray(psis, dtype=float)[agent],
-    )
-    desired = flocking_command_stack(hoods, psi, neighbor_target,
-                                     has_target[agent], gains)
+    psi = neighborhood_heading(hoods, neighbor_target,
+                               np.asarray(psis, dtype=float)[agent])
+    desired = flocking_command(hoods, psi, neighbor_target, gains)
     out[present] = model.a * previous[present] + model.b * desired.velocity
     return out
-
-
-def estimate_velocities(
-    state: np.ndarray,
-    tracks: np.ndarray,
-    own_position: np.ndarray,
-    target_rel: np.ndarray | None,
-    psi: float,
-    gains: ControllerGains,
-    model: ResponseModel,
-    sensor_range: float,
-    fov: float,
-    previous: np.ndarray,
-) -> np.ndarray:
-    """`estimate_velocities_stack` for one focal agent's row of the track
-    table; previous is (N, 2)."""
-    return estimate_velocities_stack(
-        state[None], tracks[None], [own_position], [target_rel], [psi], gains,
-        model, sensor_range, fov, previous[None],
-    )[0]
 
 
 class VelocityEstimator:
@@ -252,7 +198,7 @@ class VelocityEstimator:
         states: np.ndarray,
         tracks: np.ndarray,
         own_positions: Sequence[np.ndarray],
-        target_rels: Sequence[np.ndarray | None],
+        target_rels: Sequence[np.ndarray],
         psis: Sequence[float],
     ) -> np.ndarray:
         """One tick of every agent's estimates (N, N, 2), with one replay of
@@ -265,7 +211,7 @@ class VelocityEstimator:
             )
         previous = np.where(self.estimated[..., None], self.estimates,
                             states[..., 2:4])
-        self.estimates = estimate_velocities_stack(
+        self.estimates = estimate_velocities(
             states, tracks, own_positions, target_rels, psis, self.gains,
             self.model, self.sensor_range, self.fov, previous,
         )

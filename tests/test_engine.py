@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fastflock import kalman
+from fastflock import flocking, kalman, velocity_inference
 from fastflock.config import load_scenario, scenario_from_dict
 from fastflock.engine import (
     AgentPlant,
@@ -272,6 +272,44 @@ class TestSwarmFilters:
             sim.tick()
             assert calls == {"predict": 2, "correct": 4}
 
+    @pytest.mark.parametrize("n_agents", [6, 24])
+    def test_law_calls_per_tick(self, n_agents, monkeypatch):
+        # perfbench's layer metrics count these calls by name. With comm
+        # off, one replay of the law serves every track and the controller
+        # evaluates the offsets once more; with comm on, the controller's
+        # offsets are the law's only evaluation.
+        names = [(velocity_inference, "estimate_velocities"),
+                 (flocking, "flocking_command"), (flocking, "desired_offset")]
+        calls = {name: 0 for _, name in names}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for owner, name in names:
+            original = getattr(owner, name)
+            for module in (flocking, velocity_inference):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name, original))
+        expected = {
+            False: {"estimate_velocities": 1, "flocking_command": 1,
+                    "desired_offset": 2},
+            True: {"estimate_velocities": 0, "flocking_command": 0,
+                   "desired_offset": 1},
+        }
+        for comm, per_tick in expected.items():
+            sim = Simulation(small_scenario(
+                n_agents=n_agents, comm=comm,
+                layout={"kind": "grid", "spacing": 13.0}))
+            for _ in range(3):
+                sim.tick()
+            for _ in range(3):
+                calls.update(dict.fromkeys(calls, 0))
+                sim.tick()
+                assert calls == per_tick
+
     @pytest.mark.parametrize("latency", [0, 1, 2, 3])
     def test_inputs_never_repeat_a_pair(self, latency, monkeypatch):
         # The bank rejects an (observer, id) pair that repeats within a
@@ -281,10 +319,10 @@ class TestSwarmFilters:
         original = TrackBank.apply_tick
 
         def recording(bank, observations, velocities, *args):
-            for inputs, key in ((observations, "observed_id"),
-                                (velocities, "agent_id")):
+            for inputs, key in ((observations, lambda o: o.observed_id),
+                                (velocities, lambda pair: pair[0])):
                 for items in inputs:
-                    ids = [getattr(item, key) for item in items]
+                    ids = [key(item) for item in items]
                     counts.append(len(ids))
                     assert len(set(ids)) == len(ids)
             return original(bank, observations, velocities, *args)

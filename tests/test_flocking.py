@@ -8,17 +8,19 @@ from hypothesis import strategies as st
 from fastflock.flocking import (
     ControllerGains,
     FlockingController,
-    NeighborInfo,
-    blend_weights,
+    _blend_weights,
+    _group_heading,
+    _with_target,
     desired_offset,
     flocking_command,
-    group_heading,
     group_velocity,
     neighborhood_heading,
     select_neighbors,
 )
 from fastflock.geometry import heading_vectors, rotation, wrap_angle
 
+from .flocking_oracle import NeighborInfo
+from .neighborhoods import members, stack
 from .tracking_oracle import TrackView, table
 
 GAINS = ControllerGains(
@@ -37,7 +39,39 @@ def view(agent_id, x, y):
 def nearest_of(views, own_position, max_neighbors):
     """`select_neighbors` on the one-row track table holding `views`."""
     states, tracks = table([views], width=10)
-    return select_neighbors(states[0], tracks[0], own_position, max_neighbors)
+    return members(select_neighbors(states, tracks, [own_position],
+                                    max_neighbors))[0]
+
+
+def group_heading(center, goal, previous):
+    """`_group_heading` of one row."""
+    return float(_group_heading(center[None], goal[None],
+                                np.array([previous]))[0])
+
+
+def heading(row, goal, previous):
+    """`neighborhood_heading` of one neighbourhood."""
+    return float(neighborhood_heading(stack([row]), goal[None],
+                                      np.array([previous]))[0])
+
+
+def blend_weights(bearings, psi, scale=math.pi / 4):
+    """`_blend_weights` of one row of members at `bearings`."""
+    bearing = np.array([bearings], dtype=float)
+    return _blend_weights(bearing, np.array([psi]), np.ones(bearing.shape, bool),
+                          np.array([bearing.shape[1]]), scale)[0]
+
+
+def offset(row, psi):
+    """`desired_offset` of one neighbourhood."""
+    return desired_offset(stack([row]), np.array([psi]), GAINS)[0]
+
+
+def command(row, psi, target_rel, offset_rate=None):
+    """`flocking_command` of one neighbourhood."""
+    rate = None if offset_rate is None else offset_rate[None]
+    return flocking_command(stack([row]), np.array([psi]), target_rel[None],
+                            GAINS, rate).row(0)
 
 
 def update(ctrl, views, own_position, target):
@@ -81,23 +115,19 @@ class TestGroupHeading:
 
 
 class TestNeighborhoodHeading:
-    def test_no_goal_holds_previous(self):
-        members = [member(0.0, 10.0), member(math.pi / 2, 10.0, agent_id=2)]
-        assert neighborhood_heading(members, None, 0.42) == 0.42
-
     def test_no_members_heads_from_origin(self):
-        psi = neighborhood_heading([], np.array([0.0, -5.0]), 0.3)
+        psi = heading([], np.array([0.0, -5.0]), 0.3)
         assert psi == pytest.approx(-math.pi / 2)
 
     def test_heads_from_members_center(self):
         # Center (5, 5); the goal (5, 20) lies due north of it.
-        members = [member(0.0, 10.0), member(math.pi / 2, 10.0, agent_id=2)]
-        psi = neighborhood_heading(members, np.array([5.0, 20.0]), 0.0)
+        row = [member(0.0, 10.0), member(math.pi / 2, 10.0, agent_id=2)]
+        psi = heading(row, np.array([5.0, 20.0]), 0.0)
         assert psi == pytest.approx(math.pi / 2)
 
     def test_goal_on_center_holds_previous(self):
-        members = [member(0.0, 10.0), member(math.pi, 10.0, agent_id=2)]
-        assert neighborhood_heading(members, np.zeros(2), -1.1) == -1.1
+        row = [member(0.0, 10.0), member(math.pi, 10.0, agent_id=2)]
+        assert heading(row, np.zeros(2), -1.1) == -1.1
 
 
 class TestWeights:
@@ -159,11 +189,11 @@ class TestGroupVelocity:
 
 class TestDesiredOffset:
     def test_single_neighbor_at_spacing_is_equilibrium(self):
-        r = desired_offset([member(0.7, GAINS.spacing)], 0.0, GAINS)
+        r = offset([member(0.7, GAINS.spacing)], 0.0)
         assert np.allclose(r, 0.0, atol=1e-12)
 
     def test_single_neighbor_too_far_pulls_along_sight_line(self):
-        r = desired_offset([member(0.0, GAINS.spacing + 2.0)], 0.0, GAINS)
+        r = offset([member(0.0, GAINS.spacing + 2.0)], 0.0)
         assert np.allclose(r, [2.0, 0.0], atol=1e-12)
 
     def test_symmetric_pair_at_apex_is_equilibrium(self):
@@ -171,42 +201,40 @@ class TestDesiredOffset:
         # bearing separation below the pairing threshold: the focal agent
         # already sits at the triangle apex.
         beta = GAINS.pair_angle / 2 - 0.05
-        members = [member(beta, GAINS.spacing, 1), member(-beta, GAINS.spacing, 2)]
-        r = desired_offset(members, 0.0, GAINS)
+        row = [member(beta, GAINS.spacing, 1), member(-beta, GAINS.spacing, 2)]
+        r = offset(row, 0.0)
         assert np.linalg.norm(r) < 1e-9
 
     def test_pair_apex_on_focal_side(self):
         # Mutually close pair ahead: the commanded offset is the triangle
         # apex on the focal agent's side of the pair line, never the mirror
         # slot beyond it.
-        members = [member(0.2, 14.0, 1), member(-0.2, 14.0, 2)]
-        r = desired_offset(members, 0.0, GAINS)
+        row = [member(0.2, 14.0, 1), member(-0.2, 14.0, 2)]
+        r = offset(row, 0.0)
         mid_x = 14.0 * math.cos(0.2)
         half_gap = 14.0 * math.sin(0.2)
         apex_x = mid_x - math.sqrt(GAINS.spacing**2 - half_gap**2)
         assert np.allclose(r, [apex_x, 0.0], atol=1e-9)
 
     def test_far_members_exert_no_pull(self):
-        r = desired_offset(
-            [member(0.0, GAINS.attract_range + 5.0)], 0.0, GAINS
-        )
+        r = offset([member(0.0, GAINS.attract_range + 5.0)], 0.0)
         assert np.allclose(r, 0.0)
 
     def test_far_pair_not_paired(self):
         # Same bearings but beyond the attraction range: no triangle rule.
-        members = [
+        row = [
             member(0.2, 2.0 * GAINS.spacing, 1),
             member(-0.2, 2.0 * GAINS.spacing, 2),
         ]
-        assert np.allclose(desired_offset(members, 0.0, GAINS), 0.0)
+        assert np.allclose(offset(row, 0.0), 0.0)
 
     def test_empty_neighborhood(self):
-        assert np.allclose(desired_offset([], 0.0, GAINS), 0.0)
+        assert np.allclose(offset([], 0.0), 0.0)
 
 
 class TestFlockingCommand:
     def test_pure_feedforward(self):
-        cmd = flocking_command([], 0.0, np.array([100.0, 0.0]), GAINS)
+        cmd = command([], 0.0, np.array([100.0, 0.0]))
         assert np.array_equal(
             cmd.velocity, group_velocity(np.array([100.0, 0.0]), 0.0, GAINS)
         )
@@ -214,29 +242,25 @@ class TestFlockingCommand:
         assert np.allclose(cmd.velocity_term, 0.0)
 
     def test_position_feedback_substitution(self):
-        # Single neighbor 2 m beyond spacing at bearing 0, kp = 1, no goal
-        # (zero feedforward): the command is exactly (2, 0).
-        cmd = flocking_command(
-            [member(0.0, GAINS.spacing + 2.0)], 0.0, None, GAINS
-        )
+        # Single neighbor 2 m beyond spacing at bearing 0, kp = 1, the
+        # target on the agent (zero feedforward, and not a member): the
+        # command is exactly (2, 0).
+        cmd = command([member(0.0, GAINS.spacing + 2.0)], 0.0, np.zeros(2))
         assert np.allclose(cmd.velocity, [2.0, 0.0], atol=1e-12)
         assert np.allclose(cmd.position_term, [2.0, 0.0], atol=1e-12)
 
     def test_decomposition_sums_to_velocity(self):
-        cmd = flocking_command(
+        cmd = command(
             [member(0.3, 20.0), member(-1.0, 9.0, agent_id=2)],
             0.2,
             np.array([30.0, 5.0]),
-            GAINS,
             offset_rate=np.array([0.5, -0.2]),
         )
         total = cmd.position_term + cmd.velocity_term + cmd.feedforward
         assert np.allclose(cmd.velocity, total, atol=1e-12)
 
     def test_output_clamped(self):
-        cmd = flocking_command(
-            [member(0.0, 100.0)], 0.0, np.array([100.0, 0.0]), GAINS
-        )
+        cmd = command([member(0.0, 100.0)], 0.0, np.array([100.0, 0.0]))
         assert np.linalg.norm(cmd.velocity) <= GAINS.v_max + 1e-12
         total = cmd.position_term + cmd.velocity_term + cmd.feedforward
         assert np.allclose(cmd.velocity, total, atol=1e-12)
@@ -244,7 +268,7 @@ class TestFlockingCommand:
     def test_target_joins_neighborhood_inside_d_min(self):
         # Target inside d_min and closer than spacing: the command pushes
         # away from it even though feedforward is zero.
-        cmd = flocking_command([], 0.0, np.array([5.0, 0.0]), GAINS)
+        cmd = command([], 0.0, np.array([5.0, 0.0]))
         assert np.allclose(cmd.feedforward, 0.0)
         assert cmd.velocity[0] < -1.0
 
@@ -268,20 +292,19 @@ class TestFlockingCommand:
         rate = np.array(
             [data.draw(st.floats(-2.0, 2.0)), data.draw(st.floats(-2.0, 2.0))]
         )
-        members = [
+        row = [
             member(b, d, agent_id=i) for i, (b, d) in enumerate(rng_members)
         ]
         rot = rotation(alpha)
-        members_rot = [
+        row_rot = [
             NeighborInfo(m.agent_id, wrap_angle(m.bearing + alpha), m.distance)
-            for m in members
+            for m in row
         ]
-        base = flocking_command(members, psi, target, GAINS, offset_rate=rate)
-        turned = flocking_command(
-            members_rot,
+        base = command(row, psi, target, offset_rate=rate)
+        turned = command(
+            row_rot,
             wrap_angle(psi + alpha),
             rot @ target,
-            GAINS,
             offset_rate=rot @ rate,
         )
         assert np.allclose(turned.velocity, rot @ base.velocity, atol=1e-9)
@@ -308,13 +331,13 @@ def test_controller_evaluates_offset_once_and_matches_stateless_law(monkeypatch)
     from fastflock import flocking
 
     calls = []
-    original = flocking.desired_offset_stack
+    original = flocking.desired_offset
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(flocking, "desired_offset_stack", counting)
+    monkeypatch.setattr(flocking, "desired_offset", counting)
     ctrl = FlockingController(GAINS, 1)
     views = [view(1, 10.0, 4.0), view(2, 9.0, -6.0), view(3, -12.0, 1.0)]
     target = np.array([60.0, 10.0])
@@ -325,13 +348,10 @@ def test_controller_evaluates_offset_once_and_matches_stateless_law(monkeypatch)
         assert len(calls) == 1
         neighbors = nearest_of(views, own, GAINS.max_neighbors)
         assert [m.agent_id for m in neighbors] == ctrl.neighbors[0]
-        members = flocking._with_target(
-            flocking.Neighborhoods.of([neighbors]), target[None],
-            np.array([True]), GAINS,
-        )
-        expected = original(members, ctrl.psi, GAINS)[0]
-        reference = flocking_command(neighbors, ctrl.psi[0], target, GAINS,
-                                     offset_rate=ctrl._rate[0])
+        hoods = _with_target(stack([neighbors]), target[None], GAINS)
+        expected = original(hoods, ctrl.psi, GAINS)[0]
+        reference = command(neighbors, ctrl.psi[0], target,
+                            offset_rate=ctrl._rate[0])
         assert np.array_equal(cmd.offset, expected)
         assert np.array_equal(cmd.velocity, reference.velocity)
 
@@ -340,16 +360,16 @@ def test_controller_computes_heading_once_per_tick(monkeypatch):
     from fastflock import flocking
 
     calls = []
-    original = flocking.neighborhood_heading_stack
+    original = flocking.neighborhood_heading
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(flocking, "neighborhood_heading_stack", counting)
+    monkeypatch.setattr(flocking, "neighborhood_heading", counting)
     ctrl = FlockingController(GAINS, 1)
     views = [view(1, 10.0, 4.0), view(2, 9.0, -6.0), view(3, -12.0, 1.0)]
-    for target in (np.array([60.0, 10.0]), None):
+    for target in (np.array([60.0, 10.0]), np.array([-30.0, 5.0])):
         calls.clear()
         update(ctrl, views, np.zeros(2), target)
         assert len(calls) == 1

@@ -15,19 +15,15 @@ from hypothesis import strategies as st
 from fastflock.flocking import (
     ControllerGains,
     FlockingController,
-    NeighborInfo,
-    Neighborhoods,
-    desired_offset_stack,
-    flocking_command_stack,
-    neighborhood_heading_stack,
+    desired_offset,
+    flocking_command,
+    neighborhood_heading,
 )
-from fastflock.velocity_inference import (
-    ResponseModel,
-    estimate_velocities_stack,
-    estimate_view,
-)
+from fastflock.velocity_inference import ResponseModel, estimate_velocities
 
 from . import flocking_oracle as oracle
+from .flocking_oracle import NeighborInfo
+from .neighborhoods import replay_view, stack
 from .tracking_oracle import TrackView, table
 
 # max_neighbors >= 7, so that a row can hold eight or more members once the
@@ -56,7 +52,6 @@ distances = st.one_of(
 )
 members = st.lists(st.tuples(angles, distances), max_size=9)
 targets = st.one_of(
-    st.none(),
     st.tuples(angles, st.floats(0.0, GAINS.d_min)),  # inside d_min
     st.tuples(angles, st.floats(0.0, 80.0)),
 )
@@ -73,25 +68,21 @@ def polar(bearing, distance):
 
 
 def rows_of(drawn):
-    """The drawn neighbourhoods as member lists for both implementations."""
-    ours = [[NeighborInfo(i + 1, b, d) for i, (b, d) in enumerate(row)]
+    """The drawn neighbourhoods as member lists, ids from 1."""
+    return [[NeighborInfo(i + 1, b, d) for i, (b, d) in enumerate(row)]
             for row in drawn]
-    theirs = [[oracle.NeighborInfo(*m) for m in row] for row in ours]
-    return ours, theirs
 
 
 @EXAMPLES
 @given(st.lists(st.tuples(members, angles, targets), min_size=1, max_size=6))
 def test_heading_and_offset_match_scalar_law(cases):
-    ours, theirs = rows_of([row for row, _, _ in cases])
-    hoods = Neighborhoods.of(ours)
+    rows = rows_of([row for row, _, _ in cases])
+    hoods = stack(rows)
     psi = np.array([p for _, p, _ in cases])
-    goals = [None if t is None else polar(*t) for _, _, t in cases]
-    goal = np.array([np.zeros(2) if g is None else g for g in goals])
-    has_goal = np.array([g is not None for g in goals])
-    headings = neighborhood_heading_stack(hoods, goal, has_goal, psi)
-    offsets = desired_offset_stack(hoods, psi, GAINS)
-    for e, row in enumerate(theirs):
+    goals = [polar(*t) for _, _, t in cases]
+    headings = neighborhood_heading(hoods, np.array(goals), psi)
+    offsets = desired_offset(hoods, psi, GAINS)
+    for e, row in enumerate(rows):
         assert same_bits(headings[e],
                          oracle.neighborhood_heading(row, goals[e], psi[e]))
         assert same_bits(offsets[e], oracle.desired_offset(row, psi[e], GAINS))
@@ -101,16 +92,13 @@ def test_heading_and_offset_match_scalar_law(cases):
 @given(st.lists(st.tuples(members, angles, targets, rates), min_size=1,
                 max_size=6))
 def test_command_matches_scalar_law(cases):
-    ours, theirs = rows_of([row for row, *_ in cases])
+    rows = rows_of([row for row, *_ in cases])
     psi = np.array([p for _, p, _, _ in cases])
-    goals = [None if t is None else polar(*t) for _, _, t, _ in cases]
-    target = np.array([np.zeros(2) if g is None else g for g in goals])
-    has_target = np.array([g is not None for g in goals])
+    goals = [polar(*t) for _, _, t, _ in cases]
     given_rates = [None if r is None else np.array(r) for *_, r in cases]
     rate = np.array([np.zeros(2) if r is None else r for r in given_rates])
-    command = flocking_command_stack(Neighborhoods.of(ours), psi, target,
-                                     has_target, GAINS, rate)
-    for e, row in enumerate(theirs):
+    command = flocking_command(stack(rows), psi, np.array(goals), GAINS, rate)
+    for e, row in enumerate(rows):
         expected = oracle.flocking_command(row, psi[e], goals[e], GAINS,
                                            offset_rate=given_rates[e])
         got = command.row(e)
@@ -142,9 +130,7 @@ def swarms(draw):
     agents = []
     for a in range(draw(st.integers(1, 4))):
         own = np.array([draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))])
-        target = draw(targets)
-        agents.append((own, world(draw, a, own),
-                       None if target is None else polar(*target),
+        agents.append((own, world(draw, a, own), polar(*draw(targets)),
                        draw(angles)))
     return agents
 
@@ -180,7 +166,7 @@ def test_replay_matches_scalar_replay(agents):
     for a, prev in enumerate(previous):
         for agent_id, estimate in prev.items():
             prev_table[a, agent_id] = estimate
-    out = estimate_velocities_stack(
+    out = estimate_velocities(
         states, tracks, [own for own, *_ in agents],
         [t for *_, t, _ in agents], [psi for *_, psi in agents], GAINS, MODEL,
         SENSOR_RANGE, FOV, prev_table,
@@ -195,10 +181,9 @@ def test_replay_matches_scalar_replay(agents):
             for in_focal in (True, False):
                 view_args = (own, psi, SENSOR_RANGE, FOV, GAINS.max_neighbors,
                              in_focal)
-                assert (estimate_view(states[a], tracks[a], v.agent_id,
-                                      *view_args)
-                        == [tuple(m) for m in oracle.estimate_view(
-                            views, v, *view_args)])
+                assert (replay_view(states[a], tracks[a], v.agent_id,
+                                    *view_args)
+                        == oracle.estimate_view(views, v, *view_args))
 
 
 def test_rows_of_eight_or_more_members_sum_like_one_row():
@@ -213,11 +198,9 @@ def test_rows_of_eight_or_more_members_sum_like_one_row():
         for n in rng.integers(0, 10, size=300)
     ]
     psi = rng.uniform(-math.pi, math.pi, len(rows))
-    offsets = desired_offset_stack(Neighborhoods.of(rows), psi, GAINS)
+    offsets = desired_offset(stack(rows), psi, GAINS)
     for e, row in enumerate(rows):
-        expected = oracle.desired_offset(
-            [oracle.NeighborInfo(*m) for m in row], psi[e], GAINS)
-        assert same_bits(offsets[e], expected)
+        assert same_bits(offsets[e], oracle.desired_offset(row, psi[e], GAINS))
 
 
 def test_triangle_apexes_round_like_scalar_law():
@@ -233,8 +216,6 @@ def test_triangle_apexes_round_like_scalar_law():
         rows.append([NeighborInfo(1, first, rng.uniform(11.0, 15.0)),
                      NeighborInfo(2, second, rng.uniform(11.0, 15.0))])
     psi = rng.uniform(-math.pi, math.pi, len(rows))
-    offsets = desired_offset_stack(Neighborhoods.of(rows), psi, GAINS)
+    offsets = desired_offset(stack(rows), psi, GAINS)
     for e, row in enumerate(rows):
-        expected = oracle.desired_offset(
-            [oracle.NeighborInfo(*m) for m in row], psi[e], GAINS)
-        assert same_bits(offsets[e], expected)
+        assert same_bits(offsets[e], oracle.desired_offset(row, psi[e], GAINS))

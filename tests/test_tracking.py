@@ -5,12 +5,7 @@ import pytest
 from scipy import stats
 
 from fastflock import kalman
-from fastflock.tracking import (
-    RelativeObservation,
-    TrackBank,
-    TrackParams,
-    VelocityReport,
-)
+from fastflock.tracking import RelativeObservation, TrackBank, TrackParams
 
 from .tracking_oracle import DictBank
 
@@ -68,9 +63,9 @@ def test_stale_observation_dropped_with_count():
 
 
 def test_velocity_dominant_measurement():
-    bank = make_bank()
+    bank = make_bank(vel_sigma=1e-5)
     bank.ingest_position(obs(1, 0.0, 10.0), np.zeros(2), 0.0)
-    bank.ingest_velocity(1, np.array([5.0, 0.0]), sigma=1e-5)
+    bank.ingest_velocity(1, np.array([5.0, 0.0]))
     assert np.allclose(bank.state[0, 1, 2:4], [5.0, 0.0], atol=1e-4)
 
 
@@ -94,7 +89,7 @@ def test_simultaneous_corrections_position_first():
 
     bank.apply_tick(
         [[obs(1, 0.01, 10.5, stamp=0.1)]],
-        [[VelocityReport(agent_id=1, velocity=np.array([2.0, 0.0]))]],
+        [[(1, np.array([2.0, 0.0]))]],
         [np.zeros(2)],
         [0.0],
     )
@@ -108,10 +103,7 @@ def test_tick_permutation_invariance():
         obs(i, float(rng.uniform(-1, 1)), float(rng.uniform(5, 20)), stamp=0.0)
         for i in (4, 1, 3, 2)
     ]
-    reports = [
-        VelocityReport(agent_id=i, velocity=rng.standard_normal(2))
-        for i in (3, 1, 4)
-    ]
+    reports = [(i, rng.standard_normal(2)) for i in (3, 1, 4)]
     banks = []
     for order in ((0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1)):
         bank = make_bank()
@@ -185,11 +177,7 @@ def test_apply_tick_matches_sequential_ingest():
             observer_id=2)
         for tid, stamp in [(5, 0.3), (2, 0.3), (7, 0.3), (3, 0.1), (1, 0.3)]
     ]
-    reports = [
-        VelocityReport(agent_id=tid, velocity=rng.standard_normal(2),
-                       sigma=sigma)
-        for tid, sigma in [(8, None), (1, 0.2), (4, None), (7, None)]
-    ]
+    reports = [(tid, rng.standard_normal(2)) for tid in (8, 1, 4, 7)]
     # This tick once also held repeats (id 2 three times, 7 twice, and two
     # velocities for 8); a repeated pair now raises.
     with pytest.raises(ValueError, match="repeats"):
@@ -200,8 +188,8 @@ def test_apply_tick_matches_sequential_ingest():
     bank.apply_tick([observations], [reports], [position], [heading])
     for o in sorted(observations, key=lambda o: o.observed_id):
         twin.ingest_position(o, position, heading)
-    for rep in sorted(reports, key=lambda r: r.agent_id):
-        twin.ingest_velocity(rep.agent_id, rep.velocity, rep.sigma)
+    for tid, velocity in sorted(reports, key=lambda r: r[0]):
+        twin.ingest_velocity(tid, velocity)
     assert np.flatnonzero(bank.tracks[0]).tolist() == [1, 2, 3, 5, 7, 8]
     for name in ("tracks", "state", "cov", "last_pos_stamp", "staleness"):
         assert np.array_equal(getattr(bank, name), getattr(twin, name)), name
@@ -218,8 +206,7 @@ def test_repeated_pair_or_bad_id_raises():
                         [np.zeros(2)], [0.0])
     bank.ingest_position(obs(1, 0.0, 10.0), np.zeros(2), 0.0)
     with pytest.raises(ValueError, match="repeats"):
-        bank.apply_tick([], [[VelocityReport(1, np.ones(2)),
-                              VelocityReport(1, np.zeros(2))]], [], [])
+        bank.apply_tick([], [[(1, np.ones(2)), (1, np.zeros(2))]], [], [])
     for bad in (-1, 4):
         with pytest.raises(ValueError, match="0..3"):
             bank.ingest_position(obs(bad, 0.0, 10.0), np.zeros(2), 0.0)
@@ -246,13 +233,10 @@ def test_stacked_fault_names_the_track():
 
 
 def test_zero_velocity_sigma_rejected():
-    bank = make_bank()
+    bank = make_bank(vel_sigma=0.0)
     bank.ingest_position(obs(1, 0.0, 10.0), np.zeros(2), 0.0)
     with pytest.raises(ValueError, match="positive definite"):
-        bank.apply_tick(
-            [], [[VelocityReport(agent_id=1, velocity=np.ones(2), sigma=0.0)]],
-            [np.zeros(2)], [0.0],
-        )
+        bank.apply_tick([], [[(1, np.ones(2))]], [np.zeros(2)], [0.0])
 
 
 def test_constant_velocity_stream_recovers_velocity():
@@ -344,8 +328,7 @@ def random_ticks(rng, n, ticks):
                                     observer_id=e))
             observations.append(mine)
             velocities.append([
-                VelocityReport(int(tid), rng.standard_normal(2),
-                               None if rng.random() < 0.5 else 0.4)
+                (int(tid), rng.standard_normal(2))
                 for tid in rng.choice(10, size=int(rng.integers(0, 5)),
                                       replace=False)
             ])

@@ -10,10 +10,10 @@ from fastflock.velocity_inference import (
     ResponseModel,
     VelocityEstimator,
     estimate_velocities,
-    estimate_view,
     fit_response_model,
 )
 
+from .neighborhoods import replay_view
 from .tracking_oracle import TrackView, table
 
 GAINS = ControllerGains(
@@ -28,9 +28,10 @@ def view(agent_id, x, y, vx=0.0, vy=0.0):
 
 
 def view_of(views, target, *args, **kwargs):
-    """`estimate_view` of `target` on the one-row track table of `views`."""
+    """The replayed neighbourhood of `target` on the one-row track table of
+    `views`."""
     states, tracks = table([views], width=10)
-    return estimate_view(states[0], tracks[0], target.agent_id, *args, **kwargs)
+    return replay_view(states[0], tracks[0], target.agent_id, *args, **kwargs)
 
 
 def estimates_of(views, own_position, target_rel, psi, gains, model,
@@ -42,8 +43,9 @@ def estimates_of(views, own_position, target_rel, psi, gains, model,
     prev = states[0, :, 2:4].copy()
     for agent_id, estimate in previous.items():
         prev[agent_id] = estimate
-    out = estimate_velocities(states[0], tracks[0], own_position, target_rel,
-                              psi, gains, model, sensor_range, fov, prev)
+    out = estimate_velocities(states, tracks, [own_position], [target_rel],
+                              [psi], gains, model, sensor_range, fov,
+                              prev[None])[0]
     return [(j, out[j]) for j in np.flatnonzero(tracks[0]).tolist()]
 
 
@@ -112,12 +114,6 @@ class TestEstimateView:
         assert len(members) == 1
         assert members[0].distance == pytest.approx(13.0)
         assert members[0].bearing == pytest.approx(math.pi)
-
-    def test_untracked_target_rejected(self):
-        states, tracks = table([[view(1, 13.0, 0.0)]], width=4)
-        with pytest.raises(ValueError, match="not tracked"):
-            estimate_view(states[0], tracks[0], 2, np.zeros(2), 0.0,
-                          SENSOR_RANGE, FOV, 4, in_focal_neighborhood=True)
 
     def test_focal_agent_tagged(self):
         views = [view(1, 13.0, 0.0), view(2, 20.0, 5.0)]
@@ -256,8 +252,8 @@ class TestEstimateVelocities:
 
         # The replay calls the controller's own heading function, once for
         # all of its neighbourhoods.
-        assert (velocity_inference.neighborhood_heading_stack
-                is flocking.neighborhood_heading_stack)
+        assert (velocity_inference.neighborhood_heading
+                is flocking.neighborhood_heading)
         model = ResponseModel(a=0.8, b=0.2)
         views = [view(5, 10.0, 0.0, vx=1.0), view(2, 0.0, 10.0),
                  view(9, -10.0, 0.0)]
@@ -265,13 +261,13 @@ class TestEstimateVelocities:
                 GAINS, model, SENSOR_RANGE, FOV, {})
         expected = estimates_of(*args)
         rows = []
-        original = flocking.neighborhood_heading_stack
+        original = flocking.neighborhood_heading
 
         def counting(hoods, *a, **kw):
             rows.append(len(hoods.count))
             return original(hoods, *a, **kw)
 
-        monkeypatch.setattr(velocity_inference, "neighborhood_heading_stack",
+        monkeypatch.setattr(velocity_inference, "neighborhood_heading",
                             counting)
         out = estimates_of(*args)
         assert rows == [len(views)]

@@ -66,7 +66,7 @@ class NeighborTrack:
 class DictBank:
     """`tracks[e]` holds observer e's filters keyed by the observed id.
     `params` is a `fastflock.tracking.TrackParams`; inputs are
-    `RelativeObservation`s and `VelocityReport`s."""
+    `RelativeObservation`s and (id, velocity) pairs."""
 
     def __init__(self, params, dt: float, n_observers: int):
         self.params = params
@@ -104,7 +104,7 @@ class DictBank:
             rotations = np.array([rotation(h) for h in observer_headings])
         for batch in batches:
             self._ingest_positions(batch, positions, rotations)
-        for batch in _rounds(velocities, lambda r: r.agent_id):
+        for batch in _rounds(velocities, lambda r: r[0]):
             self._ingest_velocities(batch)
 
     def _ingest_positions(self, batch, positions, rotations) -> None:
@@ -144,15 +144,14 @@ class DictBank:
 
     def _ingest_velocities(self, batch) -> None:
         hits, rows, variances = [], [], []
-        for e, report in batch:
-            track = self.tracks[e].get(report.agent_id)
+        for e, (agent_id, velocity) in batch:
+            track = self.tracks[e].get(agent_id)
             if track is None:
                 self.dropped_unknown += 1
                 continue
-            s = self.params.vel_sigma if report.sigma is None else report.sigma
             hits.append(track)
-            rows.append(report.velocity)
-            variances.append(s**2)
+            rows.append(velocity)
+            variances.append(self.params.vel_sigma**2)
         self._correct(hits, kalman.H_VEL, rows, variances)
 
     def _correct(self, tracks, h, z, variances) -> None:
