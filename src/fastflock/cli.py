@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .config import ConfigError, load_scenario, validate
-from .engine import SimulationFault, run_scenario, read_log, write_log
+from .engine import SimulationFault, run_scenario, read_log
 from .velocity_inference import FitError, fit_response_model
 
 

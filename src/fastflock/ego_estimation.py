@@ -16,8 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from . import kalman
-from .geometry import rotation
-from .tracking import RelativeObservation
 
 
 def focal_model(dt: float, tau: float, q_diag) -> kalman.LkfModel:
@@ -98,8 +96,7 @@ class SelfStateFilter:
             x, p = kalman.correct_stack(
                 self.state[rows], self.cov[rows], h,
                 np.array([zs[e] for e in rows], dtype=float),
-                np.broadcast_to(sigma**2 * np.eye(2), (len(rows), 2, 2)),
-                ["self-state"] * len(rows),
+                np.full(len(rows), sigma**2), ["self-state"] * len(rows),
             )
         self.state[rows], self.cov[rows] = x, p
 
@@ -107,21 +104,19 @@ class SelfStateFilter:
 def position_fix(
     state: np.ndarray,
     tracks: np.ndarray,
-    observations: Sequence[RelativeObservation],
-    observer_heading: float,
+    ids: np.ndarray,
+    offsets: np.ndarray,
 ) -> np.ndarray | None:
     """Own-position candidates from every neighbor that is both tracked and
-    freshly observed: tracked position minus the observed relative vector.
+    freshly sighted: tracked position minus the sighted world-frame offset.
     `state` and `tracks` are the observer's row of the track bank, indexed
-    by id. Returns the candidates' mean, or None when no neighbor
-    qualifies."""
-    seen = [o for o in observations if tracks[o.observed_id]]
-    if not seen:
+    by id; `ids` (k,) and `offsets` (k, 2) are the observer's rows of the
+    tick's sightings and their `tracking.world_offsets`. Returns the
+    candidates' mean, or None when no neighbor qualifies."""
+    seen = tracks[ids]
+    if not seen.any():
         return None
-    local = np.array([[o.distance * math.cos(o.bearing),
-                       o.distance * math.sin(o.bearing)] for o in seen])
-    rel = (rotation(observer_heading) @ local[..., None])[..., 0]
-    return np.mean(state[[o.observed_id for o in seen], :2] - rel, axis=0)
+    return np.mean(state[ids[seen], :2] - offsets[seen], axis=0)
 
 
 @dataclass

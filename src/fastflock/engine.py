@@ -3,38 +3,43 @@ orchestration, collision detection, and ground-truth bookkeeping.
 
 Every tick advances all agents synchronously on the previous tick's ground
 truth. The tick works out the swarm's pairwise geometry once
-(`geometry.pairwise`); collision detection reads its distance matrix and each
-agent's sense stage reads its own row. The tick then runs in phases across
-the swarm:
-1. sense: per agent, in id order, `Simulation._stage` draws the agent's
-   observations, VIO sample, IMU acceleration, target sighting and inbox;
+(`geometry.pairwise`); collision detection and sensing read it. The tick
+then runs in phases across the swarm:
+1. sense: one `sensors.observe` gives every agent's sightings as one flat
+   `tracking.Sightings`, ordered by observer; then per agent, in id order,
+   `Simulation._stage` draws the agent's VIO sample, IMU acceleration and
+   target sighting;
 2. tracker: one `TrackBank.step` and one `TrackBank.apply_tick` of the
    swarm's bank predict and correct every agent's neighbour tracks, which
-   the bank keeps in one table indexed by (agent, neighbour id);
+   the bank keeps in one table indexed by (agent, neighbour id); the
+   sightings' world-frame offsets come back from `apply_tick`;
 3. self-state: per agent, `ego_estimation.position_fix` on the agent's row
-   of that table; then one `SelfStateFilter.step` of the swarm's self-state
-   filter;
+   of that table and its rows of the sightings and offsets; then one
+   `SelfStateFilter.step` of the swarm's self-state filter;
 4. fusion: per agent, `OdometryFusion.advance`;
-5. velocity-ingest: with comm off, one call of the swarm's
-   `velocity_inference.VelocityEstimator` replays the flocking law for every
-   entry of the table, in one `velocity_inference.estimate_velocities` and
-   one `flocking.flocking_command`; then one `TrackBank.apply_tick` takes
-   every agent's communicated or inferred (id, velocity) pairs;
+5. velocity-ingest: with comm on, one `CommChannel.deliver` of the swarm's
+   channel gives every agent's inbox as one `tracking.Velocities`; with
+   comm off, one call of the swarm's `velocity_inference.VelocityEstimator`
+   replays the flocking law for every entry of the table, in one
+   `velocity_inference.estimate_velocities` and one
+   `flocking.flocking_command`; then one `TrackBank.apply_tick` takes those
+   velocities;
 6. controller: one call of the swarm's `flocking.FlockingController` on
    the table, with one `flocking.desired_offset`, each agent's command one
    row of its result;
 7. per agent: heading, the finiteness checks and the tick record, whose
    `tracks` lists the agent's row of the table;
-then broadcasts (with comm on, one `CommChannel.send` per receiver) and
-plant integration.
+then the broadcast (with comm on, one `CommChannel.send`, which queues one
+keep mask over every (receiver, sender) pair) and plant integration.
 
 Agent order cannot change the result. Within a tick an agent reads only
-the previous tick's ground truth and its own rows of the swarm's filters,
-controller and estimator, its random streams and its inbox, and nothing
-another agent writes before the broadcasts; the stacked filters and law
-round each row exactly as the row alone. A fault in a swarm-wide call names
-the agent that owns the offending row. All randomness flows from
-per-(agent, sensor) generator streams spawned off the scenario seed.
+the previous tick's ground truth and its own rows of the swarm's
+sightings, filters, controller and estimator, its random streams and its
+inbox, and nothing another agent writes before the broadcast; the stacked
+filters and law round each row exactly as the row alone. A fault in a
+swarm-wide call names the agent that owns the offending row. All
+randomness flows from per-(agent, sensor) generator streams spawned off
+the scenario seed.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from .ego_estimation import (
 from .flocking import FlockingCommand, FlockingController
 from .geometry import pairwise
 from .sensors import CommChannel, VioEmulator, observe
-from .tracking import RelativeObservation, TrackBank, TrackParams
+from .tracking import Sightings, TrackBank, TrackParams, Velocities
 from .velocity_inference import VelocityEstimator
 
 LOG_FORMAT_VERSION = 1
@@ -190,7 +195,6 @@ class Agent:
                                      rate=config.filters.fusion_rate)
         self.vio = VioEmulator(sensors.vio, position,
                                np.random.default_rng(streams[4]))
-        self.channel = CommChannel(sensors.comm, self.rng_comm)
         self.heading = math.atan2(goal_rel[1], goal_rel[0])
         self.fused_position = np.asarray(position, dtype=float).copy()
         self.fused_velocity = np.zeros(2)
@@ -201,16 +205,14 @@ class Agent:
 
 class Sensed(NamedTuple):
     """What one agent's sense stage hands the later phases of its tick: the
-    ground truth it started from, its observations, VIO sample, IMU
-    acceleration, target sighting and inbox."""
+    ground truth it started from, its VIO sample, IMU acceleration and
+    target sighting."""
 
     truth_pos: np.ndarray
     truth_vel: np.ndarray
-    observations: list[RelativeObservation]
     vio_sample: VioSample
     imu_accel: np.ndarray
     target_rel: np.ndarray
-    delivered: list
 
 
 @contextmanager
@@ -265,6 +267,8 @@ class Simulation:
             config.dt,
             positions,
         )
+        self.channel = CommChannel(config.sensors.comm,
+                                   [a.rng_comm for a in self.agents])
         self.controller = FlockingController(config.gains, config.n_agents)
         self.estimator = VelocityEstimator(
             config.gains, config.response_model, config.sensors.max_range,
@@ -272,21 +276,15 @@ class Simulation:
         )
         self.tick_index = 0
 
-    def _stage(self, agent: Agent, rel: np.ndarray, dist: np.ndarray,
-               target_position: np.ndarray, t: float) -> Sensed:
-        """One agent's sense stage; `rel` and `dist` are its row of the
-        tick's pairwise geometry."""
+    def _stage(self, agent: Agent, target_position: np.ndarray) -> Sensed:
+        """One agent's sense stage after the swarm's sightings: its VIO
+        sample, IMU acceleration and target sighting."""
         config = self.config
-        dt = config.dt
         truth_pos = agent.plant.position
         truth_vel = agent.plant.velocity
         with _fault(agent.id, "sense"):
-            observations = observe(
-                rel, dist, agent.id, agent.heading, config.sensors,
-                agent.rng_perception, stamp=t,
-            )
             vio_sample = agent.vio.sample(
-                truth_pos, truth_vel, agent.plant.acceleration, dt
+                truth_pos, truth_vel, agent.plant.acceleration, config.dt
             )
             imu_accel = agent.plant.acceleration + agent.rng_imu.normal(
                 0.0, config.sensors.imu_accel_sigma, size=2
@@ -294,11 +292,9 @@ class Simulation:
             target_rel = (target_position - truth_pos) + agent.rng_target.normal(
                 0.0, config.sensors.target_sigma, size=2
             )
-            delivered = agent.channel.deliver(self.tick_index)
-        return Sensed(truth_pos, truth_vel, observations, vio_sample,
-                      imu_accel, target_rel, delivered)
+        return Sensed(truth_pos, truth_vel, vio_sample, imu_accel, target_rel)
 
-    def _estimate(self, sensed: list[Sensed]
+    def _estimate(self, sightings: Sightings, sensed: list[Sensed]
                   ) -> tuple[np.ndarray, list[FusionState]]:
         """The tracker, self-state and fusion phases. Returns every agent's
         self-state and its fusion result."""
@@ -306,16 +302,21 @@ class Simulation:
         bank = self.bank
         with _fault(agents[0].id, "tracker"):
             bank.step()
-            bank.apply_tick(
-                [s.observations for s in sensed], [],
+            offsets = bank.apply_tick(
+                sightings, None,
                 [a.fused_position for a in agents], [a.heading for a in agents],
             )
+        # Sightings are ordered by observer: agent a's are rows
+        # bounds[a]:bounds[a + 1].
+        bounds = np.searchsorted(sightings.observer,
+                                 np.arange(len(agents) + 1)).tolist()
         fixes = []
-        for agent, s in zip(agents, sensed):
+        for agent in agents:
+            rows = slice(bounds[agent.id], bounds[agent.id + 1])
             with _fault(agent.id, "self-state"):
                 fixes.append(position_fix(bank.state[agent.id],
                                           bank.tracks[agent.id],
-                                          s.observations, agent.heading))
+                                          sightings.ids[rows], offsets[rows]))
         with _fault(agents[0].id, "self-state"):
             own_states = self.self_filter.step(
                 [a.command_velocity for a in agents], fixes,
@@ -331,15 +332,15 @@ class Simulation:
         return own_states, fused
 
     def _ingest_velocities(self, sensed: list[Sensed]) -> list[dict | None]:
-        """The velocity-ingest phase: the bank takes every agent's
-        communicated (id, velocity) pairs, or with comm off the velocities
-        inferred for every track in one replay of the bank's table. Returns
-        each agent's logged estimates (None with comm on)."""
+        """The velocity-ingest phase: the bank takes the velocities every
+        agent's inbox delivers, or with comm off the velocities inferred for
+        every track in one replay of the bank's table. Returns each agent's
+        logged estimates (None with comm on)."""
         config = self.config
         agents = self.agents
         bank = self.bank
         if config.comm:
-            reports = [s.delivered for s in sensed]
+            velocities = self.channel.deliver(self.tick_index)
             logs = [None] * len(agents)
         else:
             # One replay serves every agent, so a fault here is every
@@ -352,12 +353,12 @@ class Simulation:
                     [s.target_rel for s in sensed],
                     self.controller.psi,
                 )
-            flat = estimates.reshape(-1, 2).tolist()
-            reports = [[(j, flat[k]) for j, k in row]
-                       for row in _tracked(bank.tracks)]
-            logs = [{str(j): velocity for j, velocity in row} for row in reports]
+            e, j = np.nonzero(bank.tracks)
+            velocities = Velocities(e, j, estimates[e, j])
+            logs = _by_observer(len(agents), e, j,
+                                velocities.velocity.tolist())
         with _fault(agents[0].id, "velocity-ingest"):
-            bank.apply_tick([], reports, [a.fused_position for a in agents],
+            bank.apply_tick(None, velocities, [a.fused_position for a in agents],
                             [a.heading for a in agents])
         return logs
 
@@ -408,11 +409,14 @@ class Simulation:
         rel, dist = pairwise([a.plant.position for a in agents])
         target_position = self.trajectory.position(t)
         collisions = detect_collisions(dist, config.safety_radius)
-        sensed = [
-            self._stage(a, rel[a.id], dist[a.id], target_position, t)
-            for a in agents
-        ]
-        own_states, fused = self._estimate(sensed)
+        # The swarm's sightings come from one call; a fault in it names the
+        # observer of the offending row.
+        with _fault(agents[0].id, "sense"):
+            sightings = observe(rel, dist, [a.heading for a in agents],
+                                config.sensors,
+                                [a.rng_perception for a in agents], stamp=t)
+        sensed = [self._stage(a, target_position) for a in agents]
+        own_states, fused = self._estimate(sightings, sensed)
         estimates_logs = self._ingest_velocities(sensed)
         # One call serves every agent, so as in velocity-ingest a fault is
         # reported against the first.
@@ -429,14 +433,10 @@ class Simulation:
                 estimates_logs)
         ]
 
-        # After every stage: broadcasts and plant integration in id order.
+        # After every stage: the broadcast and plant integration in id order.
         if config.comm:
-            for receiver in agents:
-                senders = [a for a in agents if a.id != receiver.id]
-                receiver.channel.send(
-                    self.tick_index, [a.id for a in senders],
-                    [a.fused_velocity for a in senders],
-                )
+            self.channel.send(self.tick_index,
+                              [a.fused_velocity for a in agents])
         for agent in agents:
             agent.plant.advance(agent.command_velocity, config.dt)
             if not np.all(np.isfinite(agent.plant.position)):
@@ -460,21 +460,24 @@ def _vec(value) -> list[float]:
     return np.asarray(value, dtype=float).tolist()
 
 
-def _tracked(tracks: np.ndarray) -> list[list[tuple[int, int]]]:
-    """Per row of a track bank's mask, the ids tracked in ascending order,
-    each with its entry's index e * N + j in the flattened table."""
-    n = len(tracks)
-    return [[(j, e * n + j) for j in np.flatnonzero(row).tolist()]
-            for e, row in enumerate(tracks)]
+def _by_observer(n: int, e: np.ndarray, j: np.ndarray, values: list
+                 ) -> list[dict]:
+    """Per observer of n, its entries {str(id): value} of the rows (e, j)."""
+    rows = [{} for _ in range(n)]
+    for a, b, value in zip(e.tolist(), j.tolist(), values):
+        rows[a][str(b)] = value
+    return rows
 
 
 def _track_logs(bank: TrackBank) -> list[dict]:
     """Each agent's row of the bank's table, as its tick record's `tracks`."""
-    p = bank.state[..., :2].reshape(-1, 2).tolist()
-    v = bank.state[..., 2:4].reshape(-1, 2).tolist()
-    stale = bank.staleness.ravel().tolist()
-    return [{str(j): {"p": p[k], "v": v[k], "stale": stale[k]} for j, k in row}
-            for row in _tracked(bank.tracks)]
+    e, j = np.nonzero(bank.tracks)
+    live = bank.state[e, j]
+    return _by_observer(len(bank.tracks), e, j, [
+        {"p": p, "v": v, "stale": stale}
+        for p, v, stale in zip(live[:, :2].tolist(), live[:, 2:4].tolist(),
+                               bank.staleness[e, j].tolist())
+    ])
 
 
 def run_scenario(

@@ -11,12 +11,16 @@ is how a neighbor bank runs all its tracks in one call (the block form of
 independent filters, Grewal & Andrews, *Kalman Filtering: Theory and
 Practice*). `predict` and `correct` are the K = 1 case of the same code.
 
-Measurement models are validated once: the selector matrices H_POS, H_VEL
-and H_ACC are checked at import and are read-only, so a Measurement built on
-one of them only checks its R, in closed form. Non-finite inputs, a singular
-innovation covariance and a non-finite gain are checked on every call; inside
-a stack the fault names the first offending row and carries its index, which
-`owned_rows` maps to the agent holding the row when one stack spans a swarm.
+A stack's measurement noise is R = variance * I per row, which is the only R
+the bank and the self-state filter build: `correct_stack` takes the (K,)
+variances and checks them in one pass. A full 2x2 R goes only through a
+Measurement, which `correct` takes. Measurement models are validated once:
+the selector matrices H_POS, H_VEL and H_ACC are checked at import and are
+read-only, so a Measurement built on one of them only checks its R, in
+closed form. Non-finite inputs, a singular innovation covariance and a
+non-finite gain are checked on every call; inside a stack the fault names
+the first offending row and carries its index, which `owned_rows` maps to
+the agent holding the row when one stack spans a swarm.
 """
 
 from __future__ import annotations
@@ -255,35 +259,46 @@ def _correct_rows(
     return x, p
 
 
+def _check_variances(variances: np.ndarray) -> None:
+    """R = var * I must be positive definite in every row: the verdict of
+    `_check_r(var, 0.0, 0.0, var)` (var > 0 and a determinant var * var that
+    is > 0 and finite), over the whole stack at once."""
+    with np.errstate(over="ignore"):
+        det = variances * variances
+    if not np.all((variances > 0.0) & (det > 0.0) & (det < np.inf)):
+        raise ValueError("R must be positive definite")
+
+
 def correct_stack(
     states: np.ndarray,
     covs: np.ndarray,
     h: np.ndarray,
     z: np.ndarray,
-    r: np.ndarray,
+    variances: np.ndarray,
     names: Sequence[str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply one measurement to each of K independent filters.
 
     states is (K, 6), covs (K, 6, 6), h a 2x6 selector shared by all rows,
-    z (K, 2) and r (K, 2, 2) per row; names label the rows in faults. H and
-    each R are held to the same rules as in a Measurement.
+    z (K, 2), and variances (K,) give each row R = variance * I; names label
+    the rows in faults. H is held to the same rules as in a Measurement, and
+    each R to its positive-definite rule.
     """
     states = np.asarray(states, dtype=float)
     covs = np.asarray(covs, dtype=float)
     h = np.asarray(h, dtype=float)
     z = np.asarray(z, dtype=float)
-    r = np.asarray(r, dtype=float)
+    variances = np.asarray(variances, dtype=float)
     k = len(states)
     names = ["lkf"] * k if names is None else names
     if h.shape != (2, STATE_DIM) or z.shape != (k, 2):
         raise ValueError("measurements must be (K, 2) with a 2x6 H")
     _validate_h(h)
-    if r.shape != (k, 2, 2):
-        raise ValueError("R must be a (K, 2, 2) stack")
-    for row in r.reshape(k, 4).tolist():
-        _check_r(*row)
-    return _correct_rows(states, covs, h, z, r, names)
+    if variances.shape != (k,):
+        raise ValueError("variances must be a (K,) stack")
+    _check_variances(variances)
+    return _correct_rows(states, covs, h, z, variances[:, None, None] * np.eye(2),
+                         names)
 
 
 def predict(

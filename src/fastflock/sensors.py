@@ -1,12 +1,16 @@
 """Seeded emulation of the onboard sensor suite.
 
-Relative localization: bearing/range observations with a rear blind spot,
+Relative localization: bearing/range sightings with a rear blind spot,
 per-tick dropouts, additive bearing noise, and multiplicative range noise
-(range inaccuracy grows with distance), read from the observer's row of the
-tick's pairwise geometry (`geometry.pairwise`). VIO: drifting pose whose
-feature population starves with ground speed. Communication: an optional
-broadcast channel with latency and drops. Everything is deterministic given the RNG
-streams handed in by the simulation engine.
+(range inaccuracy grows with distance). `observe` senses the whole swarm
+once per tick from the tick's pairwise geometry (`geometry.pairwise`): the
+range and field-of-view tests run on arrays, the noise stays scalar draws
+from each observer's own stream, and the result is one flat
+`tracking.Sightings`. VIO: drifting pose whose feature population starves
+with ground speed. Communication: an optional broadcast channel with
+latency and drops, one for the swarm, which queues one keep mask per
+broadcast and delivers `tracking.Velocities`. Everything is deterministic
+given the RNG streams handed in by the simulation engine.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .ego_estimation import VioSample
-from .geometry import TWO_PI, wrap_angle
-from .tracking import RelativeObservation
+from .geometry import TWO_PI, bearings, wrap_angles
+from .tracking import Sightings, Velocities
 
 
 @dataclass
@@ -90,44 +94,54 @@ class SensorConfig:
 def observe(
     rel: np.ndarray,
     dist: np.ndarray,
-    observer_id: int,
-    observer_heading: float,
+    headings: Sequence[float],
     config: SensorConfig,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     stamp: float,
-) -> list[RelativeObservation]:
-    """Bearing/range observations of every agent inside range and field of
-    view, each surviving an independent dropout draw. `rel` (N, 2) and
-    `dist` (N,) are the observer's row of `geometry.pairwise` over the true
-    positions, indexed by agent id. Bearings are reported in the observer's
-    body frame."""
-    # The observer's own distance is 0, so the coincidence floor drops it.
-    in_range = (dist <= config.max_range) & (dist >= 1e-9)
-    out = []
-    for agent_id in np.flatnonzero(in_range).tolist():
-        distance = float(dist[agent_id])
-        offset = rel[agent_id]
-        body_bearing = wrap_angle(
-            math.atan2(offset[1], offset[0]) - observer_heading
-        )
-        if abs(body_bearing) > config.fov / 2.0:
-            continue
-        if rng.random() < config.dropout_prob:
-            continue
-        noisy_bearing = wrap_angle(
-            body_bearing + rng.normal(0.0, config.bearing_sigma)
-        )
-        noisy_distance = distance * (1.0 + rng.normal(0.0, config.range_sigma_rel))
-        out.append(
-            RelativeObservation(
-                observer_id=observer_id,
-                observed_id=agent_id,
-                bearing=noisy_bearing,
-                distance=max(noisy_distance, 1e-3),
-                stamp=stamp,
-            )
-        )
-    return out
+) -> Sightings:
+    """Bearing/range sightings by every agent of every other agent inside
+    range and field of view, each surviving an independent dropout draw.
+    `rel` (N, N, 2) and `dist` (N, N) are the tick's `geometry.pairwise`
+    over the true positions, indexed by (observer, id); `headings` (N,) are
+    the agents' headings and `rngs[i]` agent i's perception stream.
+
+    Rows are ordered by observer, then by id, and bearings are reported in
+    the observer's body frame. Each candidate draws from its observer's
+    stream in that order: one uniform for the dropout and, when it survives,
+    a bearing and a range normal. An error raised by the draws carries the
+    observer as its `owner`."""
+    headings = np.asarray(headings, dtype=float)
+    # An agent's distance to itself is 0, so the coincidence floor drops it.
+    e, j = np.nonzero((dist <= config.max_range) & (dist >= 1e-9))
+    body = wrap_angles(bearings(rel[e, j]) - headings[e])
+    visible = ~(np.abs(body) > config.fov / 2.0)
+    e, j, body = e[visible], j[visible], body[visible]
+    dropout, bearing_sigma = config.dropout_prob, config.bearing_sigma
+    range_sigma = config.range_sigma_rel
+    # Rows are ordered by observer: observer i's are bounds[i]:bounds[i + 1].
+    bounds = np.searchsorted(e, np.arange(len(rngs) + 1)).tolist()
+    kept, noise = [], []
+    for observer, rng in enumerate(rngs):
+        random, normal = rng.random, rng.normal
+        try:
+            for row in range(bounds[observer], bounds[observer + 1]):
+                if random() < dropout:
+                    continue
+                kept.append(row)
+                noise.append((normal(0.0, bearing_sigma),
+                              normal(0.0, range_sigma)))
+        except Exception as exc:
+            exc.owner = observer
+            raise
+    bearing_noise, range_noise = np.array(noise, dtype=float).reshape(-1, 2).T
+    e, j, body = e[kept], j[kept], body[kept]
+    return Sightings(
+        observer=e,
+        ids=j,
+        bearing=wrap_angles(body + bearing_noise),
+        distance=np.maximum(dist[e, j] * (1.0 + range_noise), 1e-3),
+        stamp=np.full(len(kept), stamp),
+    )
 
 
 class VioEmulator:
@@ -211,26 +225,39 @@ class VioEmulator:
 
 
 class CommChannel:
-    """Per-receiver broadcast inbox with latency and per-message drops."""
+    """The swarm's broadcast channel: every agent's velocity goes to every
+    other agent, each message dropped independently, and is delivered
+    `latency_ticks` after it was sent. `rngs[r]` is receiver r's stream. The
+    queue holds one (N, N) keep mask per broadcast, indexed by (receiver,
+    sender)."""
 
-    def __init__(self, config: CommConfig, rng: np.random.Generator):
+    def __init__(self, config: CommConfig,
+                 rngs: Sequence[np.random.Generator]):
         self.config = config
-        self.rng = rng
-        self._queue: list[tuple[int, int, np.ndarray]] = []
+        self.rngs = list(rngs)
+        self._others = ~np.eye(len(self.rngs), dtype=bool)
+        self._queue: list[tuple[int, np.ndarray, np.ndarray]] = []
 
-    def send(self, tick: int, sender_ids: Sequence[int],
-             velocities: Sequence[np.ndarray]) -> None:
-        """Queue one tick's broadcasts, in the order given: one uniform draw
-        per message decides whether it is dropped."""
-        kept = self.rng.random(len(sender_ids)) >= self.config.drop_prob
-        due = tick + self.config.latency_ticks
-        self._queue.extend(
-            (due, sender_id, np.asarray(velocity))
-            for sender_id, velocity, keep in zip(sender_ids, velocities, kept)
-            if keep
-        )
+    def send(self, tick: int, velocities: Sequence[np.ndarray]) -> None:
+        """Queue one tick's broadcast of `velocities` (N, 2), agent i's in
+        row i: each receiver draws one uniform per message, over the other
+        agents in id order, and drops the message when it falls below
+        `drop_prob`."""
+        n = len(self.rngs)
+        draws = np.array([rng.random(n - 1) for rng in self.rngs])
+        keep = np.zeros((n, n), dtype=bool)
+        keep[self._others] = (draws >= self.config.drop_prob).ravel()
+        self._queue.append((tick + self.config.latency_ticks, keep,
+                            np.array(velocities, dtype=float)))
 
-    def deliver(self, tick: int) -> list[tuple[int, np.ndarray]]:
-        due = [(s, v) for t, s, v in self._queue if t <= tick]
+    def deliver(self, tick: int) -> Velocities:
+        """Every queued message due by `tick`, ordered by receiver, then by
+        the broadcast it came in, then by sender."""
+        due = [item for item in self._queue if item[0] <= tick]
         self._queue = [item for item in self._queue if item[0] > tick]
-        return due
+        if not due:
+            return Velocities.from_rows([])
+        keep = np.stack([mask for _, mask, _ in due], axis=1)
+        receiver, batch, sender = np.nonzero(keep)
+        velocities = np.stack([v for _, _, v in due])
+        return Velocities(receiver, sender, velocities[batch, sender])

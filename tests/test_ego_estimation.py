@@ -15,7 +15,7 @@ from fastflock.ego_estimation import (
     slew_weight,
     vio_weight_target,
 )
-from fastflock.tracking import RelativeObservation
+from fastflock.tracking import Sightings, world_offsets
 
 from .kalman_oracle import oracle_correct, oracle_predict
 from .tracking_oracle import TrackView, table
@@ -38,19 +38,16 @@ def track(agent_id, x, y):
 
 
 def fix_from(views, observations, heading):
-    """`position_fix` on the one-row track table holding `views`."""
+    """`position_fix` on the one-row track table holding `views`, from
+    observer 0's sightings `observations` with heading `heading`."""
     states, tracks = table([views], width=10)
-    return position_fix(states[0], tracks[0], observations, heading)
+    sightings = Sightings.from_rows([(0, *o, 0.0) for o in observations])
+    return position_fix(states[0], tracks[0], sightings.ids,
+                        world_offsets(sightings, [heading]))
 
 
 def obs(observed_id, bearing, distance):
-    return RelativeObservation(
-        observer_id=0,
-        observed_id=observed_id,
-        bearing=bearing,
-        distance=distance,
-        stamp=0.0,
-    )
+    return observed_id, bearing, distance
 
 
 class TestFocalModel:

@@ -149,8 +149,9 @@ class TestComm:
             sim = Simulation(small_scenario(comm=comm))
             for _ in range(3):
                 sim.tick()
-            delivered[comm] = [len(a.channel.deliver(sim.tick_index))
-                               for a in sim.agents]
+            inbox = sim.channel.deliver(sim.tick_index)
+            delivered[comm] = np.bincount(inbox.observer,
+                                          minlength=len(sim.agents)).tolist()
         assert all(delivered[True])
         assert not any(delivered[False])
 
@@ -318,14 +319,14 @@ class TestSwarmFilters:
         counts = []
         original = TrackBank.apply_tick
 
-        def recording(bank, observations, velocities, *args):
-            for inputs, key in ((observations, lambda o: o.observed_id),
-                                (velocities, lambda pair: pair[0])):
-                for items in inputs:
-                    ids = [key(item) for item in items]
-                    counts.append(len(ids))
-                    assert len(set(ids)) == len(ids)
-            return original(bank, observations, velocities, *args)
+        def recording(bank, sightings, velocities, *args):
+            for inputs in (sightings, velocities):
+                if inputs is not None:
+                    counts.extend(np.bincount(inputs.observer).tolist())
+                    pairs = list(zip(inputs.observer.tolist(),
+                                     inputs.ids.tolist()))
+                    assert len(set(pairs)) == len(pairs)
+            return original(bank, sightings, velocities, *args)
 
         monkeypatch.setattr(TrackBank, "apply_tick", recording)
         run_scenario(small_scenario(

@@ -244,10 +244,11 @@ def test_correct_stack_matches_oracle_per_row(k, h):
     rng = np.random.default_rng(100 + k)
     states, covs = random_stack(rng, k)
     z = rng.standard_normal((k, 2))
-    r = np.array([np.diag(rng.uniform(0.05, 2.0, size=2)) for _ in range(k)])
-    xs, ps = correct_stack(states, covs, h, z, r)
+    variances = rng.uniform(0.05, 2.0, size=k)
+    xs, ps = correct_stack(states, covs, h, z, variances)
     for i in range(k):
-        ox, op = oracle_correct(states[i], covs[i], z[i], h, r[i])
+        ox, op = oracle_correct(states[i], covs[i], z[i], h,
+                                variances[i] * np.eye(2))
         assert np.max(np.abs(xs[i] - ox)) < 1e-10
         assert np.max(np.abs(ps[i] - op)) < 1e-10
 
@@ -259,7 +260,7 @@ def test_single_calls_equal_their_stack_rows():
     z = rng.standard_normal((7, 2))
     r = np.array([0.3 * np.eye(2)] * 7)
     xs, ps = predict_stack(states, covs, model)
-    cx, cp = correct_stack(xs, ps, kalman.H_VEL, z, r)
+    cx, cp = correct_stack(xs, ps, kalman.H_VEL, z, np.full(7, 0.3))
     for i in range(7):
         x, p = predict(states[i], covs[i], model)
         assert np.array_equal(x, xs[i]) and np.array_equal(p, ps[i])
@@ -291,10 +292,38 @@ def test_bad_r_rejected_by_measurement_and_stack(r):
         Measurement(z=np.zeros(2), h=H_POS, r=r)
     with pytest.raises(ValueError):
         Measurement(z=np.zeros(2), h=kalman.H_POS, r=r)
-    rs = np.array([np.eye(2), r])
-    with pytest.raises(ValueError):
-        correct_stack(np.zeros((2, 6)), np.array([np.eye(6)] * 2), kalman.H_POS,
-                      np.zeros((2, 2)), rs)
+    # A stack's R is variance * I, which is never asymmetric or indefinite
+    # and has equal diagonal entries; a diagonal R goes in as its first.
+    if r[0, 1] == r[1, 0] == 0.0:
+        with pytest.raises(ValueError, match="positive definite"):
+            correct_stack(np.zeros((2, 6)), np.array([np.eye(6)] * 2),
+                          kalman.H_POS, np.zeros((2, 2)), [1.0, r[0, 0]])
+
+
+@pytest.mark.parametrize("variance", [
+    0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 5e-324, 1e-160, 1e-170, 1e154,
+    1.4e154, 1e-3, 0.09, 1.0, 2.5, 1e6,
+])
+def test_variance_check_matches_check_r(variance):
+    # The stack's one-pass check of R = variance * I gives the verdict of
+    # the per-matrix check on that R: 5e-324 and 1e-170 square to 0, 1e-160
+    # to a subnormal, and 1.4e154 overflows while 1e154 does not.
+    try:
+        kalman._check_r(variance, 0.0, 0.0, variance)
+    except ValueError:
+        expected = False
+    else:
+        expected = True
+    states, covs = np.zeros((3, 6)), np.array([np.eye(6)] * 3)
+    try:
+        correct_stack(states, covs, kalman.H_POS, np.zeros((3, 2)),
+                      [1.0, variance, 0.5])
+    except ValueError as exc:
+        assert str(exc) == "R must be positive definite"
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == expected
 
 
 def test_r_within_allclose_asymmetry_accepted():
@@ -308,7 +337,7 @@ def test_stack_rejects_bad_h():
     h[1, :] = 0.0
     with pytest.raises(ValueError):
         correct_stack(np.zeros((1, 6)), np.eye(6)[None], h, np.zeros((1, 2)),
-                      np.eye(2)[None])
+                      np.ones(1))
 
 
 def test_stack_faults_name_the_offending_row():
@@ -319,21 +348,21 @@ def test_stack_faults_name_the_offending_row():
     bad[1, 3] = np.nan
     with pytest.raises(NumericalFaultError, match="track-4: non-finite .* state"):
         predict_stack(bad, covs, model, names=names)
-    r = np.array([np.eye(2)] * 3)
+    variances = np.ones(3)
     # A (non-PSD) prior that cancels R exactly makes S singular.
     singular = covs.copy()
     singular[2, 0, 0] = -1.0
     with pytest.raises(NumericalFaultError, match="track-9: singular innovation"):
-        correct_stack(states, singular, kalman.H_POS, np.zeros((3, 2)), r,
+        correct_stack(states, singular, kalman.H_POS, np.zeros((3, 2)), variances,
                       names=names)
     # A tiny but valid R on a zero position variance gives an infinite gain.
     huge = covs.copy()
     huge[0] = 0.0
-    huge[0, 2, 0] = 1e10
-    tiny_r = r.copy()
-    tiny_r[0] = np.diag([1e-300, 1.0])
+    huge[0, 2, 0] = 1e150
+    tiny = variances.copy()
+    tiny[0] = 1e-160
     with pytest.raises(NumericalFaultError, match="track-1: non-finite Kalman gain"):
-        correct_stack(states, huge, kalman.H_POS, np.zeros((3, 2)), tiny_r,
+        correct_stack(states, huge, kalman.H_POS, np.zeros((3, 2)), tiny,
                       names=names)
 
 

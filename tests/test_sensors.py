@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -29,11 +30,29 @@ POSITIONS = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 20.0], [-30.0, 0.0]])
 REL, DIST = pairwise(POSITIONS)
 
 
+class Seen(NamedTuple):
+    observed_id: int
+    bearing: float
+    distance: float
+
+
+def seen_by_first(rel, dist, heading, config, rng):
+    """Agent 0's rows of the swarm's sightings, with agent 0 at `heading`
+    drawing from `rng`."""
+    n = len(dist)
+    rngs = [rng] + [np.random.default_rng(1000 + k) for k in range(1, n)]
+    seen = observe(rel, dist, [heading] + [0.0] * (n - 1), config, rngs, 0.0)
+    mine = seen.observer == 0
+    return [Seen(*row) for row in zip(seen.ids[mine].tolist(),
+                                      seen.bearing[mine].tolist(),
+                                      seen.distance[mine].tolist())]
+
+
 class TestObserve:
     def test_agent_behind_is_in_blind_spot(self):
         config = noiseless_config()
         rng = np.random.default_rng(0)
-        seen = observe(REL[0], DIST[0], 0, 0.0, config, rng, stamp=0.0)
+        seen = seen_by_first(REL, DIST, 0.0, config, rng)
         ids = [o.observed_id for o in seen]
         assert 3 not in ids  # bearing pi relative to heading 0: blind spot
         assert set(ids) == {1, 2}
@@ -43,7 +62,7 @@ class TestObserve:
         rng = np.random.default_rng(0)
         seen = {
             o.observed_id: o
-            for o in observe(REL[0], DIST[0], 0, 0.0, config, rng, 0.0)
+            for o in seen_by_first(REL, DIST, 0.0, config, rng)
         }
         assert seen[1].distance == pytest.approx(10.0)
         assert seen[1].bearing == pytest.approx(0.0)
@@ -53,13 +72,13 @@ class TestObserve:
     def test_max_range_enforced(self):
         config = noiseless_config(max_range=15.0)
         rng = np.random.default_rng(0)
-        seen = observe(REL[0], DIST[0], 0, 0.0, config, rng, 0.0)
+        seen = seen_by_first(REL, DIST, 0.0, config, rng)
         assert [o.observed_id for o in seen] == [1]
 
     def test_same_seed_same_tick_identical(self):
         config = SensorConfig()
-        a = observe(REL[0], DIST[0], 0, 0.3, config, np.random.default_rng(42), 0.0)
-        b = observe(REL[0], DIST[0], 0, 0.3, config, np.random.default_rng(42), 0.0)
+        a = seen_by_first(REL, DIST, 0.3, config, np.random.default_rng(42))
+        b = seen_by_first(REL, DIST, 0.3, config, np.random.default_rng(42))
         assert len(a) == len(b)
         for oa, ob in zip(a, b):
             assert oa == ob
@@ -68,10 +87,10 @@ class TestObserve:
         config = noiseless_config()
         alpha = 1.234
         turned_rel, turned_dist = pairwise(POSITIONS @ rotation(alpha).T)
-        base = observe(REL[0], DIST[0], 0, 0.5, config,
-                       np.random.default_rng(0), 0.0)
-        moved = observe(turned_rel[0], turned_dist[0], 0, 0.5 + alpha, config,
-                        np.random.default_rng(0), 0.0)
+        base = seen_by_first(REL, DIST, 0.5, config,
+                       np.random.default_rng(0))
+        moved = seen_by_first(turned_rel, turned_dist, 0.5 + alpha, config,
+                        np.random.default_rng(0))
         assert [o.observed_id for o in base] == [o.observed_id for o in moved]
         for oa, ob in zip(base, moved):
             assert oa.distance == pytest.approx(ob.distance, abs=1e-9)
@@ -80,10 +99,22 @@ class TestObserve:
     def test_heading_shifts_blind_spot(self):
         config = noiseless_config()
         rng = np.random.default_rng(0)
-        seen = observe(REL[0], DIST[0], 0, math.pi, config, rng, 0.0)
+        seen = seen_by_first(REL, DIST, math.pi, config, rng)
         ids = {o.observed_id for o in seen}
         assert 1 not in ids  # now directly behind
         assert 3 in ids
+
+    def test_draw_error_names_the_observer(self):
+        # Agent 0 sees no one within 15 m, so agent 1 makes the first draw,
+        # which a negative sigma makes raise.
+        config = noiseless_config(max_range=15.0, bearing_sigma=-1.0)
+        rngs = [np.random.default_rng(k) for k in range(4)]
+        points = POSITIONS + np.array([[-50.0, 0.0], [0.0, 0.0], [0.0, -10.0],
+                                       [0.0, 0.0]])
+        rel, dist = pairwise(points)
+        with pytest.raises(ValueError) as info:
+            observe(rel, dist, [0.0] * 4, config, rngs, 0.0)
+        assert info.value.owner == 1
 
 
 class TestVioEmulator:
@@ -154,22 +185,24 @@ class TestVioEmulator:
 class TestCommChannel:
     def test_zero_latency_same_tick(self):
         chan = CommChannel(CommConfig(latency_ticks=0, drop_prob=0.0),
-                           np.random.default_rng(0))
-        chan.send(5, [1], [np.array([1.0, 2.0])])
+                           [np.random.default_rng(0), np.random.default_rng(1)])
+        chan.send(5, [np.zeros(2), np.array([1.0, 2.0])])
         out = chan.deliver(5)
-        assert len(out) == 1
-        assert out[0][0] == 1
+        assert len(out) == 2
+        assert out.observer[0] == 0 and out.ids[0] == 1
+        assert out.velocity[0].tolist() == [1.0, 2.0]
 
     def test_latency_delays_delivery(self):
         chan = CommChannel(CommConfig(latency_ticks=2, drop_prob=0.0),
-                           np.random.default_rng(0))
-        chan.send(5, [1], [np.array([1.0, 2.0])])
-        assert chan.deliver(5) == []
-        assert chan.deliver(6) == []
-        assert len(chan.deliver(7)) == 1
+                           [np.random.default_rng(0), np.random.default_rng(1)])
+        chan.send(5, [np.zeros(2), np.array([1.0, 2.0])])
+        assert len(chan.deliver(5)) == 0
+        assert len(chan.deliver(6)) == 0
+        assert len(chan.deliver(7)) == 2
 
     def test_full_drop_equals_disabled(self):
-        chan = CommChannel(CommConfig(drop_prob=1.0), np.random.default_rng(0))
+        chan = CommChannel(CommConfig(drop_prob=1.0),
+                           [np.random.default_rng(0), np.random.default_rng(1)])
         for tick in range(10):
-            chan.send(tick, [1], [np.zeros(2)])
-        assert all(chan.deliver(t) == [] for t in range(10))
+            chan.send(tick, [np.zeros(2), np.zeros(2)])
+        assert all(len(chan.deliver(t)) == 0 for t in range(10))

@@ -1,11 +1,12 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from fastflock import kalman
-from fastflock.tracking import RelativeObservation, TrackBank, TrackParams
+from fastflock.tracking import Sightings, TrackBank, TrackParams, Velocities
 
 from .tracking_oracle import DictBank
 
@@ -14,38 +15,75 @@ def make_bank(dt=0.1, n_agents=10, **overrides):
     return TrackBank(TrackParams(**overrides), dt=dt, n_agents=n_agents)
 
 
-def obs(observed_id, bearing, distance, stamp=0.0, observer_id=0):
-    return RelativeObservation(
-        observer_id=observer_id,
-        observed_id=observed_id,
-        bearing=bearing,
-        distance=distance,
-        stamp=stamp,
-    )
+class Obs(NamedTuple):
+    """One sighting as a test writes it down; its observer is its slot."""
+
+    observed_id: int
+    bearing: float
+    distance: float
+    stamp: float = 0.0
+
+
+def obs(observed_id, bearing, distance, stamp=0.0):
+    return Obs(observed_id, bearing, distance, stamp)
+
+
+def sightings(rows):
+    """`Sightings` of rows[e], observer e's list of `Obs`."""
+    return Sightings.from_rows([(e, *o) for e, items in enumerate(rows)
+                                for o in items])
+
+
+def reports(rows):
+    """`Velocities` of rows[e], observer e's list of (id, velocity)."""
+    return Velocities.from_rows([(e, i, v) for e, items in enumerate(rows)
+                                 for i, v in items])
 
 
 def test_observation_validation():
+    bank = make_bank()
     with pytest.raises(ValueError):
-        obs(1, 0.0, -1.0)
+        bank.ingest_position(*obs(1, 0.0, -1.0), np.zeros(2), 0.0)
     with pytest.raises(ValueError):
-        obs(1, 4.0, 1.0)  # bearing outside (-pi, pi]
+        # bearing outside (-pi, pi]
+        bank.ingest_position(*obs(1, 4.0, 1.0), np.zeros(2), 0.0)
+
+
+@pytest.mark.parametrize("bearing, distance, message", [
+    (0.0, 0.0, "distance"), (0.0, -1.0, "distance"),
+    (0.0, math.nan, "distance"), (-math.pi, 10.0, "bearing"),
+    (math.nextafter(math.pi, 4.0), 10.0, "bearing"), (4.0, 10.0, "bearing"),
+    (math.nan, 10.0, "bearing"),
+])
+def test_apply_tick_rejects_bad_sightings(bearing, distance, message):
+    # The checks run over the whole tick before any track changes; the
+    # error names the observer of the first bad row.
+    bank = make_bank()
+    rows = [[obs(1, 0.0, 10.0)], [], [obs(2, 0.3, 9.0), obs(4, bearing, distance)]]
+    with pytest.raises(ValueError, match=message) as info:
+        bank.apply_tick(sightings(rows), None, np.zeros((3, 2)), [0.0] * 3)
+    assert info.value.owner == 2
+    assert not bank.tracks.any()
+    bank.apply_tick(sightings([[obs(1, math.pi, 1e-3)]]), None, [np.zeros(2)],
+                    [0.0])
+    assert bank.tracks[0, 1]
 
 
 def test_position_ingest_axis_aligned():
     bank = make_bank()
-    bank.ingest_position(obs(1, 0.0, 10.0), np.zeros(2), 0.0)
+    bank.ingest_position(*obs(1, 0.0, 10.0), np.zeros(2), 0.0)
     assert np.allclose(bank.state[0, 1, :2], [10.0, 0.0])
 
 
 def test_position_ingest_rotated_observer():
     bank = make_bank()
-    bank.ingest_position(obs(1, 0.0, 10.0), np.array([5.0, 5.0]), math.pi / 2)
+    bank.ingest_position(*obs(1, 0.0, 10.0), np.array([5.0, 5.0]), math.pi / 2)
     assert np.allclose(bank.state[0, 1, :2], [5.0, 15.0])
 
 
 def test_new_track_initialization():
     bank = make_bank()
-    bank.ingest_position(obs(3, 0.5, 8.0, stamp=1.0), np.zeros(2), 0.0)
+    bank.ingest_position(*obs(3, 0.5, 8.0, stamp=1.0), np.zeros(2), 0.0)
     assert np.flatnonzero(bank.tracks[0]).tolist() == [3]
     assert np.allclose(bank.state[0, 3, 2:], 0.0)
     assert bank.last_pos_stamp[0, 3] == 1.0
@@ -55,16 +93,16 @@ def test_new_track_initialization():
 
 def test_stale_observation_dropped_with_count():
     bank = make_bank()
-    bank.ingest_position(obs(1, 0.0, 10.0, stamp=5.0), np.zeros(2), 0.0)
+    bank.ingest_position(*obs(1, 0.0, 10.0, stamp=5.0), np.zeros(2), 0.0)
     before = bank.state[0, 1].copy()
-    bank.ingest_position(obs(1, 0.1, 12.0, stamp=4.0), np.zeros(2), 0.0)
+    bank.ingest_position(*obs(1, 0.1, 12.0, stamp=4.0), np.zeros(2), 0.0)
     assert np.array_equal(bank.state[0, 1], before)
     assert bank.dropped_stale == 1
 
 
 def test_velocity_dominant_measurement():
     bank = make_bank(vel_sigma=1e-5)
-    bank.ingest_position(obs(1, 0.0, 10.0), np.zeros(2), 0.0)
+    bank.ingest_position(*obs(1, 0.0, 10.0), np.zeros(2), 0.0)
     bank.ingest_velocity(1, np.array([5.0, 0.0]))
     assert np.allclose(bank.state[0, 1, 2:4], [5.0, 0.0], atol=1e-4)
 
@@ -78,18 +116,18 @@ def test_velocity_for_unknown_id_dropped():
 
 def test_simultaneous_corrections_position_first():
     bank = make_bank()
-    bank.ingest_position(obs(1, 0.0, 10.0, stamp=0.0), np.zeros(2), 0.0)
+    bank.ingest_position(*obs(1, 0.0, 10.0, stamp=0.0), np.zeros(2), 0.0)
     bank.step()
     # Reference: apply position then velocity by hand on a twin bank.
     twin = make_bank()
-    twin.ingest_position(obs(1, 0.0, 10.0, stamp=0.0), np.zeros(2), 0.0)
+    twin.ingest_position(*obs(1, 0.0, 10.0, stamp=0.0), np.zeros(2), 0.0)
     twin.step()
-    twin.ingest_position(obs(1, 0.01, 10.5, stamp=0.1), np.zeros(2), 0.0)
+    twin.ingest_position(*obs(1, 0.01, 10.5, stamp=0.1), np.zeros(2), 0.0)
     twin.ingest_velocity(1, np.array([2.0, 0.0]))
 
     bank.apply_tick(
-        [[obs(1, 0.01, 10.5, stamp=0.1)]],
-        [[(1, np.array([2.0, 0.0]))]],
+        sightings([[obs(1, 0.01, 10.5, stamp=0.1)]]),
+        reports([[(1, np.array([2.0, 0.0]))]]),
         [np.zeros(2)],
         [0.0],
     )
@@ -103,13 +141,13 @@ def test_tick_permutation_invariance():
         obs(i, float(rng.uniform(-1, 1)), float(rng.uniform(5, 20)), stamp=0.0)
         for i in (4, 1, 3, 2)
     ]
-    reports = [(i, rng.standard_normal(2)) for i in (3, 1, 4)]
+    velocities = [(i, rng.standard_normal(2)) for i in (3, 1, 4)]
     banks = []
     for order in ((0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1)):
         bank = make_bank()
         bank.apply_tick(
-            [[observations[i] for i in order]],
-            [list(reversed(reports))],
+            sightings([[observations[i] for i in order]]),
+            reports([list(reversed(velocities))]),
             [np.zeros(2)],
             [0.0],
         )
@@ -129,7 +167,7 @@ def test_step_empty_bank():
 
 def test_staleness_drop_threshold():
     bank = make_bank(dt=0.125, drop_after=2.0)
-    bank.ingest_position(obs(1, 0.0, 10.0), np.zeros(2), 0.0)
+    bank.ingest_position(*obs(1, 0.0, 10.0), np.zeros(2), 0.0)
     for _ in range(16):  # 2.0 s exactly: staleness == drop_after, kept
         bank.step()
     assert bank.tracks[0, 1]
@@ -139,8 +177,8 @@ def test_staleness_drop_threshold():
 
 def test_step_matches_per_track_predict():
     bank = make_bank()
-    bank.ingest_position(obs(1, 0.2, 12.0), np.zeros(2), 0.0)
-    bank.ingest_position(obs(2, -0.4, 7.0), np.zeros(2), 0.0)
+    bank.ingest_position(*obs(1, 0.2, 12.0), np.zeros(2), 0.0)
+    bank.ingest_position(*obs(2, -0.4, 7.0), np.zeros(2), 0.0)
     expected = {
         tid: kalman.predict(bank.state[0, tid], bank.cov[0, tid], bank.model)
         for tid in (1, 2)
@@ -164,31 +202,30 @@ def test_apply_tick_matches_sequential_ingest():
         bank = make_bank()
         for tid in (1, 2, 3, 5, 8):
             bank.ingest_position(
-                obs(tid, float(init.uniform(-3, 3)), 8.0 + tid, stamp=0.2),
+                *obs(tid, float(init.uniform(-3, 3)), 8.0 + tid, stamp=0.2),
                 position, heading,
             )
         bank.step()
         return bank
 
     bank, twin = seeded(), seeded()
-    # observer_id 2 on a one-observer bank: both paths file by slot, not id.
     observations = [
-        obs(tid, float(rng.uniform(-3, 3)), float(rng.uniform(5, 30)), stamp=stamp,
-            observer_id=2)
+        obs(tid, float(rng.uniform(-3, 3)), float(rng.uniform(5, 30)), stamp=stamp)
         for tid, stamp in [(5, 0.3), (2, 0.3), (7, 0.3), (3, 0.1), (1, 0.3)]
     ]
-    reports = [(tid, rng.standard_normal(2)) for tid in (8, 1, 4, 7)]
+    velocities = [(tid, rng.standard_normal(2)) for tid in (8, 1, 4, 7)]
     # This tick once also held repeats (id 2 three times, 7 twice, and two
     # velocities for 8); a repeated pair now raises.
     with pytest.raises(ValueError, match="repeats"):
-        seeded().apply_tick([observations + observations[1:3]], [],
+        seeded().apply_tick(sightings([observations + observations[1:3]]), None,
                             [position], [heading])
     with pytest.raises(ValueError, match="repeats"):
-        seeded().apply_tick([], [reports + reports[:1]], [], [])
-    bank.apply_tick([observations], [reports], [position], [heading])
+        seeded().apply_tick(None, reports([velocities + velocities[:1]]), [], [])
+    bank.apply_tick(sightings([observations]), reports([velocities]),
+                    [position], [heading])
     for o in sorted(observations, key=lambda o: o.observed_id):
-        twin.ingest_position(o, position, heading)
-    for tid, velocity in sorted(reports, key=lambda r: r[0]):
+        twin.ingest_position(*o, position, heading)
+    for tid, velocity in sorted(velocities, key=lambda r: r[0]):
         twin.ingest_velocity(tid, velocity)
     assert np.flatnonzero(bank.tracks[0]).tolist() == [1, 2, 3, 5, 7, 8]
     for name in ("tracks", "state", "cov", "last_pos_stamp", "staleness"):
@@ -202,18 +239,19 @@ def test_repeated_pair_or_bad_id_raises():
     # ids index the table: a negative id would otherwise wrap silently.
     bank = make_bank(n_agents=4)
     with pytest.raises(ValueError, match="repeats"):
-        bank.apply_tick([[obs(1, 0.0, 10.0), obs(1, 0.1, 11.0)]], [],
-                        [np.zeros(2)], [0.0])
-    bank.ingest_position(obs(1, 0.0, 10.0), np.zeros(2), 0.0)
+        bank.apply_tick(sightings([[obs(1, 0.0, 10.0), obs(1, 0.1, 11.0)]]),
+                        None, [np.zeros(2)], [0.0])
+    bank.ingest_position(*obs(1, 0.0, 10.0), np.zeros(2), 0.0)
     with pytest.raises(ValueError, match="repeats"):
-        bank.apply_tick([], [[(1, np.ones(2)), (1, np.zeros(2))]], [], [])
+        bank.apply_tick(None, reports([[(1, np.ones(2)), (1, np.zeros(2))]]),
+                        [], [])
     for bad in (-1, 4):
         with pytest.raises(ValueError, match="0..3"):
-            bank.ingest_position(obs(bad, 0.0, 10.0), np.zeros(2), 0.0)
+            bank.ingest_position(*obs(bad, 0.0, 10.0), np.zeros(2), 0.0)
         with pytest.raises(ValueError, match="0..3"):
             bank.ingest_velocity(bad, np.ones(2))
     # The same id seen by two observers is two pairs.
-    bank.apply_tick([[obs(2, 0.0, 10.0)], [obs(2, 0.0, 12.0)]], [],
+    bank.apply_tick(sightings([[obs(2, 0.0, 10.0)], [obs(2, 0.0, 12.0)]]), None,
                     [np.zeros(2)] * 2, [0.0, 0.0])
     assert bank.tracks[:2, 2].all()
 
@@ -221,22 +259,22 @@ def test_repeated_pair_or_bad_id_raises():
 def test_stacked_fault_names_the_track():
     bank = make_bank()
     for tid in (2, 6, 9):
-        bank.ingest_position(obs(tid, 0.0, 10.0 + tid), np.zeros(2), 0.0)
+        bank.ingest_position(*obs(tid, 0.0, 10.0 + tid), np.zeros(2), 0.0)
     bank.cov[0, 6, 0, 0] = np.nan
     with pytest.raises(kalman.NumericalFaultError, match="track-6"):
         bank.step()
     with pytest.raises(kalman.NumericalFaultError, match="track-6"):
         bank.apply_tick(
-            [[obs(tid, 0.0, 10.0 + tid, stamp=0.1) for tid in (9, 6, 2)]],
-            [], [np.zeros(2)], [0.0],
+            sightings([[obs(tid, 0.0, 10.0 + tid, stamp=0.1) for tid in (9, 6, 2)]]),
+            None, [np.zeros(2)], [0.0],
         )
 
 
 def test_zero_velocity_sigma_rejected():
     bank = make_bank(vel_sigma=0.0)
-    bank.ingest_position(obs(1, 0.0, 10.0), np.zeros(2), 0.0)
+    bank.ingest_position(*obs(1, 0.0, 10.0), np.zeros(2), 0.0)
     with pytest.raises(ValueError, match="positive definite"):
-        bank.apply_tick([], [[(1, np.ones(2))]], [np.zeros(2)], [0.0])
+        bank.apply_tick(None, reports([[(1, np.ones(2))]]), [np.zeros(2)], [0.0])
 
 
 def test_constant_velocity_stream_recovers_velocity():
@@ -260,7 +298,7 @@ def test_constant_velocity_stream_recovers_velocity():
         noisy = pos + rng.normal(0.0, 1.0, size=2)
         bearing = math.atan2(noisy[1], noisy[0])
         bank.ingest_position(
-            obs(1, bearing, float(np.linalg.norm(noisy)), stamp=k * dt),
+            *obs(1, bearing, float(np.linalg.norm(noisy)), stamp=k * dt),
             np.zeros(2),
             0.0,
         )
@@ -284,7 +322,7 @@ def test_track_innovation_consistency():
         truth = np.array([15.0, 5.0, 1.0, -0.5, 0.0, 0.0])
         first = truth[:2] + rng.normal(0.0, sigma, size=2)
         bank.ingest_position(
-            obs(1, math.atan2(first[1], first[0]), float(np.linalg.norm(first))),
+            *obs(1, math.atan2(first[1], first[0]), float(np.linalg.norm(first))),
             np.zeros(2),
             0.0,
         )
@@ -299,7 +337,7 @@ def test_track_innovation_consistency():
             s = h @ bank.cov[0, 1] @ h.T + sigma**2 * np.eye(2)
             samples.append(float(innovation @ np.linalg.solve(s, innovation)))
             bank.ingest_position(
-                obs(1, math.atan2(z[1], z[0]), float(np.linalg.norm(z)),
+                *obs(1, math.atan2(z[1], z[0]), float(np.linalg.norm(z)),
                     stamp=(k + 1) * dt),
                 np.zeros(2),
                 0.0,
@@ -324,8 +362,7 @@ def random_ticks(rng, n, ticks):
                                       replace=False).tolist():
                     late = stamp - (0.3 if rng.random() < 0.2 else 0.0)
                     mine.append(obs(tid, float(rng.uniform(-3, 3)),
-                                    float(rng.uniform(5, 30)), stamp=late,
-                                    observer_id=e))
+                                    float(rng.uniform(5, 30)), stamp=late))
             observations.append(mine)
             velocities.append([
                 (int(tid), rng.standard_normal(2))
@@ -347,11 +384,12 @@ def test_swarm_bank_rows_equal_one_observer_banks():
     singles = [make_bank(n_agents=10) for _ in range(n)]
     for observations, velocities, positions, headings in random_ticks(rng, n, 12):
         swarm.step()
-        swarm.apply_tick(observations, velocities, positions, headings)
+        swarm.apply_tick(sightings(observations), reports(velocities),
+                         positions, headings)
         for e, bank in enumerate(singles):
             bank.step()
-            bank.apply_tick([observations[e]], [velocities[e]], [positions[e]],
-                            [headings[e]])
+            bank.apply_tick(sightings([observations[e]]), reports([velocities[e]]),
+                            [positions[e]], [headings[e]])
     for e, bank in enumerate(singles):
         assert np.array_equal(swarm.tracks[e], bank.tracks[0])
         live = bank.tracks[0]
@@ -372,9 +410,11 @@ def test_table_matches_dict_bank(seed):
     ours = make_bank(n_agents=10, drop_after=0.35)
     ref = DictBank(TrackParams(drop_after=0.35), 0.1, 10)
     for observations, velocities, positions, headings in random_ticks(rng, n, 25):
-        for bank in (ours, ref):
-            bank.step()
-            bank.apply_tick(observations, velocities, positions, headings)
+        ours.step()
+        ours.apply_tick(sightings(observations), reports(velocities), positions,
+                        headings)
+        ref.step()
+        ref.apply_tick(observations, velocities, positions, headings)
         for e, tracks in enumerate(ref.tracks):
             assert np.flatnonzero(ours.tracks[e]).tolist() == sorted(tracks)
             for tid, track in tracks.items():

@@ -65,8 +65,9 @@ class NeighborTrack:
 
 class DictBank:
     """`tracks[e]` holds observer e's filters keyed by the observed id.
-    `params` is a `fastflock.tracking.TrackParams`; inputs are
-    `RelativeObservation`s and (id, velocity) pairs."""
+    `params` is a `fastflock.tracking.TrackParams`; inputs are, per
+    observer, lists of sightings (records with `observed_id`, `bearing`,
+    `distance` and `stamp`) and of (id, velocity) pairs."""
 
     def __init__(self, params, dt: float, n_observers: int):
         self.params = params
@@ -120,7 +121,7 @@ class DictBank:
         zs = origins + (turns @ local[..., None])[..., 0]
         hits, rows, variances = [], [], []
         for (e, obs), z in zip(batch, zs):
-            var = self.params.pos_sigma(obs.distance) ** 2
+            var = float(self.params.pos_variances([obs.distance])[0])
             bank = self.tracks[e]
             track = bank.get(obs.observed_id)
             if track is None:
@@ -162,7 +163,7 @@ class DictBank:
             np.array([t.cov for t in tracks]),
             h,
             np.array(z, dtype=float),
-            np.array(variances)[:, None, None] * np.eye(2),
+            np.array(variances),
         )
         for track, x, p in zip(tracks, states, covs):
             track.state, track.cov = x, p
