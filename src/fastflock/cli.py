@@ -166,13 +166,13 @@ def fit_from_plant(config) -> tuple:
     for profile in command_profiles(20.0, config.dt, config.gains.cruise_speed):
         plant = AgentPlant(
             config.plant.tau, config.plant.v_max, config.plant.a_max,
-            np.zeros(2),
+            np.zeros((1, 2)),
         )
-        v_prev = plant.velocity.copy()
+        v_prev = plant.velocity[0].copy()
         for command in profile:
-            plant.advance(command, config.dt)
-            samples.append((v_prev, command.copy(), plant.velocity.copy()))
-            v_prev = plant.velocity.copy()
+            plant.advance(command[None], config.dt)
+            samples.append((v_prev, command.copy(), plant.velocity[0].copy()))
+            v_prev = plant.velocity[0].copy()
     model = fit_response_model(samples)
     return model, len(samples)
 

@@ -386,5 +386,4 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
     """Plain-data view of the scenario, suitable for the log header."""
-    out = dataclasses.asdict(config)
-    return out
+    return dataclasses.asdict(config)

@@ -5,6 +5,10 @@ whose model is driven by the commanded velocity through a first-order lag,
 corrected with position fixes derived from the tracked neighborhood and with
 IMU accelerations. The result is blended with the visual-odometry stream
 using an adaptive weight that follows the VIO feature quality.
+
+The swarm's filters and fusion run as one call per tick over rows, one per
+agent (`SelfStateFilter`, `OdometryFusion`); the position fix, the VIO
+quality score and the weight's slew stay per agent.
 """
 
 from __future__ import annotations
@@ -161,26 +165,34 @@ def slew_weight(current: float, target: float, rate: float, dt: float) -> float:
 
 @dataclass
 class FusionState:
-    """Blended odometry output for one tick."""
+    """Blended odometry output for one tick, one row per agent: `position`,
+    `velocity` and `acceleration` are (N, 2), `vio_weight` and
+    `weight_target` (N,)."""
 
     position: np.ndarray
     velocity: np.ndarray
     acceleration: np.ndarray
-    vio_weight: float
-    weight_target: float
+    vio_weight: np.ndarray
+    weight_target: np.ndarray
+
+
+# Every agent starts out trusting VIO fully.
+INITIAL_VIO_WEIGHT = 1.0
 
 
 class OdometryFusion:
     """Position-delta blending of the VIO stream against the self-state
-    estimate; runs outside the Kalman filter so either source can be swapped.
+    estimate, one row per agent; runs outside the Kalman filter so either
+    source can be swapped. One agent's fusion is the one-row case.
 
     Velocity and acceleration are convex combinations of the two sources;
-    position integrates the weighted deltas of both.
+    position integrates the weighted deltas of both, from the first sample,
+    which anchors it.
     """
 
-    def __init__(self, initial_position, weight: float = 1.0, rate: float = 0.2):
-        self.position = np.asarray(initial_position, dtype=float).copy()
-        self.vio_weight = weight
+    def __init__(self, n_agents: int, rate: float = 0.2):
+        self.position = np.zeros((n_agents, 2))
+        self.vio_weight = np.full(n_agents, INITIAL_VIO_WEIGHT)
         self.rate = rate
         self._prev_vio: np.ndarray | None = None
         self._prev_state: np.ndarray | None = None
@@ -193,45 +205,44 @@ class OdometryFusion:
         state_position: np.ndarray,
         state_velocity: np.ndarray,
         state_acceleration: np.ndarray,
-        weight: float,
+        weight: np.ndarray,
     ) -> FusionState:
-        """Blend one tick of both sources with a given weight."""
+        """Blend one tick of both sources, (N, 2) each, row e with weight
+        `weight[e]` on VIO."""
+        weight = np.array(weight, dtype=float)
+        w = weight[:, None]
         if self._prev_vio is None:
-            # First sample anchors the integration constant.
-            self.position = weight * np.asarray(vio_position, float) + (
-                1.0 - weight
-            ) * np.asarray(state_position, float)
+            self.position = w * vio_position + (1.0 - w) * state_position
         else:
             delta_vio = vio_position - self._prev_vio
             delta_state = state_position - self._prev_state
-            self.position = self.position + weight * delta_vio + (
-                1.0 - weight
-            ) * delta_state
-        self._prev_vio = np.asarray(vio_position, dtype=float).copy()
-        self._prev_state = np.asarray(state_position, dtype=float).copy()
+            self.position = self.position + w * delta_vio + (1.0 - w) * delta_state
+        self._prev_vio = np.array(vio_position, dtype=float)
+        self._prev_state = np.array(state_position, dtype=float)
         self.vio_weight = weight
         return FusionState(
             position=self.position.copy(),
-            velocity=weight * np.asarray(vio_velocity, float)
-            + (1.0 - weight) * np.asarray(state_velocity, float),
-            acceleration=weight * np.asarray(vio_acceleration, float)
-            + (1.0 - weight) * np.asarray(state_acceleration, float),
+            velocity=w * vio_velocity + (1.0 - w) * state_velocity,
+            acceleration=w * vio_acceleration + (1.0 - w) * state_acceleration,
             vio_weight=weight,
             weight_target=weight,
         )
 
-    def advance(self, sample: VioSample, own_state: np.ndarray, dt: float) -> FusionState:
-        """Slew the weight toward the sample's quality score, then fuse."""
-        target = vio_weight_target(sample)
-        weight = slew_weight(self.vio_weight, target, self.rate, dt)
+    def advance(self, samples: Sequence[VioSample], own_states: np.ndarray,
+                dt: float) -> FusionState:
+        """Slew each row's weight toward its sample's quality score, then
+        fuse row e's sample with its self-state `own_states[e]` (N, 6)."""
+        targets = [vio_weight_target(sample) for sample in samples]
+        weights = [slew_weight(current, target, self.rate, dt)
+                   for current, target in zip(self.vio_weight.tolist(), targets)]
         state = self.fuse(
-            sample.position,
-            sample.velocity,
-            sample.acceleration,
-            own_state[:2],
-            own_state[2:4],
-            own_state[4:6],
-            weight,
+            np.array([sample.position for sample in samples]),
+            np.array([sample.velocity for sample in samples]),
+            np.array([sample.acceleration for sample in samples]),
+            own_states[:, :2],
+            own_states[:, 2:4],
+            own_states[:, 4:6],
+            weights,
         )
-        state.weight_target = target
+        state.weight_target = np.array(targets)
         return state

@@ -2,7 +2,8 @@
 orchestration, collision detection, and ground-truth bookkeeping.
 
 Every tick advances all agents synchronously on the previous tick's ground
-truth. The tick works out the swarm's pairwise geometry once
+truth. The world state is held in rows, one per agent (see `Simulation`).
+The tick works out the swarm's pairwise geometry once
 (`geometry.pairwise`); collision detection and sensing read it. The tick
 then runs in phases across the swarm:
 1. sense: one `sensors.observe` gives every agent's sightings as one flat
@@ -16,9 +17,11 @@ then runs in phases across the swarm:
 3. self-state: per agent, `ego_estimation.position_fix` on the agent's row
    of that table and its rows of the sightings and offsets; then one
    `SelfStateFilter.step` of the swarm's self-state filter;
-4. fusion: per agent, `OdometryFusion.advance`;
+4. fusion: one `OdometryFusion.advance` of the swarm's fusion;
 5. velocity-ingest: with comm on, one `CommChannel.deliver` of the swarm's
-   channel gives every agent's inbox as one `tracking.Velocities`; with
+   channel gives every agent's inbox as one `tracking.Velocities` (it
+   delivers before the tick broadcasts, so a message sent at tick k is
+   first delivered at tick k + max(L, 1) for a latency of L ticks); with
    comm off, one call of the swarm's `velocity_inference.VelocityEstimator`
    replays the flocking law for every entry of the table, in one
    `velocity_inference.estimate_velocities` and one
@@ -27,16 +30,19 @@ then runs in phases across the swarm:
 6. controller: one call of the swarm's `flocking.FlockingController` on
    the table, with one `flocking.desired_offset`, each agent's command one
    row of its result;
-7. per agent: heading, the finiteness checks and the tick record, whose
-   `tracks` lists the agent's row of the table;
+7. heading: every agent's heading, the `geometry.bearings` of its target
+   sighting or its command, then the finiteness checks in one pass over
+   the swarm; then the tick record, whose per-agent fields are rows of the
+   swarm's arrays and whose `tracks` lists each agent's row of the table;
 then the broadcast (with comm on, one `CommChannel.send`, which queues one
-keep mask over every (receiver, sender) pair) and plant integration.
+keep mask over every (receiver, sender) pair) and one `AgentPlant.advance`
+of the swarm's plant.
 
 Agent order cannot change the result. Within a tick an agent reads only
-the previous tick's ground truth and its own rows of the swarm's
+the previous tick's ground truth and its own rows of the swarm's state,
 sightings, filters, controller and estimator, its random streams and its
 inbox, and nothing another agent writes before the broadcast; the stacked
-filters and law round each row exactly as the row alone. A fault in a
+filters, law, plant and fusion round each row exactly as the row alone. A fault in a
 swarm-wide call names the agent that owns the offending row. All
 randomness flows from per-(agent, sensor) generator streams spawned off
 the scenario seed.
@@ -49,7 +55,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -64,7 +69,7 @@ from .ego_estimation import (
     position_fix,
 )
 from .flocking import FlockingCommand, FlockingController
-from .geometry import pairwise
+from .geometry import bearings, lengths, pairwise
 from .sensors import CommChannel, VioEmulator, observe
 from .tracking import Sightings, TrackBank, TrackParams, Velocities
 from .velocity_inference import VelocityEstimator
@@ -94,34 +99,38 @@ def detect_collisions(
 
 
 class AgentPlant:
-    """Point-mass plant: first-order velocity lag toward the command, with
-    acceleration and speed caps enforced every step."""
+    """Point-mass plants of the swarm, one row per agent: `position`,
+    `velocity` and `acceleration` are (N, 2). Each row is a first-order
+    velocity lag toward its command, with acceleration and speed caps
+    enforced every step; one agent's plant is the one-row case."""
 
-    def __init__(self, tau: float, v_max: float, a_max: float, position):
+    def __init__(self, tau: float, v_max: float, a_max: float, positions):
         self.tau = tau
         self.v_max = v_max
         self.a_max = a_max
-        self.position = np.asarray(position, dtype=float).copy()
-        self.velocity = np.zeros(2)
-        self.acceleration = np.zeros(2)
+        self.position = np.array(positions, dtype=float).reshape(-1, 2)
+        self.velocity = np.zeros_like(self.position)
+        self.acceleration = np.zeros_like(self.position)
 
-    def advance(self, command: np.ndarray, dt: float) -> None:
+    def advance(self, commands: np.ndarray, dt: float) -> None:
+        """Step every row toward its command (N, 2); each cap rescales only
+        the rows that exceed it."""
         decay = math.exp(-dt / self.tau)
-        v_new = command + (self.velocity - command) * decay
+        v_new = commands + (self.velocity - commands) * decay
         accel = (v_new - self.velocity) / dt
-        a_mag = float(np.linalg.norm(accel))
-        if a_mag > self.a_max:
-            accel = accel * (self.a_max / a_mag)
-            v_new = self.velocity + accel * dt
-        speed = float(np.linalg.norm(v_new))
-        if speed > self.v_max:
-            v_new = v_new * (self.v_max / speed)
-            accel = (v_new - self.velocity) / dt
+        a_mag = lengths(accel)
+        over = a_mag > self.a_max
+        accel[over] = accel[over] * (self.a_max / a_mag[over])[:, None]
+        v_new[over] = self.velocity[over] + accel[over] * dt
+        speed = lengths(v_new)
+        over = speed > self.v_max
+        v_new[over] = v_new[over] * (self.v_max / speed[over])[:, None]
+        accel[over] = (v_new[over] - self.velocity[over]) / dt
         self.position = self.position + v_new * dt
         self.velocity = v_new
         self.acceleration = accel
-        assert np.linalg.norm(self.velocity) <= self.v_max + 1e-9
-        assert np.linalg.norm(self.acceleration) <= self.a_max + 1e-9
+        assert np.all(lengths(self.velocity) <= self.v_max + 1e-9)
+        assert np.all(lengths(self.acceleration) <= self.a_max + 1e-9)
 
 
 class StaticTarget:
@@ -173,48 +182,6 @@ def make_trajectory(config: ScenarioConfig):
     return WaypointTarget(target.waypoints, target.speed, target.loop)
 
 
-class Agent:
-    """Per-agent simulation state: plant, sensors and fusion, with private
-    RNG streams. The swarm's track bank, self-state filter, controller and
-    velocity estimator hold the agent's filters and control state in their
-    rows."""
-
-    def __init__(self, agent_id: int, config: ScenarioConfig, position,
-                 seed_seq: np.random.SeedSequence, goal_rel: np.ndarray):
-        self.id = agent_id
-        sensors = config.sensors
-        streams = seed_seq.spawn(5)
-        self.rng_perception = np.random.default_rng(streams[0])
-        self.rng_imu = np.random.default_rng(streams[1])
-        self.rng_target = np.random.default_rng(streams[2])
-        self.rng_comm = np.random.default_rng(streams[3])
-        self.plant = AgentPlant(
-            config.plant.tau, config.plant.v_max, config.plant.a_max, position
-        )
-        self.fusion = OdometryFusion(position, weight=1.0,
-                                     rate=config.filters.fusion_rate)
-        self.vio = VioEmulator(sensors.vio, position,
-                               np.random.default_rng(streams[4]))
-        self.heading = math.atan2(goal_rel[1], goal_rel[0])
-        self.fused_position = np.asarray(position, dtype=float).copy()
-        self.fused_velocity = np.zeros(2)
-        # The commanded velocity of the last tick, which the self-state
-        # filter and the plant take.
-        self.command_velocity = np.zeros(2)
-
-
-class Sensed(NamedTuple):
-    """What one agent's sense stage hands the later phases of its tick: the
-    ground truth it started from, its VIO sample, IMU acceleration and
-    target sighting."""
-
-    truth_pos: np.ndarray
-    truth_vel: np.ndarray
-    vio_sample: VioSample
-    imu_accel: np.ndarray
-    target_rel: np.ndarray
-
-
 @contextmanager
 def _fault(agent_id: int, stage: str):
     """Report any error raised inside as a SimulationFault of one agent: the
@@ -228,19 +195,38 @@ def _fault(agent_id: int, stage: str):
 
 
 class Simulation:
-    """One scenario instance; owns the world state and the tick loop."""
+    """One scenario instance; owns the world state and the tick loop.
+
+    The world state is held in rows, row i for agent i: the swarm's `plant`
+    and `fusion`, `heading` (N,), and `fused_position`, `fused_velocity` and
+    `command_velocity` (N, 2), the last the commanded velocity of the last
+    tick, which the self-state filter and the plant take. Each agent keeps
+    its own random streams and VIO emulator. The swarm's track bank,
+    self-state filter, controller and velocity estimator hold every agent's
+    filters and control state in their rows."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.trajectory = make_trajectory(config)
-        positions = initial_positions(config)
-        root = np.random.SeedSequence(config.seed)
-        agent_seeds = root.spawn(config.n_agents)
-        goal0 = self.trajectory.position(0.0)
-        self.agents = [
-            Agent(i, config, positions[i], agent_seeds[i], goal0 - positions[i])
-            for i in range(config.n_agents)
+        positions = np.array(initial_positions(config), dtype=float)
+        n = config.n_agents
+        # Every agent spawns its streams in this order: perception, IMU,
+        # target, comm, VIO.
+        streams = [
+            [np.random.default_rng(s) for s in seeds.spawn(5)]
+            for seeds in np.random.SeedSequence(config.seed).spawn(n)
         ]
+        self.rng_perception, self.rng_imu, self.rng_target, rng_comm, rng_vio = (
+            list(column) for column in zip(*streams))
+        plant = config.plant
+        self.plant = AgentPlant(plant.tau, plant.v_max, plant.a_max, positions)
+        self.fusion = OdometryFusion(n, rate=config.filters.fusion_rate)
+        self.vio = [VioEmulator(config.sensors.vio, p, rng)
+                    for p, rng in zip(positions, rng_vio)]
+        self.heading = bearings(self.trajectory.position(0.0) - positions)
+        self.fused_position = positions.copy()
+        self.fused_velocity = np.zeros((n, 2))
+        self.command_velocity = np.zeros((n, 2))
         filters, sensors = config.filters, config.sensors
         self.bank = TrackBank(
             TrackParams(
@@ -253,7 +239,7 @@ class Simulation:
                 drop_after=filters.track_drop_after,
             ),
             config.dt,
-            config.n_agents,
+            n,
         )
         self.self_filter = SelfStateFilter(
             FocalParams(
@@ -267,197 +253,186 @@ class Simulation:
             config.dt,
             positions,
         )
-        self.channel = CommChannel(config.sensors.comm,
-                                   [a.rng_comm for a in self.agents])
-        self.controller = FlockingController(config.gains, config.n_agents)
+        self.channel = CommChannel(sensors.comm, rng_comm)
+        self.controller = FlockingController(config.gains, n)
         self.estimator = VelocityEstimator(
-            config.gains, config.response_model, config.sensors.max_range,
-            config.sensors.fov, config.n_agents,
+            config.gains, config.response_model, sensors.max_range,
+            sensors.fov, n,
         )
         self.tick_index = 0
 
-    def _stage(self, agent: Agent, target_position: np.ndarray) -> Sensed:
-        """One agent's sense stage after the swarm's sightings: its VIO
-        sample, IMU acceleration and target sighting."""
+    def _stage(self, agent_id: int, target_position: np.ndarray
+               ) -> tuple[VioSample, np.ndarray, np.ndarray]:
+        """One agent's sense stage after the swarm's sightings, drawn from
+        its own streams: its VIO sample, IMU acceleration and target
+        sighting."""
         config = self.config
-        truth_pos = agent.plant.position
-        truth_vel = agent.plant.velocity
-        with _fault(agent.id, "sense"):
-            vio_sample = agent.vio.sample(
-                truth_pos, truth_vel, agent.plant.acceleration, config.dt
+        position = self.plant.position[agent_id]
+        acceleration = self.plant.acceleration[agent_id]
+        with _fault(agent_id, "sense"):
+            vio_sample = self.vio[agent_id].sample(
+                position, self.plant.velocity[agent_id], acceleration, config.dt
             )
-            imu_accel = agent.plant.acceleration + agent.rng_imu.normal(
+            imu_accel = acceleration + self.rng_imu[agent_id].normal(
                 0.0, config.sensors.imu_accel_sigma, size=2
             )
-            target_rel = (target_position - truth_pos) + agent.rng_target.normal(
-                0.0, config.sensors.target_sigma, size=2
-            )
-        return Sensed(truth_pos, truth_vel, vio_sample, imu_accel, target_rel)
+            target_rel = (target_position - position) + self.rng_target[
+                agent_id].normal(0.0, config.sensors.target_sigma, size=2)
+        return vio_sample, imu_accel, target_rel
 
-    def _estimate(self, sightings: Sightings, sensed: list[Sensed]
-                  ) -> tuple[np.ndarray, list[FusionState]]:
+    def _estimate(self, sightings: Sightings, vio_samples, imu_accels
+                  ) -> tuple[np.ndarray, FusionState]:
         """The tracker, self-state and fusion phases. Returns every agent's
-        self-state and its fusion result."""
-        agents = self.agents
+        self-state and the swarm's fusion result."""
         bank = self.bank
-        with _fault(agents[0].id, "tracker"):
+        n = self.config.n_agents
+        with _fault(0, "tracker"):
             bank.step()
-            offsets = bank.apply_tick(
-                sightings, None,
-                [a.fused_position for a in agents], [a.heading for a in agents],
-            )
+            offsets = bank.apply_tick(sightings, None, self.fused_position,
+                                      self.heading)
         # Sightings are ordered by observer: agent a's are rows
         # bounds[a]:bounds[a + 1].
-        bounds = np.searchsorted(sightings.observer,
-                                 np.arange(len(agents) + 1)).tolist()
+        bounds = np.searchsorted(sightings.observer, np.arange(n + 1)).tolist()
         fixes = []
-        for agent in agents:
-            rows = slice(bounds[agent.id], bounds[agent.id + 1])
-            with _fault(agent.id, "self-state"):
-                fixes.append(position_fix(bank.state[agent.id],
-                                          bank.tracks[agent.id],
+        for agent in range(n):
+            rows = slice(bounds[agent], bounds[agent + 1])
+            with _fault(agent, "self-state"):
+                fixes.append(position_fix(bank.state[agent], bank.tracks[agent],
                                           sightings.ids[rows], offsets[rows]))
-        with _fault(agents[0].id, "self-state"):
-            own_states = self.self_filter.step(
-                [a.command_velocity for a in agents], fixes,
-                [s.imu_accel for s in sensed],
-            )
-        fused = []
-        for agent, s, own_state in zip(agents, sensed, own_states):
-            with _fault(agent.id, "fusion"):
-                fused.append(agent.fusion.advance(s.vio_sample, own_state,
-                                                  self.config.dt))
-                agent.fused_position = fused[-1].position
-                agent.fused_velocity = fused[-1].velocity
+        with _fault(0, "self-state"):
+            own_states = self.self_filter.step(self.command_velocity, fixes,
+                                               imu_accels)
+        with _fault(0, "fusion"):
+            fused = self.fusion.advance(vio_samples, own_states, self.config.dt)
+        self.fused_position = fused.position
+        self.fused_velocity = fused.velocity
         return own_states, fused
 
-    def _ingest_velocities(self, sensed: list[Sensed]) -> list[dict | None]:
+    def _ingest_velocities(self, target_rel: np.ndarray) -> list[dict] | None:
         """The velocity-ingest phase: the bank takes the velocities every
         agent's inbox delivers, or with comm off the velocities inferred for
         every track in one replay of the bank's table. Returns each agent's
         logged estimates (None with comm on)."""
-        config = self.config
-        agents = self.agents
         bank = self.bank
-        if config.comm:
+        logs = None
+        if self.config.comm:
             velocities = self.channel.deliver(self.tick_index)
-            logs = [None] * len(agents)
         else:
             # One replay serves every agent, so a fault here is every
             # agent's; it is reported against the first, whose stage the
             # serial tick failed in.
-            with _fault(agents[0].id, "velocity-ingest"):
+            with _fault(0, "velocity-ingest"):
                 estimates = self.estimator.update(
-                    bank.state, bank.tracks,
-                    [a.fused_position for a in agents],
-                    [s.target_rel for s in sensed],
+                    bank.state, bank.tracks, self.fused_position, target_rel,
                     self.controller.psi,
                 )
             e, j = np.nonzero(bank.tracks)
             velocities = Velocities(e, j, estimates[e, j])
-            logs = _by_observer(len(agents), e, j,
+            logs = _by_observer(len(bank.tracks), e, j,
                                 velocities.velocity.tolist())
-        with _fault(agents[0].id, "velocity-ingest"):
-            bank.apply_tick(None, velocities, [a.fused_position for a in agents],
-                            [a.heading for a in agents])
+        with _fault(0, "velocity-ingest"):
+            bank.apply_tick(None, velocities, self.fused_position, self.heading)
         return logs
 
-    def _fragment(self, agent: Agent, sensed: Sensed, own_state: np.ndarray,
-                  fused: FusionState, command: FlockingCommand,
-                  tracks: dict, estimates_log: dict | None) -> dict:
-        """The heading stage, the finiteness checks and the agent's part of
-        the tick record."""
-        with _fault(agent.id, "heading"):
-            agent.command_velocity = command.velocity
-            if self.config.sensors.heading_mode == "goal":
-                agent.heading = math.atan2(sensed.target_rel[1],
-                                           sensed.target_rel[0])
-            elif float(np.linalg.norm(command.velocity)) > 0.2:
-                agent.heading = math.atan2(
-                    command.velocity[1], command.velocity[0]
-                )
-        for label, value in (("command", command.velocity),
-                             ("fused", agent.fused_position)):
-            if not np.all(np.isfinite(value)):
-                raise SimulationFault(
-                    f"agent {agent.id} stage heading: non-finite {label}"
-                )
-        return {
-            "p": _vec(sensed.truth_pos),
-            "v": _vec(sensed.truth_vel),
-            "est_p": _vec(fused.position),
-            "est_v": _vec(fused.velocity),
-            "own_p": _vec(own_state[:2]),
-            "own_int": _vec(self.self_filter.integral_position[agent.id]),
-            "vio_w": float(fused.vio_weight),
-            "vio_w_target": float(fused.weight_target),
-            "cmd": _vec(command.velocity),
-            "cmd_pos": _vec(command.position_term),
-            "cmd_vel": _vec(command.velocity_term),
-            "cmd_ff": _vec(command.feedforward),
-            "heading": float(agent.heading),
-            "neighbors": self.controller.neighbors[agent.id],
-            "tracks": tracks,
-            **({"vel_est": estimates_log} if estimates_log is not None else {}),
+    def _steer(self, command: FlockingCommand, target_rel: np.ndarray) -> None:
+        """The heading phase and the finiteness checks. A fault names the
+        first bad agent in id order, its command before its fused
+        position."""
+        self.command_velocity = command.velocity
+        if self.config.sensors.heading_mode == "goal":
+            self.heading = bearings(target_rel)
+        else:
+            moving = lengths(command.velocity) > 0.2
+            self.heading = np.where(moving, bearings(command.velocity),
+                                    self.heading)
+        labels = ("command", "fused")
+        finite = np.stack([np.isfinite(command.velocity).all(axis=1),
+                           np.isfinite(self.fused_position).all(axis=1)], axis=1)
+        if not finite.all():
+            agent, label = np.argwhere(~finite)[0].tolist()
+            raise SimulationFault(
+                f"agent {agent} stage heading: non-finite {labels[label]}"
+            )
+
+    def _agent_records(self, own_states: np.ndarray, fused: FusionState,
+                       command: FlockingCommand, estimates_logs) -> dict:
+        """Every agent's part of the tick record, keyed by str(id), each
+        field a row of the swarm's arrays."""
+        columns = {
+            "p": self.plant.position,
+            "v": self.plant.velocity,
+            "est_p": fused.position,
+            "est_v": fused.velocity,
+            "own_p": own_states[:, :2],
+            "own_int": self.self_filter.integral_position,
+            "vio_w": fused.vio_weight,
+            "vio_w_target": fused.weight_target,
+            "cmd": command.velocity,
+            "cmd_pos": command.position_term,
+            "cmd_vel": command.velocity_term,
+            "cmd_ff": command.feedforward,
+            "heading": self.heading,
         }
+        rows = {key: value.tolist() for key, value in columns.items()}
+        tracks = _track_logs(self.bank)
+        agents = {}
+        for i, neighbors in enumerate(self.controller.neighbors):
+            record = {key: values[i] for key, values in rows.items()}
+            record["neighbors"] = neighbors
+            record["tracks"] = tracks[i]
+            if estimates_logs is not None:
+                record["vel_est"] = estimates_logs[i]
+            agents[str(i)] = record
+        return agents
 
     def tick(self) -> dict:
         """Advance the world one step; returns the tick record."""
         config = self.config
-        agents = self.agents
+        plant = self.plant
         t = self.tick_index * config.dt
-        rel, dist = pairwise([a.plant.position for a in agents])
+        rel, dist = pairwise(plant.position)
         target_position = self.trajectory.position(t)
         collisions = detect_collisions(dist, config.safety_radius)
         # The swarm's sightings come from one call; a fault in it names the
         # observer of the offending row.
-        with _fault(agents[0].id, "sense"):
-            sightings = observe(rel, dist, [a.heading for a in agents],
-                                config.sensors,
-                                [a.rng_perception for a in agents], stamp=t)
-        sensed = [self._stage(a, target_position) for a in agents]
-        own_states, fused = self._estimate(sightings, sensed)
-        estimates_logs = self._ingest_velocities(sensed)
+        with _fault(0, "sense"):
+            sightings = observe(rel, dist, self.heading, config.sensors,
+                                self.rng_perception, stamp=t)
+        vio_samples, imu_accels, target_rels = zip(*[
+            self._stage(i, target_position) for i in range(config.n_agents)
+        ])
+        target_rel = np.array(target_rels)
+        own_states, fused = self._estimate(sightings, vio_samples, imu_accels)
+        estimates_logs = self._ingest_velocities(target_rel)
         # One call serves every agent, so as in velocity-ingest a fault is
         # reported against the first.
-        with _fault(agents[0].id, "controller"):
+        with _fault(0, "controller"):
             command = self.controller.update(
-                self.bank.state, self.bank.tracks,
-                [a.fused_position for a in agents],
-                [s.target_rel for s in sensed], config.dt,
+                self.bank.state, self.bank.tracks, self.fused_position,
+                target_rel, config.dt,
             )
-        fragments = [
-            self._fragment(agent, s, own, f, command.row(agent.id), tracks, log)
-            for agent, s, own, f, tracks, log in zip(
-                agents, sensed, own_states, fused, _track_logs(self.bank),
-                estimates_logs)
-        ]
-
-        # After every stage: the broadcast and plant integration in id order.
-        if config.comm:
-            self.channel.send(self.tick_index,
-                              [a.fused_velocity for a in agents])
-        for agent in agents:
-            agent.plant.advance(agent.command_velocity, config.dt)
-            if not np.all(np.isfinite(agent.plant.position)):
-                raise SimulationFault(
-                    f"agent {agent.id} stage plant: non-finite position"
-                )
-
+        self._steer(command, target_rel)
         record = {
             "record": "tick",
             "k": self.tick_index,
             "t": float(t),
-            "target": _vec(target_position),
+            "target": target_position.tolist(),
             "collisions": [list(pair) for pair in collisions],
-            "agents": {str(a.id): frag for a, frag in zip(agents, fragments)},
+            "agents": self._agent_records(own_states, fused, command,
+                                          estimates_logs),
         }
+
+        # After every stage: the broadcast and plant integration.
+        if config.comm:
+            self.channel.send(self.tick_index, self.fused_velocity)
+        plant.advance(self.command_velocity, config.dt)
+        finite = np.isfinite(plant.position).all(axis=1)
+        if not finite.all():
+            raise SimulationFault(
+                f"agent {int(np.argmin(finite))} stage plant: non-finite position"
+            )
         self.tick_index += 1
         return record
-
-
-def _vec(value) -> list[float]:
-    return np.asarray(value, dtype=float).tolist()
 
 
 def _by_observer(n: int, e: np.ndarray, j: np.ndarray, values: list
@@ -496,7 +471,7 @@ def run_scenario(
     for _ in range(n_ticks):
         records.append(sim.tick())
     # Final collision check on the post-advance world.
-    _, final_dist = pairwise([a.plant.position for a in sim.agents])
+    _, final_dist = pairwise(sim.plant.position)
     final = detect_collisions(final_dist, config.safety_radius)
     summary = metrics_mod.summarize(records, final_collisions=final)
     records.append(summary_record(summary))

@@ -10,7 +10,7 @@ scored against GNSS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,25 +42,7 @@ class MetricsSummary:
     duration: float
 
     def as_dict(self) -> dict:
-        return {
-            "cvr_mean": self.cvr_mean,
-            "cvr_trace": self.cvr_trace,
-            "neighbor_distance_mean": self.neighbor_distance_mean,
-            "neighbor_distance_std": self.neighbor_distance_std,
-            "min_pairwise_distance": self.min_pairwise_distance,
-            "collisions": self.collisions,
-            "vio_weight_mean": self.vio_weight_mean,
-            "vio_weight_min": self.vio_weight_min,
-            "position_error_final": self.position_error_final,
-            "position_error_mean": self.position_error_mean,
-            "velocity_error_mean": self.velocity_error_mean,
-            "trajectory_length": self.trajectory_length,
-            "group_velocity": self.group_velocity,
-            "velocity_estimate_rmse": self.velocity_estimate_rmse,
-            "self_loc_rmse_full": self.self_loc_rmse_full,
-            "self_loc_rmse_integral": self.self_loc_rmse_integral,
-            "duration": self.duration,
-        }
+        return asdict(self)
 
 
 def tick_records(records: list[dict]) -> list[dict]:

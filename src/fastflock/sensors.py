@@ -61,6 +61,10 @@ class VioConfig:
 
 @dataclass
 class CommConfig:
+    """Broadcast channel settings. The engine delivers each tick's inboxes
+    before it broadcasts, so a message sent at tick k is first delivered at
+    tick k + max(latency_ticks, 1): latencies 0 and 1 fly alike."""
+
     latency_ticks: int = 0
     drop_prob: float = 0.0
 
@@ -226,10 +230,12 @@ class VioEmulator:
 
 class CommChannel:
     """The swarm's broadcast channel: every agent's velocity goes to every
-    other agent, each message dropped independently, and is delivered
-    `latency_ticks` after it was sent. `rngs[r]` is receiver r's stream. The
-    queue holds one (N, N) keep mask per broadcast, indexed by (receiver,
-    sender)."""
+    other agent, each message dropped independently, and falls due
+    `latency_ticks` after it was sent. `deliver` hands it over at its first
+    call for a tick at or past that; the engine delivers before it
+    broadcasts, so with latency 0 that is the next tick's call.
+    `rngs[r]` is receiver r's stream. The queue holds one (N, N) keep mask
+    per broadcast, indexed by (receiver, sender)."""
 
     def __init__(self, config: CommConfig,
                  rngs: Sequence[np.random.Generator]):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from fastflock.ego_estimation import (
     FocalParams,
+    FusionState,
     OdometryFusion,
     SelfStateFilter,
     VioSample,
@@ -243,67 +245,77 @@ class TestSlewWeight:
         assert value == target
 
 
+def fuse_row(fusion, *vectors_and_weight):
+    """One-row call of `fusion.fuse` on one agent's vectors (2,) and weight;
+    returns that row of the result."""
+    *vectors, weight = vectors_and_weight
+    state = fusion.fuse(*(np.asarray(v, dtype=float)[None] for v in vectors),
+                        [weight])
+    return FusionState(*(getattr(state, f.name)[0]
+                         for f in dataclasses.fields(state)))
+
+
 class TestFusion:
     def test_full_vio_weight_follows_vio_deltas(self):
-        fusion = OdometryFusion(np.zeros(2))
+        fusion = OdometryFusion(1)
         rng = np.random.default_rng(1)
         vio_pos = np.zeros(2)
         own_pos = np.zeros(2)
         for _ in range(20):
             vio_pos = vio_pos + rng.standard_normal(2)
             own_pos = own_pos + rng.standard_normal(2)
-            state = fusion.fuse(vio_pos, np.ones(2), np.zeros(2),
-                                own_pos, np.zeros(2), np.zeros(2), 1.0)
+            state = fuse_row(fusion, vio_pos, np.ones(2), np.zeros(2),
+                             own_pos, np.zeros(2), np.zeros(2), 1.0)
         assert np.allclose(state.position, vio_pos)
         assert np.allclose(state.velocity, [1.0, 1.0])
 
     def test_zero_vio_weight_follows_own_deltas(self):
-        fusion = OdometryFusion(np.zeros(2))
+        fusion = OdometryFusion(1)
         rng = np.random.default_rng(2)
         vio_pos = np.zeros(2)
         own_pos = np.zeros(2)
         for _ in range(20):
             vio_pos = vio_pos + rng.standard_normal(2)
             own_pos = own_pos + rng.standard_normal(2)
-            state = fusion.fuse(vio_pos, np.zeros(2), np.zeros(2),
-                                own_pos, np.full(2, 3.0), np.ones(2), 0.0)
+            state = fuse_row(fusion, vio_pos, np.zeros(2), np.zeros(2),
+                             own_pos, np.full(2, 3.0), np.ones(2), 0.0)
         assert np.allclose(state.position, own_pos)
         assert np.allclose(state.velocity, [3.0, 3.0])
         assert np.allclose(state.acceleration, [1.0, 1.0])
 
     def test_midpoint_blend(self):
-        fusion = OdometryFusion(np.zeros(2))
-        fusion.fuse(np.zeros(2), np.zeros(2), np.zeros(2),
-                    np.zeros(2), np.zeros(2), np.zeros(2), 0.5)
-        state = fusion.fuse(np.array([1.0, 0.0]), np.zeros(2), np.zeros(2),
-                            np.array([0.0, 1.0]), np.zeros(2), np.zeros(2), 0.5)
+        fusion = OdometryFusion(1)
+        fuse_row(fusion, np.zeros(2), np.zeros(2), np.zeros(2),
+                 np.zeros(2), np.zeros(2), np.zeros(2), 0.5)
+        state = fuse_row(fusion, np.array([1.0, 0.0]), np.zeros(2), np.zeros(2),
+                         np.array([0.0, 1.0]), np.zeros(2), np.zeros(2), 0.5)
         assert np.allclose(state.position, [0.5, 0.5])
 
     def test_identical_streams_pass_through(self):
         rng = np.random.default_rng(3)
         start = np.array([5.0, -1.0])
-        fusion = OdometryFusion(start)
+        fusion = OdometryFusion(1)
         pos = start.copy()
         for k in range(30):
             pos = pos + rng.standard_normal(2)
             vel = rng.standard_normal(2)
-            state = fusion.fuse(pos, vel, np.zeros(2), pos, vel, np.zeros(2),
-                                float(rng.uniform(0, 1)))
+            state = fuse_row(fusion, pos, vel, np.zeros(2), pos, vel, np.zeros(2),
+                             float(rng.uniform(0, 1)))
             assert np.allclose(state.position, pos, atol=1e-9)
             assert np.allclose(state.velocity, vel, rtol=0, atol=1e-12)
 
     def test_translation_equivariance(self):
         shift = np.array([100.0, -50.0])
         rng = np.random.default_rng(4)
-        f1 = OdometryFusion(np.zeros(2))
-        f2 = OdometryFusion(shift.copy())
+        f1 = OdometryFusion(1)
+        f2 = OdometryFusion(1)
         vio_pos, own_pos = np.zeros(2), np.zeros(2)
         for _ in range(15):
             vio_pos = vio_pos + rng.standard_normal(2)
             own_pos = own_pos + rng.standard_normal(2)
             lam = float(rng.uniform(0, 1))
-            s1 = f1.fuse(vio_pos, np.zeros(2), np.zeros(2),
-                         own_pos, np.zeros(2), np.zeros(2), lam)
-            s2 = f2.fuse(vio_pos + shift, np.zeros(2), np.zeros(2),
-                         own_pos + shift, np.zeros(2), np.zeros(2), lam)
+            s1 = fuse_row(f1, vio_pos, np.zeros(2), np.zeros(2),
+                          own_pos, np.zeros(2), np.zeros(2), lam)
+            s2 = fuse_row(f2, vio_pos + shift, np.zeros(2), np.zeros(2),
+                          own_pos + shift, np.zeros(2), np.zeros(2), lam)
         assert np.allclose(s2.position - s1.position, shift, atol=1e-9)

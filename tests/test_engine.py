@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fastflock import flocking, kalman, velocity_inference
+from fastflock import ego_estimation, engine, flocking, kalman, velocity_inference
 from fastflock.config import load_scenario, scenario_from_dict
+from fastflock.flocking import FlockingCommand
 from fastflock.engine import (
     AgentPlant,
     Simulation,
@@ -46,23 +47,23 @@ def small_scenario(**overrides):
 class TestAgentPlant:
     def test_first_order_lag_analytic(self):
         tau, dt = 0.3, 0.05
-        plant = AgentPlant(tau=tau, v_max=8.0, a_max=400.0, position=[0.0, 0.0])
-        cmd = np.array([1.0, 0.0])
+        plant = AgentPlant(tau=tau, v_max=8.0, a_max=400.0, positions=[[0.0, 0.0]])
+        cmd = np.array([[1.0, 0.0]])
         for k in range(1, 120):
             plant.advance(cmd, dt)
             expected = 1.0 - math.exp(-k * dt / tau)
-            assert abs(plant.velocity[0] - expected) < 1e-9
+            assert abs(plant.velocity[0, 0] - expected) < 1e-9
 
     def test_acceleration_cap(self):
-        plant = AgentPlant(tau=0.1, v_max=50.0, a_max=4.0, position=[0.0, 0.0])
-        plant.advance(np.array([40.0, 0.0]), 0.05)
-        assert np.linalg.norm(plant.acceleration) <= 4.0 + 1e-9
+        plant = AgentPlant(tau=0.1, v_max=50.0, a_max=4.0, positions=[[0.0, 0.0]])
+        plant.advance(np.array([[40.0, 0.0]]), 0.05)
+        assert np.linalg.norm(plant.acceleration[0]) <= 4.0 + 1e-9
 
     def test_speed_cap(self):
-        plant = AgentPlant(tau=0.2, v_max=8.0, a_max=1000.0, position=[0.0, 0.0])
+        plant = AgentPlant(tau=0.2, v_max=8.0, a_max=1000.0, positions=[[0.0, 0.0]])
         for _ in range(200):
-            plant.advance(np.array([50.0, 0.0]), 0.05)
-        assert np.linalg.norm(plant.velocity) <= 8.0 + 1e-9
+            plant.advance(np.array([[50.0, 0.0]]), 0.05)
+        assert np.linalg.norm(plant.velocity[0]) <= 8.0 + 1e-9
 
 
 class TestTrajectories:
@@ -118,7 +119,7 @@ class TestDetectCollisions:
 
     def test_tick_record_with_collision_serializes(self):
         sim = Simulation(small_scenario())
-        sim.agents[2].plant.position = sim.agents[0].plant.position.copy()
+        sim.plant.position[2] = sim.plant.position[0]
         record = sim.tick()
         assert record["collisions"] == [[0, 2]]
         json.dumps(record)
@@ -151,9 +152,20 @@ class TestComm:
                 sim.tick()
             inbox = sim.channel.deliver(sim.tick_index)
             delivered[comm] = np.bincount(inbox.observer,
-                                          minlength=len(sim.agents)).tolist()
+                                          minlength=sim.config.n_agents).tolist()
         assert all(delivered[True])
         assert not any(delivered[False])
+
+    def test_latency_zero_flies_as_latency_one(self):
+        # The tick delivers before it broadcasts, so a message sent at tick
+        # k is first delivered at tick k + max(latency, 1).
+        ticks = {}
+        for latency in (0, 1, 2):
+            art = run_scenario(small_scenario(
+                duration=2.0, sensors={"comm": {"latency_ticks": latency}}))
+            ticks[latency] = [r for r in art.records if r["record"] == "tick"]
+        assert ticks[0] == ticks[1]
+        assert ticks[1] != ticks[2]
 
 
 class TestClosedLoop:
@@ -224,10 +236,40 @@ class TestFaults:
     def test_nan_poisoning_names_agent_and_stage(self):
         sim = Simulation(small_scenario())
         sim.tick()
-        sim.agents[1].fused_position = np.array([np.nan, 0.0])
+        sim.fused_position[1] = [np.nan, 0.0]
         with pytest.raises(SimulationFault, match="agent 1"):
             for _ in range(10):
                 sim.tick()
+
+    @pytest.mark.parametrize("bad_command, bad_fused, expected", [
+        ([3], [2], "agent 2 stage heading: non-finite fused"),
+        ([1, 4], [1], "agent 1 stage heading: non-finite command"),
+        ([], [4], "agent 4 stage heading: non-finite fused"),
+        ([0], [], "agent 0 stage heading: non-finite command"),
+    ])
+    def test_finiteness_checks_name_the_first_bad_agent(
+            self, bad_command, bad_fused, expected):
+        # The checks run once over the swarm: the first bad agent in id
+        # order, and within one agent its command before its fused position.
+        sim = Simulation(small_scenario(n_agents=5))
+        sim.tick()
+        fuse = sim.fusion.advance
+
+        def poisoned_fusion(*args):
+            fused = fuse(*args)
+            fused.position[bad_fused] = np.nan
+            return fused
+
+        def poisoned_command(*args):
+            zeros = np.zeros((5, 2))
+            velocity = zeros.copy()
+            velocity[bad_command] = np.nan
+            return FlockingCommand(velocity, zeros, zeros, zeros, zeros)
+
+        sim.fusion.advance = poisoned_fusion
+        sim.controller.update = poisoned_command
+        with pytest.raises(SimulationFault, match=f"^{expected}$"):
+            sim.tick()
 
     def test_swarm_filter_faults_name_the_owning_agent(self):
         # The swarm's bank and self-state filter run every agent's rows in
@@ -310,6 +352,33 @@ class TestSwarmFilters:
                 calls.update(dict.fromkeys(calls, 0))
                 sim.tick()
                 assert calls == per_tick
+
+    @pytest.mark.parametrize("n_agents", [6, 24])
+    def test_world_state_calls_per_tick(self, n_agents, monkeypatch):
+        # perfbench times the plant and the fusion per call and counts
+        # agent-ticks by `_stage` calls: the plant and the fusion advance
+        # once per tick, and the sense stage runs once per agent.
+        calls = {"plant": 0, "fusion": 0, "stage": 0}
+
+        def counting(kind, fn):
+            def wrapped(*args, **kwargs):
+                calls[kind] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(engine.AgentPlant, "advance",
+                            counting("plant", engine.AgentPlant.advance))
+        monkeypatch.setattr(ego_estimation.OdometryFusion, "advance",
+                            counting("fusion",
+                                     ego_estimation.OdometryFusion.advance))
+        monkeypatch.setattr(Simulation, "_stage",
+                            counting("stage", Simulation._stage))
+        sim = Simulation(small_scenario(
+            n_agents=n_agents, layout={"kind": "grid", "spacing": 13.0}))
+        for _ in range(3):
+            calls.update(dict.fromkeys(calls, 0))
+            sim.tick()
+            assert calls == {"plant": 1, "fusion": 1, "stage": n_agents}
 
     @pytest.mark.parametrize("latency", [0, 1, 2, 3])
     def test_inputs_never_repeat_a_pair(self, latency, monkeypatch):
