@@ -91,6 +91,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    """Fly each seed twice, with and without communication."""
     config = _load(args.config)
     errors = validate(dataclasses.replace(config, comm=False))
     if errors:
@@ -99,32 +100,34 @@ def cmd_ablate(args) -> int:
     for k in range(args.pairs):
         paired = dataclasses.replace(config, seed=config.seed + k)
         try:
-            result = metrics_mod.run_ablation(paired)
+            comm, no_comm = (
+                run_scenario(dataclasses.replace(paired, comm=flag)).summary
+                for flag in (True, False)
+            )
         except SimulationFault as exc:
             print(f"simulation fault: {exc}", file=sys.stderr)
             return 3
-        rows.append((paired.seed, result))
+        rows.append((paired.seed, comm, no_comm))
     print("seed   d_n(comm) sigma(comm)   d_n(no)  sigma(no)   dCVR")
-    for seed, result in rows:
+    for seed, comm, no_comm in rows:
         print(
-            f"{seed:4d}   {_fmt(result.comm.neighbor_distance_mean, '.2f'):>9} "
-            f"{_fmt(result.comm.neighbor_distance_std, '.2f'):>11} "
-            f"{_fmt(result.no_comm.neighbor_distance_mean, '.2f'):>9} "
-            f"{_fmt(result.no_comm.neighbor_distance_std, '.2f'):>10} "
-            f"{result.cvr_delta:6.3f}"
+            f"{seed:4d}   {_fmt(comm.neighbor_distance_mean, '.2f'):>9} "
+            f"{_fmt(comm.neighbor_distance_std, '.2f'):>11} "
+            f"{_fmt(no_comm.neighbor_distance_mean, '.2f'):>9} "
+            f"{_fmt(no_comm.neighbor_distance_std, '.2f'):>10} "
+            f"{no_comm.cvr_mean - comm.cvr_mean:6.3f}"
         )
-    wins = sum(
-        1 for _, r in rows
-        if r.distance_std_delta is not None and r.distance_std_delta > 0.0
-    )
+    # A pair without neighbour distances (a single agent) is no win.
+    sigmas = [(comm.neighbor_distance_std, no_comm.neighbor_distance_std)
+              for _, comm, no_comm in rows]
+    wins = sum(1 for comm, no in sigmas if None not in (comm, no) and no > comm)
     print(f"sigma_d(no-comm) > sigma_d(comm) in {wins}/{len(rows)} pairs")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         payload = [
-            {"seed": seed, "comm": r.comm.as_dict(),
-             "no_comm": r.no_comm.as_dict()}
-            for seed, r in rows
+            {"seed": seed, "comm": comm.as_dict(), "no_comm": no_comm.as_dict()}
+            for seed, comm, no_comm in rows
         ]
         with open(out / "ablation.json", "w") as handle:
             json.dump(payload, handle, sort_keys=True, indent=2)
@@ -215,13 +218,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        config = load_scenario(args.config)
-    except ConfigError as exc:
-        print(f"{args.config}: INVALID", file=sys.stderr)
-        for error in exc.errors:
-            print(f"  - {error}", file=sys.stderr)
-        return 2
+    config = _load(args.config)
     print(f"{args.config}: OK ({config.n_agents} agents, "
           f"{config.duration:.0f} s at dt={config.dt})")
     return 0

@@ -221,8 +221,7 @@ class Simulation:
         plant = config.plant
         self.plant = AgentPlant(plant.tau, plant.v_max, plant.a_max, positions)
         self.fusion = OdometryFusion(n, rate=config.filters.fusion_rate)
-        self.vio = [VioEmulator(config.sensors.vio, p, rng)
-                    for p, rng in zip(positions, rng_vio)]
+        self.vio = [VioEmulator(config.sensors.vio, rng) for rng in rng_vio]
         self.heading = bearings(self.trajectory.position(0.0) - positions)
         self.fused_position = positions.copy()
         self.fused_velocity = np.zeros((n, 2))

@@ -1,18 +1,24 @@
-"""Metrics over run logs: group-speed ratio, neighbor-distance statistics,
-self-localization errors, and the communication ablation.
+"""Metrics over run logs: group-speed ratio, neighbor-distance statistics
+and self-localization errors.
 
 Everything here is a pure function of the log records, so a summary
-recomputed from a saved log matches the live run exactly. Ground-truth
-positions are used for evaluation only, mirroring how the flights were
-scored against GNSS.
+recomputed from a saved log matches the live run exactly. Each logged field
+is read once, as a column over every agent and tick (`column`), and the
+metrics are array expressions over those columns. Ground-truth positions are
+used for evaluation only, mirroring how the flights were scored against
+GNSS. The communication ablation, which flies a scenario twice, is
+`fastflock ablate`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
+
+from .geometry import lengths
 
 
 @dataclass
@@ -56,6 +62,28 @@ def header_record(records: list[dict]) -> dict:
     raise ValueError("log has no header record")
 
 
+def _agent_keys(ticks: list[dict]) -> list[str]:
+    """The agents' keys in ascending int id, whatever the key order of the
+    records."""
+    return sorted(ticks[0]["agents"], key=int)
+
+
+def _numbers(values, key: str) -> np.ndarray:
+    """`values` as a float array. A null, string or boolean is a TypeError:
+    a float dtype would turn a null into NaN."""
+    array = np.array(values)
+    if array.dtype.kind not in "iuf":
+        raise TypeError(f"a {key!r} field holds a value that is not a number")
+    return array.astype(float, copy=False)
+
+
+def column(ticks: list[dict], agent_ids: list[str], key: str) -> np.ndarray:
+    """The field `key` of every agent at every tick, as an (N, T, ...) array
+    whose row i is agent `agent_ids[i]`."""
+    return _numbers(
+        [[r["agents"][aid][key] for r in ticks] for aid in agent_ids], key)
+
+
 def compute_cvr(
     center: np.ndarray, dt: float, cruise_speed: float, window: float = 1.0
 ) -> np.ndarray:
@@ -68,13 +96,11 @@ def compute_cvr(
     if n < 2:
         raise ValueError("need at least two trajectory samples")
     half = max(1, int(round(window / (2.0 * dt))))
-    out = np.empty(n)
-    for k in range(n):
-        lo = max(0, k - half)
-        hi = min(n - 1, k + half)
-        speed = np.linalg.norm(center[hi] - center[lo]) / ((hi - lo) * dt)
-        out[k] = speed / cruise_speed
-    return out
+    k = np.arange(n)
+    lo = np.maximum(k - half, 0)
+    hi = np.minimum(k + half, n - 1)
+    speed = lengths(center[hi] - center[lo]) / ((hi - lo) * dt)
+    return speed / cruise_speed
 
 
 def neighbor_distance_stats(
@@ -85,7 +111,7 @@ def neighbor_distance_stats(
     distances from ground truth. None when no pair was ever selected.
     Pairs are folded in ascending id order, whatever the key order of the
     records, so a replayed log sums exactly as the live run did."""
-    samples = []
+    ends = []
     for record in ticks:
         agents = record["agents"]
         pairs = set()
@@ -94,13 +120,32 @@ def neighbor_distance_stats(
                 if str(nid) in agents and int(aid) != nid:
                     pairs.add((min(int(aid), nid), max(int(aid), nid)))
         for a, b in sorted(pairs):
-            pa = np.asarray(agents[str(a)]["p"])
-            pb = np.asarray(agents[str(b)]["p"])
-            samples.append(float(np.linalg.norm(pa - pb)))
-    if not samples:
+            ends += agents[str(a)]["p"] + agents[str(b)]["p"]
+    if not ends:
         return None
-    data = np.array(samples)
-    return float(data.mean()), float(data.std()), len(samples)
+    ends = _numbers(ends, "p").reshape(-1, 2, 2)
+    data = lengths(ends[:, 0] - ends[:, 1])
+    return float(data.mean()), float(data.std()), len(data)
+
+
+def _velocity_estimate_pairs(ticks: list[dict],
+                             agent_ids: list[str]) -> np.ndarray:
+    """Every logged velocity estimate of a present agent with that agent's
+    true velocity, as a (K, 2, 2) array of (estimate, truth) pairs, ordered
+    by tick, then observer, then neighbor id. The values are gathered into
+    one flat list, which numpy converts without the transient copies a
+    nested one costs."""
+    pairs = []
+    for r in ticks:
+        agents = r["agents"]
+        for aid in agent_ids:
+            logged = agents[aid].get("vel_est")
+            if not logged:
+                continue
+            for nid, est_v in sorted(logged.items(), key=lambda e: int(e[0])):
+                if nid in agents:
+                    pairs += est_v + agents[nid]["v"]
+    return _numbers(pairs, "vel_est").reshape(-1, 2, 2)
 
 
 def summarize(
@@ -114,24 +159,19 @@ def summarize(
     ticks = tick_records(records)
     if not ticks:
         raise ValueError("log has no tick records")
-    agent_ids = sorted(ticks[0]["agents"], key=int)
+    agent_ids = _agent_keys(ticks)
     if not agent_ids:
         raise ValueError("tick records hold no agents")
 
-    truth = {
-        aid: np.array([r["agents"][aid]["p"] for r in ticks])
-        for aid in agent_ids
-    }
-    center = np.mean([truth[aid] for aid in agent_ids], axis=0)
+    truth = column(ticks, agent_ids, "p")
+    center = truth.mean(axis=0)
     cvr = compute_cvr(center, dt, cruise)
 
-    min_pairwise = math.inf
-    for i, a in enumerate(agent_ids):
-        for b in agent_ids[i + 1:]:
-            gaps = np.linalg.norm(truth[a] - truth[b], axis=1)
-            min_pairwise = min(min_pairwise, float(gaps.min()))
-    if len(agent_ids) == 1:
-        min_pairwise = math.inf
+    # np.linalg.norm along an axis and `lengths` (np.linalg.norm of one
+    # vector) round some vectors differently; each metric keeps its own.
+    first, second = np.triu_indices(len(agent_ids), k=1)
+    gaps = np.linalg.norm(truth[first] - truth[second], axis=-1)
+    min_pairwise = float(gaps.min()) if gaps.size else math.inf
 
     collision_count = sum(len(r["collisions"]) for r in ticks)
     if final_collisions:
@@ -139,98 +179,56 @@ def summarize(
 
     nd = neighbor_distance_stats(ticks)
 
-    weight_mean, weight_min = {}, {}
-    pos_err_final, vel_errors = {}, []
-    full_sq, integral_sq = [], []
-    for aid in agent_ids:
-        weights = [r["agents"][aid]["vio_w"] for r in ticks]
-        weight_mean[aid] = float(np.mean(weights))
-        weight_min[aid] = float(np.min(weights))
-        est = np.array([r["agents"][aid]["est_p"] for r in ticks])
-        est_v = np.array([r["agents"][aid]["est_v"] for r in ticks])
-        true_v = np.array([r["agents"][aid]["v"] for r in ticks])
-        own = np.array([r["agents"][aid]["own_p"] for r in ticks])
-        integral = np.array([r["agents"][aid]["own_int"] for r in ticks])
-        pos_err_final[aid] = float(np.linalg.norm(est[-1] - truth[aid][-1]))
-        vel_errors.append(np.linalg.norm(est_v - true_v, axis=1))
-        full_sq.append(np.sum((own - truth[aid]) ** 2, axis=1))
-        integral_sq.append(np.sum((integral - truth[aid]) ** 2, axis=1))
-
-    vel_est_sq = []
-    for r in ticks:
-        for aid in agent_ids:
-            fragment = r["agents"][aid]
-            estimates = fragment.get("vel_est")
-            if not estimates:
-                continue
-            for nid, est_v in sorted(estimates.items(), key=lambda e: int(e[0])):
-                if nid in r["agents"]:
-                    true_v = np.asarray(r["agents"][nid]["v"])
-                    vel_est_sq.append(
-                        float(np.sum((np.asarray(est_v) - true_v) ** 2))
-                    )
+    weights = column(ticks, agent_ids, "vio_w")
+    pos_err_final = lengths(
+        column(ticks, agent_ids, "est_p")[:, -1] - truth[:, -1])
+    vel_errors = np.linalg.norm(
+        column(ticks, agent_ids, "est_v") - column(ticks, agent_ids, "v"),
+        axis=-1)
+    full_sq = np.sum((column(ticks, agent_ids, "own_p") - truth) ** 2, axis=-1)
+    integral_sq = np.sum(
+        (column(ticks, agent_ids, "own_int") - truth) ** 2, axis=-1)
+    vel_est = _velocity_estimate_pairs(ticks, agent_ids)
+    vel_est_sq = np.sum((vel_est[:, 0] - vel_est[:, 1]) ** 2, axis=1)
 
     steps = np.diff(center, axis=0)
     trajectory_length = float(np.sum(np.linalg.norm(steps, axis=1)))
     duration = ticks[-1]["t"] - ticks[0]["t"] + dt
 
+    # A mean over agents and ticks is one sum over the raveled (N, T)
+    # column, agent-major.
     return MetricsSummary(
         cvr_mean=float(cvr.mean()),
-        cvr_trace=[float(x) for x in cvr],
+        cvr_trace=cvr.tolist(),
         neighbor_distance_mean=nd[0] if nd else None,
         neighbor_distance_std=nd[1] if nd else None,
         min_pairwise_distance=min_pairwise,
         collisions=collision_count,
-        vio_weight_mean=weight_mean,
-        vio_weight_min=weight_min,
-        position_error_final=pos_err_final,
-        position_error_mean=float(np.mean(list(pos_err_final.values()))),
-        velocity_error_mean=float(np.mean(np.concatenate(vel_errors))),
+        vio_weight_mean=dict(zip(agent_ids, weights.mean(axis=1).tolist())),
+        vio_weight_min=dict(zip(agent_ids, weights.min(axis=1).tolist())),
+        position_error_final=dict(zip(agent_ids, pos_err_final.tolist())),
+        position_error_mean=float(np.mean(pos_err_final)),
+        velocity_error_mean=float(np.mean(vel_errors.ravel())),
         trajectory_length=trajectory_length,
         group_velocity=trajectory_length / duration if duration > 0 else 0.0,
         velocity_estimate_rmse=(
-            float(math.sqrt(np.mean(vel_est_sq))) if vel_est_sq else None
+            float(math.sqrt(np.mean(vel_est_sq))) if vel_est_sq.size else None
         ),
-        self_loc_rmse_full=float(
-            math.sqrt(np.mean(np.concatenate(full_sq)))
-        ),
+        self_loc_rmse_full=float(math.sqrt(np.mean(full_sq.ravel()))),
         self_loc_rmse_integral=float(
-            math.sqrt(np.mean(np.concatenate(integral_sq)))
-        ),
+            math.sqrt(np.mean(integral_sq.ravel()))),
         duration=float(duration),
     )
 
 
-@dataclass
-class AblationResult:
-    comm: MetricsSummary
-    no_comm: MetricsSummary
-
-    @property
-    def distance_std_delta(self) -> float | None:
-        """None when either run never selected a neighbor pair."""
-        comm = self.comm.neighbor_distance_std
-        no_comm = self.no_comm.neighbor_distance_std
-        if comm is None or no_comm is None:
-            return None
-        return no_comm - comm
-
-    @property
-    def cvr_delta(self) -> float:
-        return self.no_comm.cvr_mean - self.comm.cvr_mean
-
-
-def run_ablation(config) -> AblationResult:
-    """Run the identical scenario and seed twice, toggling communication."""
-    from . import engine
-    import dataclasses as dc
-
-    with_comm = dc.replace(config, comm=True)
-    without = dc.replace(config, comm=False)
-    return AblationResult(
-        comm=engine.run_scenario(with_comm).summary,
-        no_comm=engine.run_scenario(without).summary,
-    )
+def _write_table(path: Path, header: list[str], *columns) -> str:
+    """Write `columns`, each (T,) or (T, k), side by side under `header`,
+    one line per tick; every value as the repr of a Python float."""
+    with open(path, "w") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in np.column_stack(columns).tolist():
+            handle.write(",".join(map(repr, row)) + "\n")
+    return str(path)
 
 
 def export_plot_data(records: list[dict], summary: MetricsSummary,
@@ -238,49 +236,35 @@ def export_plot_data(records: list[dict], summary: MetricsSummary,
     """Write delimited text files, one per figure: trajectories, fusion
     weights, velocity estimates, and the group-speed-ratio trace of
     `summary`, the records' summary."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ticks = tick_records(records)
-    agent_ids = sorted(ticks[0]["agents"], key=int)
-    written = []
+    agent_ids = _agent_keys(ticks)
+    t = np.array([r["t"] for r in ticks], dtype=float)
 
-    path = out / "trajectories.csv"
-    with open(path, "w") as handle:
-        cols = ["t"]
-        for aid in agent_ids:
-            cols += [f"x_{aid}", f"y_{aid}", f"est_x_{aid}", f"est_y_{aid}"]
-        cols += ["target_x", "target_y"]
-        handle.write(",".join(cols) + "\n")
-        for r in ticks:
-            row = [repr(r["t"])]
-            for aid in agent_ids:
-                fragment = r["agents"][aid]
-                row += [repr(v) for v in fragment["p"] + fragment["est_p"]]
-            row += [repr(v) for v in r["target"]]
-            handle.write(",".join(row) + "\n")
-    written.append(str(path))
+    cols = ["t"]
+    for aid in agent_ids:
+        cols += [f"x_{aid}", f"y_{aid}", f"est_x_{aid}", f"est_y_{aid}"]
+    cols += ["target_x", "target_y"]
+    positions = np.concatenate(
+        [column(ticks, agent_ids, "p"), column(ticks, agent_ids, "est_p")],
+        axis=-1,
+    )
+    written = [_write_table(
+        out / "trajectories.csv", cols, t,
+        positions.transpose(1, 0, 2).reshape(len(ticks), -1),
+        np.array([r["target"] for r in ticks], dtype=float),
+    )]
 
-    path = out / "fusion_weights.csv"
-    with open(path, "w") as handle:
-        cols = ["t"] + [f"w_{aid}" for aid in agent_ids] + [
-            f"w_target_{aid}" for aid in agent_ids
-        ]
-        handle.write(",".join(cols) + "\n")
-        for r in ticks:
-            row = [repr(r["t"])]
-            row += [repr(r["agents"][aid]["vio_w"]) for aid in agent_ids]
-            row += [repr(r["agents"][aid]["vio_w_target"]) for aid in agent_ids]
-            handle.write(",".join(row) + "\n")
-    written.append(str(path))
-
-    path = out / "cvr.csv"
-    with open(path, "w") as handle:
-        handle.write("t,cvr\n")
-        for r, value in zip(ticks, summary.cvr_trace):
-            handle.write(f"{r['t']!r},{value!r}\n")
-    written.append(str(path))
+    cols = ["t"] + [f"w_{aid}" for aid in agent_ids] + [
+        f"w_target_{aid}" for aid in agent_ids
+    ]
+    weights = np.concatenate([column(ticks, agent_ids, "vio_w"),
+                              column(ticks, agent_ids, "vio_w_target")])
+    written.append(_write_table(out / "fusion_weights.csv", cols, t,
+                                weights.T))
+    written.append(_write_table(out / "cvr.csv", ["t", "cvr"], t,
+                                summary.cvr_trace))
 
     if any("vel_est" in r["agents"][aid] for r in ticks for aid in agent_ids):
         path = out / "velocity_estimates.csv"

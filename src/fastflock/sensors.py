@@ -156,9 +156,7 @@ class VioEmulator:
     VIO behaves after initialization.
     """
 
-    def __init__(
-        self, config: VioConfig, initial_position, rng: np.random.Generator
-    ):
+    def __init__(self, config: VioConfig, rng: np.random.Generator):
         self.config = config
         self.rng = rng
         self.drift = np.zeros(2)

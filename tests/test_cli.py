@@ -37,7 +37,7 @@ def test_validate_ok(capsys):
 def test_validate_reports_all_errors(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("dt: -1\nn_agents: 0\n")
-    assert main(["validate", str(bad)]) == 2
+    assert exit_code(["validate", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "dt" in err and "n_agents" in err
 
@@ -45,7 +45,7 @@ def test_validate_reports_all_errors(tmp_path, capsys):
 def test_validate_rejects_mistyped_values(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text('n_agents: "6"\nduration: .inf\nsensors: [1]\n')
-    assert main(["validate", str(bad)]) == 2
+    assert exit_code(["validate", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "n_agents" in err and "duration" in err and "sensors" in err
 
@@ -116,6 +116,31 @@ def test_ablate_single_agent_prints_na(single_agent_config, capsys):
     out = capsys.readouterr().out
     assert "n/a" in out
     assert "in 0/1 pairs" in out
+
+
+def test_ablate_comm_summary_matches_run(tiny_config, tmp_path, capsys):
+    pairs, plain = tmp_path / "ablate", tmp_path / "run"
+    assert main(["ablate", str(tiny_config), "--pairs", "1",
+                 "--out", str(pairs)]) == 0
+    assert main(["run", str(tiny_config), "--out", str(plain)]) == 0
+    (pair,) = json.loads((pairs / "ablation.json").read_text())
+    summary = json.loads((plain / "summary.json").read_text())
+    assert pair["seed"] == 3
+    assert pair["comm"] == summary
+    assert pair["no_comm"] != summary
+    assert isinstance(pair["no_comm"]["neighbor_distance_std"]
+                      - pair["comm"]["neighbor_distance_std"], float)
+
+
+def test_ablate_single_agent_has_no_distance_std(single_agent_config,
+                                                 tmp_path, capsys):
+    out = tmp_path / "ablate"
+    assert main(["ablate", str(single_agent_config), "--pairs", "1",
+                 "--out", str(out)]) == 0
+    assert "n/a" in capsys.readouterr().out
+    (pair,) = json.loads((out / "ablation.json").read_text())
+    assert pair["comm"]["neighbor_distance_std"] is None
+    assert pair["no_comm"]["neighbor_distance_std"] is None
 
 
 def test_fit_model_recovers_plant_response(tiny_config, capsys):
@@ -229,6 +254,24 @@ def test_metrics_on_malformed_log_exits_2(tmp_path, capsys, text):
                 + '\n{"record": "tick", "agents": {}}\n')
     log = tmp_path / "bad.jsonl"
     log.write_text(text)
+    assert exit_code(["metrics", str(log)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.jsonl" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("field, value", [("p", [None, 1.0]),
+                                          ("vio_w", None),
+                                          ("est_v", [1.0, "fast"])])
+def test_metrics_on_a_field_that_is_not_a_number_exits_2(
+        tiny_config, tmp_path, capsys, field, value):
+    out = tmp_path / "out"
+    main(["run", str(tiny_config), "--out", str(out)])
+    records = [json.loads(line)
+               for line in (out / "log.jsonl").read_text().splitlines()]
+    records[5]["agents"]["1"][field] = value
+    log = tmp_path / "bad.jsonl"
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
     assert exit_code(["metrics", str(log)]) == 2
     err = capsys.readouterr().err
     assert "bad.jsonl" in err and len(err.strip().splitlines()) == 1

@@ -1,5 +1,6 @@
-import copy
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from fastflock.config import scenario_from_dict
 from fastflock.engine import read_log, run_scenario, write_log
 from fastflock.metrics import (
     compute_cvr,
+    export_plot_data,
     neighbor_distance_stats,
-    run_ablation,
     summarize,
     tick_records,
 )
+
+from . import metrics_oracle as oracle
 
 
 def synthetic_log(agent_paths, neighbors, dt=0.1, cruise=5.0):
@@ -161,16 +164,74 @@ class TestSummarize:
         assert without.velocity_estimate_rmse is not None
 
 
-class TestAblation:
-    def test_paired_structure_and_comm_run_matches_plain(self, tmp_path):
-        config = small_scenario()
-        result = run_ablation(config)
-        plain = run_scenario(config).summary
-        assert result.comm.as_dict() == plain.as_dict()
-        assert result.no_comm.as_dict() != plain.as_dict()
-        assert isinstance(result.distance_std_delta, float)
+def replayed_no_comm_flight(tmp_path):
+    # The log sorts keys as strings ("10" before "2").
+    art = run_scenario(small_scenario(n_agents=12, duration=1.0, comm=False))
+    write_log(art.records, tmp_path / "log.jsonl")
+    return read_log(tmp_path / "log.jsonl")
 
-    def test_distance_std_delta_none_without_neighbors(self):
-        result = run_ablation(small_scenario(n_agents=1, duration=1.0))
-        assert result.comm.neighbor_distance_std is None
-        assert result.distance_std_delta is None
+
+def random_log(tmp_path):
+    # Every field random, over 5 agents and 300 ticks; agent 0 selects, and
+    # estimates the velocity of, agent 1 and an absent agent 7.
+    rng = np.random.default_rng(5)
+    paths = {aid: (np.cumsum(rng.normal(0.0, 0.7, size=(300, 2)), axis=0)
+                   + rng.uniform(-30.0, 30.0, size=2)).tolist()
+             for aid in range(5)}
+    records = synthetic_log(paths, {0: [1, 7], 2: [3, 4]})
+    for record in tick_records(records):
+        agents = record["agents"]
+        for fragment in agents.values():
+            for key in ("v", "est_v"):
+                fragment[key] = rng.normal(0.0, 2.0, size=2).tolist()
+            for key in ("est_p", "own_p", "own_int"):
+                fragment[key] = rng.normal(fragment["p"], 0.5).tolist()
+            fragment["vio_w"], fragment["vio_w_target"] = (
+                rng.uniform(size=2).tolist())
+        agents["0"]["vel_est"] = {"7": [1.0, 2.0],
+                                  "1": rng.normal(0.0, 2.0, size=2).tolist()}
+    return records
+
+
+def rounding_log(tmp_path):
+    # Two still agents. Their gap, and agent 0's position-estimate error,
+    # are vectors whose length summed along an axis rounds differently from
+    # np.linalg.norm of the one vector (about 8 % of vectors do).
+    rng = np.random.default_rng(0)
+    hard = [v for v in rng.uniform(-50.0, 50.0, size=(200, 2)).tolist()
+            if np.linalg.norm(v) != np.linalg.norm([v], axis=-1)[0]]
+    gap, error = (hard + [[3.0, 4.0]] * 2)[:2]
+    records = synthetic_log({0: [(0.0, 0.0)] * 2, 1: [gap] * 2}, {0: [1]})
+    for record in tick_records(records):
+        record["agents"]["0"]["est_p"] = error
+    return records
+
+
+FLIGHTS = {
+    "comm": lambda tmp_path: run_scenario(small_scenario()).records,
+    "no-comm": lambda tmp_path: run_scenario(
+        small_scenario(comm=False)).records,
+    "replayed-12-no-comm": replayed_no_comm_flight,
+    "single-agent": lambda tmp_path: run_scenario(
+        small_scenario(n_agents=1, duration=1.0)).records,
+    "random-fields": random_log,
+    "rounding": rounding_log,
+}
+
+
+@pytest.mark.parametrize("flight", FLIGHTS)
+def test_columns_match_per_agent_oracle(flight, tmp_path):
+    """The columnar metrics equal the per-agent ones they replaced, bit for
+    bit: summaries as JSON text, plot data byte for byte."""
+    body = [r for r in FLIGHTS[flight](tmp_path) if r["record"] != "summary"]
+    summary = summarize(body)
+    assert json.dumps(summary.as_dict(), sort_keys=True) == json.dumps(
+        oracle.summarize(body).as_dict(), sort_keys=True)
+    ticks = tick_records(body)
+    assert neighbor_distance_stats(ticks) == oracle.neighbor_distance_stats(
+        ticks)
+    written = export_plot_data(body, summary, tmp_path / "columns")
+    expected = oracle.export_plot_data(body, summary, tmp_path / "oracle")
+    assert [Path(p).name for p in written] == [Path(p).name for p in expected]
+    for path, reference in zip(written, expected):
+        assert Path(path).read_bytes() == Path(reference).read_bytes(), path

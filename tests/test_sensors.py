@@ -121,7 +121,7 @@ class TestVioEmulator:
     def test_noiseless_pose_equals_truth(self):
         config = VioConfig(pos_sigma=0.0, vel_sigma=0.0, accel_sigma=0.0,
                            drift_rate=0.0, count_sigma=0.0)
-        emu = VioEmulator(config, np.array([3.0, 4.0]), np.random.default_rng(1))
+        emu = VioEmulator(config, np.random.default_rng(1))
         sample = emu.sample(np.array([5.0, 6.0]), np.array([1.0, 0.0]),
                             np.zeros(2), dt=0.1)
         assert np.allclose(sample.position, [5.0, 6.0])
@@ -129,7 +129,7 @@ class TestVioEmulator:
 
     def test_hover_keeps_high_weight_target(self):
         config = VioConfig()
-        emu = VioEmulator(config, np.zeros(2), np.random.default_rng(2))
+        emu = VioEmulator(config, np.random.default_rng(2))
         targets = []
         for _ in range(400):
             sample = emu.sample(np.zeros(2), np.zeros(2), np.zeros(2), dt=0.05)
@@ -138,7 +138,7 @@ class TestVioEmulator:
 
     def test_starvation_speed_kills_features(self):
         config = VioConfig(count_sigma=0.0)
-        emu = VioEmulator(config, np.zeros(2), np.random.default_rng(3))
+        emu = VioEmulator(config, np.random.default_rng(3))
         vel = np.array([config.starve_speed + 1.0, 0.0])
         for _ in range(100):
             sample = emu.sample(np.zeros(2), vel, np.zeros(2), dt=0.05)
@@ -150,7 +150,7 @@ class TestVioEmulator:
         # during the cruise and recovers afterwards, staying inside [0.3, 0.9]
         # at its lowest point.
         config = VioConfig()
-        emu = VioEmulator(config, np.zeros(2), np.random.default_rng(4))
+        emu = VioEmulator(config, np.random.default_rng(4))
         dt = 0.05
         weight, rate = 1.0, 0.2
         trace = []
@@ -170,7 +170,7 @@ class TestVioEmulator:
         config = VioConfig()
         runs = []
         for _ in range(2):
-            emu = VioEmulator(config, np.zeros(2), np.random.default_rng(7))
+            emu = VioEmulator(config, np.random.default_rng(7))
             out = []
             for k in range(50):
                 speed = 4.0 if k > 20 else 0.0
