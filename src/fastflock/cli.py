@@ -1,5 +1,5 @@
-"""Command-line front end: run scenarios, paired ablations, response-model
-fitting, metric recomputation, and config validation.
+"""Command-line front end: run scenarios, paired ablations, metric
+recomputation, and config validation.
 
 Exit codes: 0 success, 2 configuration errors and unreadable logs, 3
 simulation faults.
@@ -13,35 +13,31 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import metrics as metrics_mod
-from .config import ConfigError, load_scenario, validate
+from .config import ConfigError, load_scenario
 from .engine import SimulationFault, run_scenario, read_log
-from .velocity_inference import FitError, fit_response_model
-
-
-def _invalid(path: str, errors: list[str]) -> int:
-    """Report a config's errors; the exit code for a configuration error."""
-    print(f"invalid config {path}:", file=sys.stderr)
-    for error in errors:
-        print(f"  - {error}", file=sys.stderr)
-    return 2
 
 
 def _load(path: str):
+    """The scenario at `path`; an invalid one is reported, error by error,
+    and exits with the configuration-error code."""
     try:
         return load_scenario(path)
     except ConfigError as exc:
-        raise SystemExit(_invalid(path, exc.errors))
+        print(f"invalid config {path}:", file=sys.stderr)
+        for error in exc.errors:
+            print(f"  - {error}", file=sys.stderr)
+        raise SystemExit(2)
 
 
-def _at_least_one(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _fmt(value: float | None, spec: str) -> str:
@@ -67,9 +63,6 @@ def cmd_run(args) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     if args.no_comm:
         config = dataclasses.replace(config, comm=False)
-    errors = validate(config)
-    if errors:
-        return _invalid(args.config, errors)
     out_dir = Path(args.out) if args.out else None
     log_path = out_dir / "log.jsonl" if out_dir else None
     if out_dir:
@@ -93,9 +86,6 @@ def cmd_run(args) -> int:
 def cmd_ablate(args) -> int:
     """Fly each seed twice, with and without communication."""
     config = _load(args.config)
-    errors = validate(dataclasses.replace(config, comm=False))
-    if errors:
-        return _invalid(args.config, errors)
     rows = []
     for k in range(args.pairs):
         paired = dataclasses.replace(config, seed=config.seed + k)
@@ -135,70 +125,6 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def command_profiles(duration: float, dt: float, top_speed: float):
-    """Step, ramp, and sinusoid lateral-velocity commands for model fitting."""
-    n = int(round(duration / dt))
-    profiles = []
-    steps = np.zeros((n, 2))
-    steps[n // 8:, 0] = 0.6 * top_speed
-    steps[n // 2:, 1] = -0.4 * top_speed
-    steps[3 * n // 4:, 0] = 0.2 * top_speed
-    profiles.append(steps)
-    t = np.arange(n) * dt
-    ramp = np.stack(
-        [np.clip(0.08 * top_speed * t, 0, top_speed),
-         np.clip(-0.05 * top_speed * t, -top_speed, 0)],
-        axis=1,
-    )
-    profiles.append(ramp)
-    sine = np.stack(
-        [0.5 * top_speed * np.sin(0.8 * t),
-         0.35 * top_speed * np.cos(1.3 * t)],
-        axis=1,
-    )
-    profiles.append(sine)
-    return profiles
-
-
-def fit_from_plant(config) -> tuple:
-    """Drive the plant model with the training profiles and fit the
-    first-order response coefficients to the recorded velocities."""
-    from .engine import AgentPlant
-
-    samples = []
-    for profile in command_profiles(20.0, config.dt, config.gains.cruise_speed):
-        plant = AgentPlant(
-            config.plant.tau, config.plant.v_max, config.plant.a_max,
-            np.zeros((1, 2)),
-        )
-        v_prev = plant.velocity[0].copy()
-        for command in profile:
-            plant.advance(command[None], config.dt)
-            samples.append((v_prev, command.copy(), plant.velocity[0].copy()))
-            v_prev = plant.velocity[0].copy()
-    model = fit_response_model(samples)
-    return model, len(samples)
-
-
-def cmd_fit_model(args) -> int:
-    config = _load(args.config)
-    try:
-        model, n = fit_from_plant(config)
-    except FitError as exc:
-        print(f"fit failed: {exc}", file=sys.stderr)
-        return 3
-    print(f"fitted on {n} samples: a={model.a!r} b={model.b!r} "
-          f"residual={model.residual:.3e}")
-    print("config fragment:")
-    print(f"response_model:\n  a: {model.a!r}\n  b: {model.b!r}")
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump({"a": model.a, "b": model.b,
-                       "residual": model.residual}, handle, indent=2)
-        print(f"model written to {args.out}")
-    return 0
-
-
 def cmd_metrics(args) -> int:
     try:
         records = read_log(args.log)
@@ -233,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one scenario")
     p_run.add_argument("config")
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=_at_least(0), default=None)
     p_run.add_argument("--no-comm", action="store_true",
                        help="disable the communication channel")
     p_run.add_argument("--out", default=None, metavar="DIR",
@@ -242,17 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ablate = sub.add_parser("ablate", help="paired comm vs no-comm runs")
     p_ablate.add_argument("config")
-    p_ablate.add_argument("--pairs", type=_at_least_one, default=4)
+    p_ablate.add_argument("--pairs", type=_at_least(1), default=4)
     p_ablate.add_argument("--out", default=None, metavar="DIR")
     p_ablate.set_defaults(func=cmd_ablate)
-
-    p_fit = sub.add_parser(
-        "fit-model",
-        help="fit the first-order response model from training profiles",
-    )
-    p_fit.add_argument("config")
-    p_fit.add_argument("--out", default=None, metavar="FILE")
-    p_fit.set_defaults(func=cmd_fit_model)
 
     p_metrics = sub.add_parser("metrics", help="recompute metrics from a log")
     p_metrics.add_argument("log")

@@ -89,6 +89,9 @@ class ScenarioConfig:
     plant: PlantConfig = field(default_factory=PlantConfig)
     filters: FilterConfig = field(default_factory=FilterConfig)
     target: TargetConfig = field(default_factory=TargetConfig)
+    # An optional override of the neighbours' response model; when absent,
+    # the simulation derives it from `dt` and `plant.tau`
+    # (`ResponseModel.of_plant`).
     response_model: ResponseModel | None = None
 
 
@@ -213,32 +216,6 @@ def _positive(value) -> bool:
     return _is_number(value) and value > 0
 
 
-def _type_errors(obj, prefix: str = "") -> list[str]:
-    """The fields of a built dataclass, its sections included, whose values
-    do not fit their annotations (see `_fits`)."""
-    errors = []
-    hints = _HINTS[type(obj)]
-    for f in dataclasses.fields(obj):
-        path = f"{prefix}.{f.name}" if prefix else f.name
-        value = getattr(obj, f.name)
-        section = _SECTIONS.get(path)
-        if section is None:
-            if not _fits(value, hints[f.name]):
-                errors.append(f"{path} must be {_describe(hints[f.name])}")
-        elif isinstance(value, section):
-            errors.extend(_type_errors(value, path))
-        elif not (value is None and type(None) in typing.get_args(hints[f.name])):
-            errors.append(f"{path} must be a {section.__name__}")
-    return errors
-
-
-def validate(config: ScenarioConfig) -> list[str]:
-    """Every violation in a scenario. A config built in code is type-checked
-    first, the way `scenario_from_dict` checks a mapping; mistyped fields
-    are then the only errors returned."""
-    return _type_errors(config) or _semantic_errors(config)
-
-
 def _semantic_errors(config: ScenarioConfig) -> list[str]:
     """Semantic checks across a well-typed scenario."""
     errors = []
@@ -247,8 +224,6 @@ def _semantic_errors(config: ScenarioConfig) -> list[str]:
     agents_ok = _int_at_least(config.n_agents, 1)
     if not agents_ok:
         errors.append("n_agents must be an integer >= 1")
-    if not config.comm and config.response_model is None:
-        errors.append("comm: false needs a response_model to infer velocities")
     for name in ("dt", "duration", "safety_radius"):
         if not _positive(getattr(config, name)):
             errors.append(f"{name} must be a finite number > 0")

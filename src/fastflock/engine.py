@@ -53,7 +53,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +72,7 @@ from .flocking import FlockingCommand, FlockingController
 from .geometry import bearings, lengths, pairwise
 from .sensors import CommChannel, VioEmulator, observe
 from .tracking import Sightings, TrackBank, TrackParams, Velocities
-from .velocity_inference import VelocityEstimator
+from .velocity_inference import ResponseModel, VelocityEstimator
 
 LOG_FORMAT_VERSION = 1
 
@@ -203,9 +203,14 @@ class Simulation:
     tick, which the self-state filter and the plant take. Each agent keeps
     its own random streams and VIO emulator. The swarm's track bank,
     self-state filter, controller and velocity estimator hold every agent's
-    filters and control state in their rows."""
+    filters and control state in their rows. `config` is the scenario as
+    flown: a missing `response_model` is the plant's own
+    (`ResponseModel.of_plant`)."""
 
     def __init__(self, config: ScenarioConfig):
+        if config.response_model is None:
+            config = replace(config, response_model=ResponseModel.of_plant(
+                config.dt, config.plant.tau))
         self.config = config
         self.trajectory = make_trajectory(config)
         positions = np.array(initial_positions(config), dtype=float)
@@ -464,7 +469,7 @@ def run_scenario(
     header = {
         "record": "header",
         "format_version": LOG_FORMAT_VERSION,
-        "config": scenario_to_dict(config),
+        "config": scenario_to_dict(sim.config),
     }
     records = [header]
     for _ in range(n_ticks):
@@ -476,7 +481,7 @@ def run_scenario(
     records.append(summary_record(summary))
     if log_path is not None:
         write_log(records, log_path)
-    return RunArtifacts(records=records, summary=summary, config=config)
+    return RunArtifacts(records=records, summary=summary, config=sim.config)
 
 
 def summary_record(summary) -> dict:

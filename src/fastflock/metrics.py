@@ -128,14 +128,11 @@ def neighbor_distance_stats(
     return float(data.mean()), float(data.std()), len(data)
 
 
-def _velocity_estimate_pairs(ticks: list[dict],
-                             agent_ids: list[str]) -> np.ndarray:
-    """Every logged velocity estimate of a present agent with that agent's
-    true velocity, as a (K, 2, 2) array of (estimate, truth) pairs, ordered
-    by tick, then observer, then neighbor id. The values are gathered into
-    one flat list, which numpy converts without the transient copies a
-    nested one costs."""
-    pairs = []
+def _velocity_estimates(ticks: list[dict], agent_ids: list[str]):
+    """Every logged velocity estimate of a present agent, as (tick record,
+    observer, neighbor id, estimate, the neighbor's true velocity), ordered
+    by tick, then observer, then ascending int neighbor id, whatever the
+    key order of the records."""
     for r in ticks:
         agents = r["agents"]
         for aid in agent_ids:
@@ -144,7 +141,17 @@ def _velocity_estimate_pairs(ticks: list[dict],
                 continue
             for nid, est_v in sorted(logged.items(), key=lambda e: int(e[0])):
                 if nid in agents:
-                    pairs += est_v + agents[nid]["v"]
+                    yield r, aid, nid, est_v, agents[nid]["v"]
+
+
+def _velocity_estimate_pairs(ticks: list[dict],
+                             agent_ids: list[str]) -> np.ndarray:
+    """`_velocity_estimates` as a (K, 2, 2) array of (estimate, truth)
+    pairs. The values are gathered into one flat list, which numpy converts
+    without the transient copies a nested one costs."""
+    pairs = []
+    for *_, est_v, true_v in _velocity_estimates(ticks, agent_ids):
+        pairs += est_v + true_v
     return _numbers(pairs, "vel_est").reshape(-1, 2, 2)
 
 
@@ -272,15 +279,9 @@ def export_plot_data(records: list[dict], summary: MetricsSummary,
             handle.write(
                 "t,observer,agent,est_vx,est_vy,true_vx,true_vy\n"
             )
-            for r in ticks:
-                for aid in agent_ids:
-                    for nid, est in r["agents"][aid].get("vel_est", {}).items():
-                        if nid not in r["agents"]:
-                            continue
-                        true_v = r["agents"][nid]["v"]
-                        handle.write(
-                            f"{r['t']!r},{aid},{nid},{est[0]!r},{est[1]!r},"
-                            f"{true_v[0]!r},{true_v[1]!r}\n"
-                        )
+            for r, aid, nid, est, true_v in _velocity_estimates(ticks,
+                                                                agent_ids):
+                handle.write(f"{r['t']!r},{aid},{nid},{est[0]!r},{est[1]!r},"
+                             f"{true_v[0]!r},{true_v[1]!r}\n")
         written.append(str(path))
     return written

@@ -2,10 +2,11 @@
 
 Assuming a homogeneous swarm, the focal agent replays the flocking law from
 each tracked neighbor's estimated viewpoint to obtain that neighbor's desired
-velocity, then maps desired to actual velocity through a fitted first-order
-response model v(k+1) = a * v(k) + b * v_cmd(k+1). The replay uses the law's
-own neighborhood model from `flocking`: its members, nearest-K selection and
-group heading, evaluated from the neighbor's estimated position.
+velocity, then maps desired to actual velocity through the first-order
+response v(k+1) = a * v(k) + b * v_cmd(k+1) of the agents' own plant
+(`ResponseModel.of_plant`). The replay uses the law's own neighborhood model
+from `flocking`: its members, nearest-K selection and group heading,
+evaluated from the neighbor's estimated position.
 
 The replay runs on stacks: `VelocityEstimator.update`, the swarm's
 estimator, does the whole swarm's tick at once on the track bank's table
@@ -19,7 +20,7 @@ replays every tracked neighbour of every agent.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,55 +32,19 @@ from .flocking import (FOCAL_MEMBER_ID, ControllerGains, Neighborhoods,
 from .geometry import bearings, lengths, pairwise, wrap_angles
 
 
-class FitError(RuntimeError):
-    """Degenerate training data: the response-model fit is rank deficient."""
-
-
-class NotFittedError(RuntimeError):
-    """Velocity estimation requested without a fitted response model."""
-
-
 @dataclass
 class ResponseModel:
     """First-order closed-loop response: v(k+1) = a * v(k) + b * v_cmd(k+1)."""
 
     a: float
     b: float
-    residual: float = 0.0
 
-
-def fit_response_model(
-    samples: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
-) -> ResponseModel:
-    """Least-squares fit of (a, b) from (v_k, v_cmd_{k+1}, v_{k+1}) triples.
-
-    Both lateral components contribute one equation each. Raises FitError
-    when the stacked system has rank below 2; warns when the fitted values
-    fall outside the plausibility bounds 0 < a < 1, b > 0.
-    """
-    rows, rhs = [], []
-    for v_prev, v_cmd, v_next in samples:
-        for axis in range(2):
-            rows.append([float(v_prev[axis]), float(v_cmd[axis])])
-            rhs.append(float(v_next[axis]))
-    if len(rows) < 2:
-        raise FitError("need at least two equations to fit the response model")
-    matrix = np.array(rows)
-    target = np.array(rhs)
-    solution, residuals, rank, _ = np.linalg.lstsq(matrix, target, rcond=None)
-    if rank < 2:
-        raise FitError("rank-deficient response-model fit (identical samples?)")
-    residual = float(np.sqrt(residuals[0])) if residuals.size else float(
-        np.linalg.norm(matrix @ solution - target)
-    )
-    a, b = float(solution[0]), float(solution[1])
-    if not (0.0 < a < 1.0) or b <= 0.0:
-        warnings.warn(
-            f"fitted response model (a={a:.4f}, b={b:.4f}) outside plausibility "
-            "bounds 0 < a < 1, b > 0",
-            stacklevel=2,
-        )
-    return ResponseModel(a=a, b=b, residual=residual)
+    @classmethod
+    def of_plant(cls, dt: float, tau: float) -> ResponseModel:
+        """The response of a first-order lag with time constant `tau`,
+        sampled every `dt` under a zero-order hold."""
+        a = math.exp(-dt / tau)
+        return cls(a=a, b=1.0 - a)
 
 
 def _replay_neighborhoods(
@@ -181,7 +146,7 @@ class VelocityEstimator:
     def __init__(
         self,
         gains: ControllerGains,
-        model: ResponseModel | None,
+        model: ResponseModel,
         sensor_range: float,
         fov: float,
         n_agents: int,
@@ -205,10 +170,6 @@ class VelocityEstimator:
         the law for all of them; agent e sees its row of the track table
         from own_positions[e]. A track without a previous estimate starts
         from its own velocity."""
-        if self.model is None:
-            raise NotFittedError(
-                "no response model configured; fit one before estimating"
-            )
         previous = np.where(self.estimated[..., None], self.estimates,
                             states[..., 2:4])
         self.estimates = estimate_velocities(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fastflock.cli import fit_from_plant, main
+from fastflock.cli import main
 from fastflock.config import load_scenario, scenario_to_dict
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -143,29 +143,6 @@ def test_ablate_single_agent_has_no_distance_std(single_agent_config,
     assert pair["no_comm"]["neighbor_distance_std"] is None
 
 
-def test_fit_model_recovers_plant_response(tiny_config, capsys):
-    import math
-
-    assert main(["fit-model", str(tiny_config)]) == 0
-    out = capsys.readouterr().out
-    assert "fitted" in out
-    config = load_scenario(tiny_config)
-    model, _ = fit_from_plant(config)
-    # The acceleration cap binds briefly at each step transition, so the
-    # fit sits near, not exactly on, the pure-lag coefficients.
-    expected = math.exp(-config.dt / config.plant.tau)
-    assert abs(model.a - expected) < 5e-3
-    assert abs(model.b - (1.0 - expected)) < 5e-3
-
-
-def test_fit_model_writes_file(tiny_config, tmp_path):
-    out_file = tmp_path / "model.json"
-    assert main(["fit-model", str(tiny_config), "--out", str(out_file)]) == 0
-    data = json.loads(out_file.read_text())
-    assert 0.0 < data["a"] < 1.0
-    assert data["b"] > 0.0
-
-
 def exit_code(argv) -> int:
     """What `fastflock <argv>` exits with, whether main returns the code or
     raises SystemExit with it."""
@@ -188,13 +165,12 @@ def test_run_rejects_negative_seed_override(tiny_config, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-def test_comm_off_without_response_model_is_invalid(modelless_config, capsys):
+def test_comm_off_without_response_model_is_valid(modelless_config):
     data = yaml.safe_load(modelless_config.read_text())
     data["comm"] = False
     modelless_config.write_text(yaml.safe_dump(data))
-    assert exit_code(["validate", str(modelless_config)]) == 2
-    assert "response_model" in capsys.readouterr().err
-    assert exit_code(["run", str(modelless_config)]) == 2
+    assert exit_code(["validate", str(modelless_config)]) == 0
+    assert exit_code(["run", str(modelless_config)]) == 0
 
 
 @pytest.mark.parametrize("duration", [0.05, 0.01])
@@ -207,16 +183,25 @@ def test_run_shorter_than_two_ticks_is_invalid(tiny_config, tmp_path, duration,
     assert "two ticks" in capsys.readouterr().err
 
 
-def test_run_no_comm_without_response_model_is_invalid(modelless_config, capsys):
-    assert exit_code(["run", str(modelless_config), "--no-comm"]) == 2
-    assert "response_model" in capsys.readouterr().err
+def test_run_no_comm_without_response_model_flies_the_plant_model(
+        tiny_config, tmp_path):
+    # The tiny config's model is the plant's own, so deriving it flies the
+    # same flight.
+    given, derived = tmp_path / "given", tmp_path / "derived"
+    assert exit_code(["run", str(tiny_config), "--no-comm",
+                      "--out", str(given)]) == 0
+    data = yaml.safe_load(tiny_config.read_text())
+    del data["response_model"]
+    tiny_config.write_text(yaml.safe_dump(data))
+    assert exit_code(["run", str(tiny_config), "--no-comm",
+                      "--out", str(derived)]) == 0
+    for name in ("log.jsonl", "summary.json", "velocity_estimates.csv"):
+        assert (derived / name).read_bytes() == (given / name).read_bytes()
 
 
-def test_ablate_without_response_model_is_invalid(modelless_config, capsys):
-    assert exit_code(["ablate", str(modelless_config), "--pairs", "1"]) == 2
-    captured = capsys.readouterr()
-    assert "response_model" in captured.err
-    assert "sigma_d" not in captured.out
+def test_ablate_without_response_model_runs(modelless_config, capsys):
+    assert exit_code(["ablate", str(modelless_config), "--pairs", "1"]) == 0
+    assert "sigma_d(no-comm)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("pairs", ["0", "-1"])

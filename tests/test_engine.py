@@ -419,3 +419,37 @@ class TestLogRoundTrip:
         assert art.records[0]["record"] == "header"
         assert art.records[0]["format_version"] == 1
         assert art.records[-1]["record"] == "summary"
+
+
+class TestResponseModel:
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")),
+                             ids=lambda path: path.stem)
+    def test_shipped_configs_fly_the_plant_response(self, path):
+        config = load_scenario(path)
+        assert config.response_model is None
+        expected = velocity_inference.ResponseModel.of_plant(
+            config.dt, config.plant.tau)
+        flight = dataclasses.replace(config, comm=False,
+                                     duration=2 * config.dt)
+        assert Simulation(flight).estimator.model == expected
+        art = run_scenario(flight)
+        assert art.config.response_model == expected
+        assert art.records[0]["config"]["response_model"] == {
+            "a": expected.a, "b": expected.b}
+
+    def test_an_explicit_model_is_flown_and_logged(self):
+        config = small_scenario(comm=False, duration=0.1,
+                                response_model={"a": 0.5, "b": 0.25})
+        model = velocity_inference.ResponseModel(a=0.5, b=0.25)
+        assert Simulation(config).estimator.model == model
+        flown = run_scenario(config).records
+        assert flown[0]["config"]["response_model"] == {"a": 0.5, "b": 0.25}
+        # The estimates are not those of the plant's own model.
+        derived = run_scenario(small_scenario(comm=False, duration=0.1)).records
+
+        def estimates(records):
+            return [fragment["vel_est"] for r in records[1:-1]
+                    for fragment in r["agents"].values()]
+
+        assert estimates(flown) != estimates(derived)
+        assert all(estimates(flown))

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from pathlib import Path
@@ -164,10 +165,17 @@ class TestSummarize:
         assert without.velocity_estimate_rmse is not None
 
 
+@functools.cache
+def twelve_agent_no_comm_flight() -> list[dict]:
+    """The live records of a 12-agent no-comm flight, flown once; callers
+    share them and must not modify them."""
+    return run_scenario(small_scenario(n_agents=12, duration=1.0,
+                                       comm=False)).records
+
+
 def replayed_no_comm_flight(tmp_path):
     # The log sorts keys as strings ("10" before "2").
-    art = run_scenario(small_scenario(n_agents=12, duration=1.0, comm=False))
-    write_log(art.records, tmp_path / "log.jsonl")
+    write_log(twelve_agent_no_comm_flight(), tmp_path / "log.jsonl")
     return read_log(tmp_path / "log.jsonl")
 
 
@@ -232,6 +240,27 @@ def test_columns_match_per_agent_oracle(flight, tmp_path):
         ticks)
     written = export_plot_data(body, summary, tmp_path / "columns")
     expected = oracle.export_plot_data(body, summary, tmp_path / "oracle")
+    if flight == "replayed-12-no-comm":
+        # The oracle writes the estimates in each record's key order, which
+        # the replayed log has sorted as strings; the export writes them in
+        # id order, as the live records hold them.
+        live = oracle.export_plot_data(twelve_agent_no_comm_flight(), summary,
+                                       tmp_path / "oracle-live")
+        expected[-1] = live[-1]
     assert [Path(p).name for p in written] == [Path(p).name for p in expected]
     for path, reference in zip(written, expected):
+        assert Path(path).read_bytes() == Path(reference).read_bytes(), path
+
+
+def test_replayed_flight_exports_the_live_plot_data(tmp_path):
+    """Beyond ten agents the log sorts ids as strings; every exported file
+    of the replayed flight still equals the live flight's, byte for byte."""
+    live = twelve_agent_no_comm_flight()
+    replayed = replayed_no_comm_flight(tmp_path)
+    written = export_plot_data(live, summarize(live), tmp_path / "live")
+    again = export_plot_data(replayed, summarize(replayed),
+                             tmp_path / "replayed")
+    assert [Path(p).name for p in written] == [Path(p).name for p in again]
+    assert Path(written[-1]).name == "velocity_estimates.csv"
+    for path, reference in zip(again, written):
         assert Path(path).read_bytes() == Path(reference).read_bytes(), path

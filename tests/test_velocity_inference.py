@@ -5,12 +5,9 @@ import pytest
 
 from fastflock.flocking import FOCAL_MEMBER_ID, ControllerGains
 from fastflock.velocity_inference import (
-    FitError,
-    NotFittedError,
     ResponseModel,
     VelocityEstimator,
     estimate_velocities,
-    fit_response_model,
 )
 
 from .neighborhoods import replay_view
@@ -56,52 +53,12 @@ def update(est, views):
                       [0.0])
 
 
-class TestFitResponseModel:
-    def synth_samples(self, a, b, n=40, seed=0):
-        rng = np.random.default_rng(seed)
-        v = np.array([0.3, -0.1])
-        samples = []
-        for _ in range(n):
-            cmd = rng.uniform(-3.0, 3.0, size=2)
-            v_next = a * v + b * cmd
-            samples.append((v.copy(), cmd, v_next))
-            v = v_next
-        return samples
-
-    def test_exact_recovery(self):
-        model = fit_response_model(self.synth_samples(0.8, 0.2))
-        assert abs(model.a - 0.8) < 1e-9
-        assert abs(model.b - 0.2) < 1e-9
-        assert model.residual < 1e-9
-
-    def test_first_order_lag_structure(self):
-        dt, tau = 0.05, 0.5
-        e = math.exp(-dt / tau)
-        model = fit_response_model(self.synth_samples(e, 1.0 - e, seed=4))
-        assert abs(model.a - e) < 1e-6
-        assert abs(model.b - (1.0 - e)) < 1e-6
-
-    def test_identical_rows_rank_deficient(self):
-        v = np.array([1.0, 1.0])
-        samples = [(v, v, v)] * 10
-        with pytest.raises(FitError):
-            fit_response_model(samples)
-
-    def test_too_few_samples(self):
-        with pytest.raises(FitError):
-            fit_response_model([])
-
-    def test_implausible_fit_warns(self):
-        rng = np.random.default_rng(9)
-        v = np.array([0.5, 0.5])
-        samples = []
-        for _ in range(30):
-            cmd = rng.uniform(-2, 2, size=2)
-            v_next = 1.4 * v + -0.3 * cmd  # outside the plausibility bounds
-            samples.append((v.copy(), cmd, v_next))
-            v = v_next
-        with pytest.warns(UserWarning):
-            fit_response_model(samples)
+def test_plant_response_is_the_shipped_model():
+    # The zero-order-hold discretisation of a first-order lag with
+    # tau = 0.5 s at dt = 0.05 s, bit for bit.
+    model = ResponseModel.of_plant(0.05, 0.5)
+    assert model == ResponseModel(a=0.9048374180359595, b=0.09516258196404048)
+    assert model.a == math.exp(-0.1) and model.b == 1.0 - model.a
 
 
 class TestEstimateView:
@@ -276,11 +233,6 @@ class TestEstimateVelocities:
 
 
 class TestVelocityEstimator:
-    def test_unfitted_model_rejected(self):
-        est = VelocityEstimator(GAINS, None, SENSOR_RANGE, FOV, 1)
-        with pytest.raises(NotFittedError):
-            update(est, [view(1, 10.0, 0.0)])
-
     def test_state_initialized_from_track_velocity(self):
         model = ResponseModel(a=1.0 - 1e-12, b=1e-12)  # hold previous value
         est = VelocityEstimator(GAINS, model, SENSOR_RANGE, FOV, 1)
