@@ -40,14 +40,14 @@ class PlantConfig:
 
 @dataclass
 class FilterConfig:
-    """Noise assumptions shared by the estimation stack."""
+    """Noise assumptions of the estimation stack: with `SensorConfig`, the one
+    source of each filter constant. The self-state lag is `plant.tau`."""
 
     track_q_rate: tuple[float, ...] = (1e-4, 1e-4, 0.05, 0.05, 0.6, 0.6)
     track_pos_sigma_floor: float = 0.15
     track_drop_after: float = 2.0
     vel_sigma_comm: float = 0.3
     vel_sigma_inferred: float = 0.8
-    focal_tau: float = 0.3
     focal_q_rate: tuple[float, ...] = (1e-4, 1e-4, 0.05, 0.05, 0.5, 0.5)
     fix_sigma: float = 1.5
     fusion_rate: float = 0.2
@@ -258,26 +258,24 @@ def _semantic_errors(config: ScenarioConfig) -> list[str]:
         errors.append("sensors.comm.latency_ticks must be >= 0")
     if config.gains.max_neighbors < 1:
         errors.append("gains.max_neighbors must be >= 1")
-    if config.gains.v_max <= 0:
-        errors.append("gains.v_max must be > 0")
     # Below pi/700 every blend weight can underflow to zero (exp(-700) is
     # still a normal float), and the weights become 0/0.
     if not config.gains.bearing_scale >= math.pi / 700:
         errors.append("gains.bearing_scale must be >= pi/700")
     if config.plant.tau <= 0 or config.plant.v_max <= 0 or config.plant.a_max <= 0:
         errors.append("plant tau/v_max/a_max must be > 0")
+    elif (_positive(config.dt)
+          and not 1.0 - math.exp(-config.dt / config.plant.tau) > 0.0):
+        # The self-state filter's command input would round to zero.
+        errors.append("dt is too small against plant.tau: "
+                      "1 - exp(-dt / plant.tau) rounds to 0")
     filters = config.filters
     if filters.fusion_rate <= 0:
         errors.append("filters.fusion_rate must be > 0")
     for name in ("track_pos_sigma_floor", "vel_sigma_comm",
-                 "vel_sigma_inferred", "fix_sigma", "focal_tau"):
+                 "vel_sigma_inferred", "fix_sigma"):
         if getattr(filters, name) <= 0:
             errors.append(f"filters.{name} must be > 0")
-    if (_positive(config.dt) and filters.focal_tau > 0
-            and not 1.0 - math.exp(-config.dt / filters.focal_tau) > 0.0):
-        # The self-state filter's command input would round to zero.
-        errors.append("dt is too small against filters.focal_tau: "
-                      "1 - exp(-dt / focal_tau) rounds to 0")
     for name in ("track_q_rate", "focal_q_rate"):
         rates = getattr(filters, name)
         if len(rates) != 6 or min(rates) < 0:

@@ -1,7 +1,7 @@
 """Self-state estimation from neighbor observations, fused with VIO.
 
 The focal agent estimates its own lateral state by running a Kalman filter
-whose model is driven by the commanded velocity through a first-order lag,
+whose model is driven by the commanded velocity through the plant's lag,
 corrected with position fixes derived from the tracked neighborhood and with
 IMU accelerations. The result is blended with the visual-odometry stream
 using an adaptive weight that follows the VIO feature quality.
@@ -25,7 +25,7 @@ from . import kalman
 def focal_model(dt: float, tau: float, q_diag) -> kalman.LkfModel:
     """Kinematic model with a first-order velocity lag toward the commanded
     velocity: velocity rows decay by exp(-dt/tau) and receive (1 - exp(-dt/tau))
-    of the command."""
+    of the command: the a and b of `ResponseModel.of_plant(dt, tau)`."""
     base = kalman.constant_acceleration_model(dt, q_diag)
     e_d = math.exp(-dt / tau)
     base.a[2, 2] = base.a[3, 3] = e_d
@@ -36,14 +36,14 @@ def focal_model(dt: float, tau: float, q_diag) -> kalman.LkfModel:
 
 @dataclass
 class FocalParams:
-    """Noise settings for the self-state filter. q_rate is the per-second
-    process-noise intensity; fix_sigma/accel_sigma are the assumed standard
-    deviations of neighborhood position fixes and IMU accelerations."""
+    """Settings for the self-state filter. tau is the plant's lag; q_rate is
+    the per-second process-noise intensity; fix_sigma/accel_sigma are the
+    assumed deviations of neighborhood position fixes and IMU accelerations."""
 
-    tau: float = 0.3
-    q_rate: tuple[float, ...] = (1e-4, 1e-4, 0.05, 0.05, 0.5, 0.5)
-    fix_sigma: float = 1.5
-    accel_sigma: float = 0.4
+    tau: float
+    q_rate: tuple[float, ...]
+    fix_sigma: float
+    accel_sigma: float
     init_var: tuple[float, ...] = (0.01, 0.01, 0.25, 0.25, 0.25, 0.25)
 
 
@@ -190,7 +190,7 @@ class OdometryFusion:
     which anchors it.
     """
 
-    def __init__(self, n_agents: int, rate: float = 0.2):
+    def __init__(self, n_agents: int, rate: float):
         self.position = np.zeros((n_agents, 2))
         self.vio_weight = np.full(n_agents, INITIAL_VIO_WEIGHT)
         self.rate = rate

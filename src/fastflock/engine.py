@@ -205,7 +205,7 @@ class Simulation:
     self-state filter, controller and velocity estimator hold every agent's
     filters and control state in their rows. `config` is the scenario as
     flown: a missing `response_model` is the plant's own
-    (`ResponseModel.of_plant`)."""
+    (`ResponseModel.of_plant`), as is the self-state filter's lag."""
 
     def __init__(self, config: ScenarioConfig):
         if config.response_model is None:
@@ -247,7 +247,7 @@ class Simulation:
         )
         self.self_filter = SelfStateFilter(
             FocalParams(
-                tau=filters.focal_tau,
+                tau=plant.tau,
                 q_rate=filters.focal_q_rate,
                 fix_sigma=filters.fix_sigma,
                 # Assumed measurement noise keeps a floor so noiseless

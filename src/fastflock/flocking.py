@@ -58,7 +58,9 @@ class ControllerGains:
     cruise_speed is the maximum group speed; d_min/d_max bound the
     feedforward ramp on distance-to-target; spacing is the desired
     inter-agent distance; pair_angle is the bearing-separation threshold
-    below which two neighbors are treated as a triangle pair.
+    below which two neighbors are treated as a triangle pair. Derived: the
+    speed cap v_max = 1.2 cruise_speed, and the ranges attract_range,
+    pair_band, repulse_range, crowd_range = 1.5, 0.35, 0.55, 0.8 spacing.
     """
 
     kp: float
@@ -70,11 +72,6 @@ class ControllerGains:
     pair_angle: float = math.pi / 3
     bearing_scale: float = math.pi / 4
     max_neighbors: int = 4
-    v_max: float | None = None
-    attract_range: float | None = None
-    pair_band: float | None = None
-    repulse_range: float | None = None
-    crowd_range: float | None = None
 
     def __post_init__(self):
         if self.kp <= 0 or self.kv <= 0:
@@ -83,26 +80,36 @@ class ControllerGains:
             raise ValueError("require 0 < d_min < d_max")
         if self.cruise_speed <= 0 or self.spacing <= 0:
             raise ValueError("cruise_speed and spacing must be > 0")
-        if self.v_max is None:
-            self.v_max = 1.2 * self.cruise_speed
-        if self.attract_range is None:
-            # Members beyond this range exert no spacing pull: they are not
-            # formation-adjacent, and pulling toward them collapses chains
-            # of agents to well below the desired spacing.
-            self.attract_range = 1.5 * self.spacing
-        if self.pair_band is None:
-            # The triangle rule only refines a near-triangle (both members
-            # already about one spacing away); slot-assigning distant pairs
-            # sends several agents into the same apex.
-            self.pair_band = 0.35 * self.spacing
-        if self.repulse_range is None:
-            # Separation override: inside this range repulsion applies at
-            # full strength regardless of the bearing weights.
-            self.repulse_range = 0.55 * self.spacing
-        if self.crowd_range is None:
-            # With any member closer than this the triangle rule disengages;
-            # an apex pull must never fight the separation override.
-            self.crowd_range = 0.8 * self.spacing
+
+    @property
+    def v_max(self) -> float:
+        return 1.2 * self.cruise_speed
+
+    @property
+    def attract_range(self) -> float:
+        # Members beyond this range exert no spacing pull: they are not
+        # formation-adjacent, and pulling toward them collapses chains
+        # of agents to well below the desired spacing.
+        return 1.5 * self.spacing
+
+    @property
+    def pair_band(self) -> float:
+        # The triangle rule only refines a near-triangle (both members
+        # already about one spacing away); slot-assigning distant pairs
+        # sends several agents into the same apex.
+        return 0.35 * self.spacing
+
+    @property
+    def repulse_range(self) -> float:
+        # Separation override: inside this range repulsion applies at
+        # full strength regardless of the bearing weights.
+        return 0.55 * self.spacing
+
+    @property
+    def crowd_range(self) -> float:
+        # With any member closer than this the triangle rule disengages;
+        # an apex pull must never fight the separation override.
+        return 0.8 * self.spacing
 
 
 @dataclass
@@ -116,12 +123,6 @@ class FlockingCommand:
     velocity_term: np.ndarray
     feedforward: np.ndarray
     offset: np.ndarray
-
-    def row(self, e: int) -> "FlockingCommand":
-        """Command e of a stack."""
-        return FlockingCommand(self.velocity[e], self.position_term[e],
-                               self.velocity_term[e], self.feedforward[e],
-                               self.offset[e])
 
 
 class Neighborhoods(NamedTuple):

@@ -116,12 +116,12 @@ class TrackParams:
     pos_sigma_floor.
     """
 
-    q_rate: tuple[float, ...] = (1e-4, 1e-4, 0.05, 0.05, 0.6, 0.6)
-    range_sigma_rel: float = 0.1
-    bearing_sigma: float = math.radians(1.0)
-    pos_sigma_floor: float = 0.15
-    vel_sigma: float = 0.3
-    drop_after: float = 2.0
+    q_rate: tuple[float, ...]
+    range_sigma_rel: float
+    bearing_sigma: float
+    pos_sigma_floor: float
+    vel_sigma: float
+    drop_after: float
     init_vel_var: float = 25.0
     init_acc_var: float = 10.0
 

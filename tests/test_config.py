@@ -87,6 +87,11 @@ def test_errors_are_collected_not_first_only():
     ({"sensors": {"comm": {"enabled": False}}}, "unknown field 'enabled'"),
     ({"duration": 0.05}, "two ticks"),  # one tick of the default dt
     ({"duration": 0.01}, "two ticks"),  # none
+    # The self-state filter's command input would round to zero.
+    ({"plant": {"tau": 1e300}}, "plant.tau"),
+    # The self-state lag is the plant's, and the ranges derive from spacing.
+    ({"filters": {"focal_tau": 0.5}}, "unknown field 'focal_tau'"),
+    ({"gains": {**GAINS, "attract_range": 20.0}}, "unknown field 'attract_range'"),
 ])
 def test_bad_values_raise_config_error(data, field):
     with pytest.raises(ConfigError) as excinfo:

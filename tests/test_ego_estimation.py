@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fastflock.config import FilterConfig, PlantConfig
 from fastflock.ego_estimation import (
     FocalParams,
     FusionState,
@@ -17,10 +18,21 @@ from fastflock.ego_estimation import (
     slew_weight,
     vio_weight_target,
 )
+from fastflock.sensors import SensorConfig
 from fastflock.tracking import Sightings, world_offsets
 
 from .kalman_oracle import oracle_correct, oracle_predict
 from .tracking_oracle import TrackView, table
+
+
+FILTERS = FilterConfig()
+
+
+def focal_params(tau=PlantConfig().tau, q_rate=FILTERS.focal_q_rate):
+    """The self-state filter's settings as a default scenario builds them,
+    with the lag `tau` and process noise `q_rate`."""
+    return FocalParams(tau=tau, q_rate=q_rate, fix_sigma=FILTERS.fix_sigma,
+                       accel_sigma=SensorConfig().imu_accel_sigma)
 
 
 def vio(c_f, ages, t_a=2.0, c_max=150):
@@ -64,7 +76,7 @@ class TestFocalModel:
     def test_first_order_velocity_lag(self):
         dt, tau = 0.05, 0.3
         filt = SelfStateFilter(
-            FocalParams(tau=tau, q_rate=(0.0,) * 6), dt, np.zeros((1, 2))
+            focal_params(tau, (0.0,) * 6), dt, np.zeros((1, 2))
         )
         cmd = np.array([1.0, 0.0])
         for k in range(1, 200):
@@ -74,7 +86,7 @@ class TestFocalModel:
 
     def test_all_zero_fixpoint(self):
         dt = 0.1
-        filt = SelfStateFilter(FocalParams(), dt, np.zeros((1, 2)))
+        filt = SelfStateFilter(focal_params(), dt, np.zeros((1, 2)))
         for _ in range(50):
             [state] = filt.step([np.zeros(2)], [np.zeros(2)], [np.zeros(2)])
         assert np.allclose(state, 0.0, atol=1e-12)
@@ -82,7 +94,7 @@ class TestFocalModel:
     def test_matches_oracle_recursion(self):
         rng = np.random.default_rng(21)
         dt = 0.1
-        params = FocalParams(tau=0.3, q_rate=(0.01,) * 6)
+        params = focal_params(0.3, (0.01,) * 6)
         filt = SelfStateFilter(params, dt, np.array([[1.0, -1.0]]))
         model = filt.model
         ox = filt.state[0].copy()
@@ -113,7 +125,7 @@ class TestFocalModel:
         # and the textbook recursion to 1e-10.
         rng = np.random.default_rng(44)
         dt, n = 0.05, 4
-        params = FocalParams(tau=0.3, q_rate=(0.01,) * 6)
+        params = focal_params(0.3, (0.01,) * 6)
         starts = rng.normal(0.0, 10.0, size=(n, 2))
         swarm = SelfStateFilter(params, dt, starts)
         singles = [SelfStateFilter(params, dt, starts[e:e + 1]) for e in range(n)]
@@ -147,7 +159,7 @@ class TestFocalModel:
     def test_velocity_integral_tracks_velocity_only(self):
         dt = 0.1
         filt = SelfStateFilter(
-            FocalParams(tau=0.3, q_rate=(0.0,) * 6), dt, np.zeros((1, 2))
+            focal_params(0.3, (0.0,) * 6), dt, np.zeros((1, 2))
         )
         total = np.zeros(2)
         for _ in range(30):
@@ -257,7 +269,7 @@ def fuse_row(fusion, *vectors_and_weight):
 
 class TestFusion:
     def test_full_vio_weight_follows_vio_deltas(self):
-        fusion = OdometryFusion(1)
+        fusion = OdometryFusion(1, rate=FILTERS.fusion_rate)
         rng = np.random.default_rng(1)
         vio_pos = np.zeros(2)
         own_pos = np.zeros(2)
@@ -270,7 +282,7 @@ class TestFusion:
         assert np.allclose(state.velocity, [1.0, 1.0])
 
     def test_zero_vio_weight_follows_own_deltas(self):
-        fusion = OdometryFusion(1)
+        fusion = OdometryFusion(1, rate=FILTERS.fusion_rate)
         rng = np.random.default_rng(2)
         vio_pos = np.zeros(2)
         own_pos = np.zeros(2)
@@ -284,7 +296,7 @@ class TestFusion:
         assert np.allclose(state.acceleration, [1.0, 1.0])
 
     def test_midpoint_blend(self):
-        fusion = OdometryFusion(1)
+        fusion = OdometryFusion(1, rate=FILTERS.fusion_rate)
         fuse_row(fusion, np.zeros(2), np.zeros(2), np.zeros(2),
                  np.zeros(2), np.zeros(2), np.zeros(2), 0.5)
         state = fuse_row(fusion, np.array([1.0, 0.0]), np.zeros(2), np.zeros(2),
@@ -294,7 +306,7 @@ class TestFusion:
     def test_identical_streams_pass_through(self):
         rng = np.random.default_rng(3)
         start = np.array([5.0, -1.0])
-        fusion = OdometryFusion(1)
+        fusion = OdometryFusion(1, rate=FILTERS.fusion_rate)
         pos = start.copy()
         for k in range(30):
             pos = pos + rng.standard_normal(2)
@@ -307,8 +319,8 @@ class TestFusion:
     def test_translation_equivariance(self):
         shift = np.array([100.0, -50.0])
         rng = np.random.default_rng(4)
-        f1 = OdometryFusion(1)
-        f2 = OdometryFusion(1)
+        f1 = OdometryFusion(1, rate=FILTERS.fusion_rate)
+        f2 = OdometryFusion(1, rate=FILTERS.fusion_rate)
         vio_pos, own_pos = np.zeros(2), np.zeros(2)
         for _ in range(15):
             vio_pos = vio_pos + rng.standard_normal(2)

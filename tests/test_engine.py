@@ -431,7 +431,11 @@ class TestResponseModel:
             config.dt, config.plant.tau)
         flight = dataclasses.replace(config, comm=False,
                                      duration=2 * config.dt)
-        assert Simulation(flight).estimator.model == expected
+        sim = Simulation(flight)
+        assert sim.estimator.model == expected
+        # The self-state filter flies the same lag.
+        assert sim.self_filter.model.a[2, 2] == expected.a
+        assert sim.self_filter.model.b[2, 0] == expected.b
         art = run_scenario(flight)
         assert art.config.response_model == expected
         assert art.records[0]["config"]["response_model"] == {

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from fastflock.flocking import (
     ControllerGains,
+    FlockingCommand,
     FlockingController,
     _blend_weights,
     _group_heading,
@@ -68,10 +70,12 @@ def offset(row, psi):
 
 
 def command(row, psi, target_rel, offset_rate=None):
-    """`flocking_command` of one neighbourhood."""
+    """`flocking_command` of one neighbourhood, as its row of the stack."""
     rate = None if offset_rate is None else offset_rate[None]
-    return flocking_command(stack([row]), np.array([psi]), target_rel[None],
-                            GAINS, rate).row(0)
+    stacked = flocking_command(stack([row]), np.array([psi]), target_rel[None],
+                               GAINS, rate)
+    return FlockingCommand(*(getattr(stacked, f.name)[0]
+                             for f in dataclasses.fields(stacked)))
 
 
 def update(ctrl, views, own_position, target):
@@ -344,7 +348,7 @@ def test_controller_evaluates_offset_once_and_matches_stateless_law(monkeypatch)
     for step in range(3):
         calls.clear()
         own = np.array([0.5 * step, 0.0])
-        cmd = update(ctrl, views, own, target).row(0)
+        cmd = update(ctrl, views, own, target)
         assert len(calls) == 1
         neighbors = nearest_of(views, own, GAINS.max_neighbors)
         assert [m.agent_id for m in neighbors] == ctrl.neighbors[0]
@@ -352,8 +356,8 @@ def test_controller_evaluates_offset_once_and_matches_stateless_law(monkeypatch)
         expected = original(hoods, ctrl.psi, GAINS)[0]
         reference = command(neighbors, ctrl.psi[0], target,
                             offset_rate=ctrl._rate[0])
-        assert np.array_equal(cmd.offset, expected)
-        assert np.array_equal(cmd.velocity, reference.velocity)
+        assert np.array_equal(cmd.offset[0], expected)
+        assert np.array_equal(cmd.velocity[0], reference.velocity)
 
 
 def test_controller_computes_heading_once_per_tick(monkeypatch):

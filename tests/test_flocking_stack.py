@@ -101,10 +101,10 @@ def test_command_matches_scalar_law(cases):
     for e, row in enumerate(rows):
         expected = oracle.flocking_command(row, psi[e], goals[e], GAINS,
                                            offset_rate=given_rates[e])
-        got = command.row(e)
         for field in ("velocity", "position_term", "velocity_term",
                       "feedforward", "offset"):
-            assert same_bits(getattr(got, field), getattr(expected, field)), field
+            assert same_bits(getattr(command, field)[e],
+                             getattr(expected, field)), field
 
 
 def world(draw, agent_id, own):
@@ -152,7 +152,7 @@ def test_controllers_match_scalar_controller(agents, drift):
             assert ours.neighbors[e] == [m.agent_id for m in theirs[e].members]
             for field in ("velocity", "position_term", "velocity_term",
                           "feedforward", "offset"):
-                assert same_bits(getattr(commands.row(e), field),
+                assert same_bits(getattr(commands, field)[e],
                                  getattr(expected, field)), field
 
 

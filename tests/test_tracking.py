@@ -6,13 +6,30 @@ import pytest
 from scipy import stats
 
 from fastflock import kalman
+from fastflock.config import FilterConfig
+from fastflock.sensors import SensorConfig
 from fastflock.tracking import Sightings, TrackBank, TrackParams, Velocities
 
 from .tracking_oracle import DictBank
 
 
+def track_params(**overrides):
+    """The bank's settings as a default scenario with comm builds them, with
+    `overrides`."""
+    filters, sensors = FilterConfig(), SensorConfig()
+    return TrackParams(**{
+        "q_rate": filters.track_q_rate,
+        "range_sigma_rel": sensors.range_sigma_rel,
+        "bearing_sigma": sensors.bearing_sigma,
+        "pos_sigma_floor": filters.track_pos_sigma_floor,
+        "vel_sigma": filters.vel_sigma_comm,
+        "drop_after": filters.track_drop_after,
+        **overrides,
+    })
+
+
 def make_bank(dt=0.1, n_agents=10, **overrides):
-    return TrackBank(TrackParams(**overrides), dt=dt, n_agents=n_agents)
+    return TrackBank(track_params(**overrides), dt=dt, n_agents=n_agents)
 
 
 class Obs(NamedTuple):
@@ -312,7 +329,7 @@ def test_track_innovation_consistency():
     rng = np.random.default_rng(99)
     dt = 0.1
     sigma = 0.8
-    params = TrackParams(
+    params = track_params(
         range_sigma_rel=0.0, bearing_sigma=0.0, pos_sigma_floor=sigma
     )
     samples = []
@@ -408,7 +425,7 @@ def test_table_matches_dict_bank(seed):
     rng = np.random.default_rng(seed)
     n = 4
     ours = make_bank(n_agents=10, drop_after=0.35)
-    ref = DictBank(TrackParams(drop_after=0.35), 0.1, 10)
+    ref = DictBank(track_params(drop_after=0.35), 0.1, 10)
     for observations, velocities, positions, headings in random_ticks(rng, n, 25):
         ours.step()
         ours.apply_tick(sightings(observations), reports(velocities), positions,
