@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from .flocking import ControllerGains
-from .geometry import pairwise
+from .geometry import TWO_PI, pairwise
 from .sensors import CommConfig, SensorConfig, VioConfig
 from .velocity_inference import ResponseModel
 
@@ -185,9 +185,9 @@ def _build(cls, data, errors: list[str], prefix: str = ""):
             mistyped = True
     try:
         return cls(**kwargs)
-    except (ValueError, TypeError) as exc:
-        # A dropped mistyped field may leave a required one missing; its
-        # own error already explains that.
+    except TypeError as exc:
+        # A required field is missing. A dropped mistyped field may be the
+        # one; its own error already explains that.
         if not mistyped:
             errors.append(f"{prefix}: {exc}")
         return None
@@ -235,13 +235,17 @@ def _semantic_errors(config: ScenarioConfig) -> list[str]:
                       "round(duration / dt) >= 2")
     sensors = config.sensors
     vio = sensors.vio
+    if not 0.0 < sensors.fov <= TWO_PI:
+        errors.append("sensors.fov must lie in (0, 2*pi]")
+    if sensors.heading_mode not in ("velocity", "goal"):
+        errors.append("sensors.heading_mode must be 'velocity' or 'goal'")
     for name, value in (("bearing_sigma", sensors.bearing_sigma),
                         ("range_sigma_rel", sensors.range_sigma_rel),
                         ("imu_accel_sigma", sensors.imu_accel_sigma),
                         ("target_sigma", sensors.target_sigma),
                         *((f"vio.{name}", getattr(vio, name)) for name in (
-                            "pos_sigma", "vel_sigma", "accel_sigma",
-                            "drift_rate", "count_sigma", "max_features"))):
+                            "pos_sigma", "vel_sigma", "drift_rate",
+                            "count_sigma", "max_features"))):
         # numpy rejects a noise scale of -0.0 as negative.
         if math.copysign(1.0, value) < 0:
             errors.append(f"sensors.{name} must be >= 0 (and not -0)")
@@ -256,11 +260,17 @@ def _semantic_errors(config: ScenarioConfig) -> list[str]:
             errors.append(f"sensors.{name} must be in [0, 1]")
     if sensors.comm.latency_ticks < 0:
         errors.append("sensors.comm.latency_ticks must be >= 0")
-    if config.gains.max_neighbors < 1:
+    gains = config.gains
+    for name in ("kp", "kv", "cruise_speed", "spacing"):
+        if getattr(gains, name) <= 0:
+            errors.append(f"gains.{name} must be > 0")
+    if not 0 < gains.d_min < gains.d_max:
+        errors.append("gains.d_min must satisfy 0 < d_min < d_max")
+    if gains.max_neighbors < 1:
         errors.append("gains.max_neighbors must be >= 1")
     # Below pi/700 every blend weight can underflow to zero (exp(-700) is
     # still a normal float), and the weights become 0/0.
-    if not config.gains.bearing_scale >= math.pi / 700:
+    if not gains.bearing_scale >= math.pi / 700:
         errors.append("gains.bearing_scale must be >= pi/700")
     if config.plant.tau <= 0 or config.plant.v_max <= 0 or config.plant.a_max <= 0:
         errors.append("plant tau/v_max/a_max must be > 0")
@@ -346,10 +356,12 @@ def initial_positions(config: ScenarioConfig) -> list[np.ndarray]:
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Read, build and validate a scenario file; an unreadable or malformed
-    file is a ConfigError like any invalid field."""
+    file is a ConfigError like any invalid field. The file is parsed with
+    libyaml when PyYAML was built with it."""
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path) as handle:
-            data = yaml.safe_load(handle)
+            data = yaml.load(handle, Loader=loader)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
     if not isinstance(data, dict):

@@ -3,12 +3,14 @@
 The focal agent estimates its own lateral state by running a Kalman filter
 whose model is driven by the commanded velocity through the plant's lag,
 corrected with position fixes derived from the tracked neighborhood and with
-IMU accelerations. The result is blended with the visual-odometry stream
-using an adaptive weight that follows the VIO feature quality.
+IMU accelerations. The result's position and velocity are blended with the
+visual-odometry stream using an adaptive weight that follows the VIO
+feature quality.
 
 The swarm's filters and fusion run as one call per tick over rows, one per
 agent (`SelfStateFilter`, `OdometryFusion`); the position fix, the VIO
-quality score and the weight's slew stay per agent.
+quality score and the weight's slew stay per agent. The fusion holds the
+swarm's fused state, which the rest of the tick reads.
 """
 
 from __future__ import annotations
@@ -125,12 +127,11 @@ def position_fix(
 
 @dataclass
 class VioSample:
-    """One visual-odometry output: pose/velocity/acceleration plus the
-    feature bookkeeping that drives the fusion weight."""
+    """One visual-odometry output: pose and velocity plus the feature
+    bookkeeping that drives the fusion weight."""
 
     position: np.ndarray
     velocity: np.ndarray
-    acceleration: np.ndarray
     feature_count: float
     max_features: int
     track_ages: np.ndarray
@@ -163,19 +164,6 @@ def slew_weight(current: float, target: float, rate: float, dt: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-@dataclass
-class FusionState:
-    """Blended odometry output for one tick, one row per agent: `position`,
-    `velocity` and `acceleration` are (N, 2), `vio_weight` and
-    `weight_target` (N,)."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    acceleration: np.ndarray
-    vio_weight: np.ndarray
-    weight_target: np.ndarray
-
-
 # Every agent starts out trusting VIO fully.
 INITIAL_VIO_WEIGHT = 1.0
 
@@ -185,64 +173,44 @@ class OdometryFusion:
     estimate, one row per agent; runs outside the Kalman filter so either
     source can be swapped. One agent's fusion is the one-row case.
 
-    Velocity and acceleration are convex combinations of the two sources;
-    position integrates the weighted deltas of both, from the first sample,
-    which anchors it.
+    The swarm's fused state lives here: `position` and `velocity` (N, 2),
+    the weight on VIO `vio_weight` and its quality score `weight_target`
+    (N,). It starts at the start positions, at rest, trusting VIO fully.
+    Velocity is a convex combination of the two sources; position
+    integrates the weighted deltas of both, from the first sample, which
+    anchors it.
     """
 
-    def __init__(self, n_agents: int, rate: float):
-        self.position = np.zeros((n_agents, 2))
-        self.vio_weight = np.full(n_agents, INITIAL_VIO_WEIGHT)
+    def __init__(self, positions, rate: float):
+        self.position = np.array(positions, dtype=float)
+        self.velocity = np.zeros_like(self.position)
+        self.vio_weight = np.full(len(self.position), INITIAL_VIO_WEIGHT)
+        self.weight_target = self.vio_weight.copy()
         self.rate = rate
         self._prev_vio: np.ndarray | None = None
         self._prev_state: np.ndarray | None = None
 
-    def fuse(
-        self,
-        vio_position: np.ndarray,
-        vio_velocity: np.ndarray,
-        vio_acceleration: np.ndarray,
-        state_position: np.ndarray,
-        state_velocity: np.ndarray,
-        state_acceleration: np.ndarray,
-        weight: np.ndarray,
-    ) -> FusionState:
-        """Blend one tick of both sources, (N, 2) each, row e with weight
-        `weight[e]` on VIO."""
-        weight = np.array(weight, dtype=float)
+    def advance(self, samples: Sequence[VioSample], own_states: np.ndarray,
+                dt: float) -> None:
+        """Slew each row's weight toward its sample's quality score, then
+        blend row e's sample with its self-state `own_states[e]` (N, 6), row
+        e with weight `vio_weight[e]` on VIO."""
+        targets = [vio_weight_target(sample) for sample in samples]
+        weight = np.array([slew_weight(current, target, self.rate, dt)
+                           for current, target in zip(self.vio_weight.tolist(),
+                                                      targets)])
         w = weight[:, None]
+        vio_position = np.array([sample.position for sample in samples])
+        state_position = np.array(own_states[:, :2], dtype=float)
         if self._prev_vio is None:
             self.position = w * vio_position + (1.0 - w) * state_position
         else:
             delta_vio = vio_position - self._prev_vio
             delta_state = state_position - self._prev_state
             self.position = self.position + w * delta_vio + (1.0 - w) * delta_state
-        self._prev_vio = np.array(vio_position, dtype=float)
-        self._prev_state = np.array(state_position, dtype=float)
+        self._prev_vio = vio_position
+        self._prev_state = state_position
+        self.velocity = (w * np.array([sample.velocity for sample in samples])
+                         + (1.0 - w) * own_states[:, 2:4])
         self.vio_weight = weight
-        return FusionState(
-            position=self.position.copy(),
-            velocity=w * vio_velocity + (1.0 - w) * state_velocity,
-            acceleration=w * vio_acceleration + (1.0 - w) * state_acceleration,
-            vio_weight=weight,
-            weight_target=weight,
-        )
-
-    def advance(self, samples: Sequence[VioSample], own_states: np.ndarray,
-                dt: float) -> FusionState:
-        """Slew each row's weight toward its sample's quality score, then
-        fuse row e's sample with its self-state `own_states[e]` (N, 6)."""
-        targets = [vio_weight_target(sample) for sample in samples]
-        weights = [slew_weight(current, target, self.rate, dt)
-                   for current, target in zip(self.vio_weight.tolist(), targets)]
-        state = self.fuse(
-            np.array([sample.position for sample in samples]),
-            np.array([sample.velocity for sample in samples]),
-            np.array([sample.acceleration for sample in samples]),
-            own_states[:, :2],
-            own_states[:, 2:4],
-            own_states[:, 4:6],
-            weights,
-        )
-        state.weight_target = np.array(targets)
-        return state
+        self.weight_target = np.array(targets)

@@ -17,7 +17,9 @@ then runs in phases across the swarm:
 3. self-state: per agent, `ego_estimation.position_fix` on the agent's row
    of that table and its rows of the sightings and offsets; then one
    `SelfStateFilter.step` of the swarm's self-state filter;
-4. fusion: one `OdometryFusion.advance` of the swarm's fusion;
+4. fusion: one `OdometryFusion.advance` of the swarm's fusion, which holds
+   the swarm's fused position and velocity; the later phases, the tick
+   record and the broadcast read them there;
 5. velocity-ingest: with comm on, one `CommChannel.deliver` of the swarm's
    channel gives every agent's inbox as one `tracking.Velocities` (it
    delivers before the tick broadcasts, so a message sent at tick k is
@@ -62,7 +64,6 @@ from . import metrics as metrics_mod
 from .config import ScenarioConfig, initial_positions, scenario_to_dict
 from .ego_estimation import (
     FocalParams,
-    FusionState,
     OdometryFusion,
     SelfStateFilter,
     VioSample,
@@ -133,16 +134,9 @@ class AgentPlant:
         assert np.all(lengths(self.acceleration) <= self.a_max + 1e-9)
 
 
-class StaticTarget:
-    def __init__(self, position):
-        self._position = np.asarray(position, dtype=float)
-
-    def position(self, t: float) -> np.ndarray:
-        return self._position.copy()
-
-
 class WaypointTarget:
-    """Constant-speed piecewise-linear path; holds the last point, or loops."""
+    """Constant-speed piecewise-linear path; holds the last point, or loops.
+    One point is a static target."""
 
     def __init__(self, points, speed: float, loop: bool = False):
         self.points = [np.asarray(p, dtype=float) for p in points]
@@ -175,11 +169,10 @@ class WaypointTarget:
         return a + frac * (b - a)
 
 
-def make_trajectory(config: ScenarioConfig):
+def make_trajectory(config: ScenarioConfig) -> WaypointTarget:
     target = config.target
-    if target.kind == "static":
-        return StaticTarget(target.position)
-    return WaypointTarget(target.waypoints, target.speed, target.loop)
+    points = [target.position] if target.kind == "static" else target.waypoints
+    return WaypointTarget(points, target.speed, target.loop)
 
 
 @contextmanager
@@ -197,10 +190,11 @@ def _fault(agent_id: int, stage: str):
 class Simulation:
     """One scenario instance; owns the world state and the tick loop.
 
-    The world state is held in rows, row i for agent i: the swarm's `plant`
-    and `fusion`, `heading` (N,), and `fused_position`, `fused_velocity` and
-    `command_velocity` (N, 2), the last the commanded velocity of the last
-    tick, which the self-state filter and the plant take. Each agent keeps
+    The world state is held in rows, row i for agent i: the swarm's `plant`,
+    its `fusion`, which holds the fused position and velocity that the
+    tick's estimators, controller and broadcast read, `heading` (N,), and
+    `command_velocity` (N, 2), the commanded velocity of the last tick,
+    which the self-state filter and the plant take. Each agent keeps
     its own random streams and VIO emulator. The swarm's track bank,
     self-state filter, controller and velocity estimator hold every agent's
     filters and control state in their rows. `config` is the scenario as
@@ -225,11 +219,9 @@ class Simulation:
             list(column) for column in zip(*streams))
         plant = config.plant
         self.plant = AgentPlant(plant.tau, plant.v_max, plant.a_max, positions)
-        self.fusion = OdometryFusion(n, rate=config.filters.fusion_rate)
+        self.fusion = OdometryFusion(positions, rate=config.filters.fusion_rate)
         self.vio = [VioEmulator(config.sensors.vio, rng) for rng in rng_vio]
         self.heading = bearings(self.trajectory.position(0.0) - positions)
-        self.fused_position = positions.copy()
-        self.fused_velocity = np.zeros((n, 2))
         self.command_velocity = np.zeros((n, 2))
         filters, sensors = config.filters, config.sensors
         self.bank = TrackBank(
@@ -275,7 +267,7 @@ class Simulation:
         acceleration = self.plant.acceleration[agent_id]
         with _fault(agent_id, "sense"):
             vio_sample = self.vio[agent_id].sample(
-                position, self.plant.velocity[agent_id], acceleration, config.dt
+                position, self.plant.velocity[agent_id], config.dt
             )
             imu_accel = acceleration + self.rng_imu[agent_id].normal(
                 0.0, config.sensors.imu_accel_sigma, size=2
@@ -284,15 +276,14 @@ class Simulation:
                 agent_id].normal(0.0, config.sensors.target_sigma, size=2)
         return vio_sample, imu_accel, target_rel
 
-    def _estimate(self, sightings: Sightings, vio_samples, imu_accels
-                  ) -> tuple[np.ndarray, FusionState]:
-        """The tracker, self-state and fusion phases. Returns every agent's
-        self-state and the swarm's fusion result."""
+    def _estimate(self, sightings: Sightings, vio_samples, imu_accels) -> None:
+        """The tracker, self-state and fusion phases: they update the swarm's
+        bank, self-state filter and fusion."""
         bank = self.bank
         n = self.config.n_agents
         with _fault(0, "tracker"):
             bank.step()
-            offsets = bank.apply_tick(sightings, None, self.fused_position,
+            offsets = bank.apply_tick(sightings, None, self.fusion.position,
                                       self.heading)
         # Sightings are ordered by observer: agent a's are rows
         # bounds[a]:bounds[a + 1].
@@ -307,10 +298,7 @@ class Simulation:
             own_states = self.self_filter.step(self.command_velocity, fixes,
                                                imu_accels)
         with _fault(0, "fusion"):
-            fused = self.fusion.advance(vio_samples, own_states, self.config.dt)
-        self.fused_position = fused.position
-        self.fused_velocity = fused.velocity
-        return own_states, fused
+            self.fusion.advance(vio_samples, own_states, self.config.dt)
 
     def _ingest_velocities(self, target_rel: np.ndarray) -> list[dict] | None:
         """The velocity-ingest phase: the bank takes the velocities every
@@ -327,7 +315,7 @@ class Simulation:
             # serial tick failed in.
             with _fault(0, "velocity-ingest"):
                 estimates = self.estimator.update(
-                    bank.state, bank.tracks, self.fused_position, target_rel,
+                    bank.state, bank.tracks, self.fusion.position, target_rel,
                     self.controller.psi,
                 )
             e, j = np.nonzero(bank.tracks)
@@ -335,7 +323,7 @@ class Simulation:
             logs = _by_observer(len(bank.tracks), e, j,
                                 velocities.velocity.tolist())
         with _fault(0, "velocity-ingest"):
-            bank.apply_tick(None, velocities, self.fused_position, self.heading)
+            bank.apply_tick(None, velocities, self.fusion.position, self.heading)
         return logs
 
     def _steer(self, command: FlockingCommand, target_rel: np.ndarray) -> None:
@@ -351,26 +339,26 @@ class Simulation:
                                     self.heading)
         labels = ("command", "fused")
         finite = np.stack([np.isfinite(command.velocity).all(axis=1),
-                           np.isfinite(self.fused_position).all(axis=1)], axis=1)
+                           np.isfinite(self.fusion.position).all(axis=1)], axis=1)
         if not finite.all():
             agent, label = np.argwhere(~finite)[0].tolist()
             raise SimulationFault(
                 f"agent {agent} stage heading: non-finite {labels[label]}"
             )
 
-    def _agent_records(self, own_states: np.ndarray, fused: FusionState,
-                       command: FlockingCommand, estimates_logs) -> dict:
+    def _agent_records(self, command: FlockingCommand, estimates_logs) -> dict:
         """Every agent's part of the tick record, keyed by str(id), each
         field a row of the swarm's arrays."""
+        fusion = self.fusion
         columns = {
             "p": self.plant.position,
             "v": self.plant.velocity,
-            "est_p": fused.position,
-            "est_v": fused.velocity,
-            "own_p": own_states[:, :2],
+            "est_p": fusion.position,
+            "est_v": fusion.velocity,
+            "own_p": self.self_filter.state[:, :2],
             "own_int": self.self_filter.integral_position,
-            "vio_w": fused.vio_weight,
-            "vio_w_target": fused.weight_target,
+            "vio_w": fusion.vio_weight,
+            "vio_w_target": fusion.weight_target,
             "cmd": command.velocity,
             "cmd_pos": command.position_term,
             "cmd_vel": command.velocity_term,
@@ -406,13 +394,13 @@ class Simulation:
             self._stage(i, target_position) for i in range(config.n_agents)
         ])
         target_rel = np.array(target_rels)
-        own_states, fused = self._estimate(sightings, vio_samples, imu_accels)
+        self._estimate(sightings, vio_samples, imu_accels)
         estimates_logs = self._ingest_velocities(target_rel)
         # One call serves every agent, so as in velocity-ingest a fault is
         # reported against the first.
         with _fault(0, "controller"):
             command = self.controller.update(
-                self.bank.state, self.bank.tracks, self.fused_position,
+                self.bank.state, self.bank.tracks, self.fusion.position,
                 target_rel, config.dt,
             )
         self._steer(command, target_rel)
@@ -422,13 +410,12 @@ class Simulation:
             "t": float(t),
             "target": target_position.tolist(),
             "collisions": [list(pair) for pair in collisions],
-            "agents": self._agent_records(own_states, fused, command,
-                                          estimates_logs),
+            "agents": self._agent_records(command, estimates_logs),
         }
 
         # After every stage: the broadcast and plant integration.
         if config.comm:
-            self.channel.send(self.tick_index, self.fused_velocity)
+            self.channel.send(self.tick_index, self.fusion.velocity)
         plant.advance(self.command_velocity, config.dt)
         finite = np.isfinite(plant.position).all(axis=1)
         if not finite.all():

@@ -73,14 +73,6 @@ class ControllerGains:
     bearing_scale: float = math.pi / 4
     max_neighbors: int = 4
 
-    def __post_init__(self):
-        if self.kp <= 0 or self.kv <= 0:
-            raise ValueError("kp and kv must be > 0")
-        if not 0 < self.d_min < self.d_max:
-            raise ValueError("require 0 < d_min < d_max")
-        if self.cruise_speed <= 0 or self.spacing <= 0:
-            raise ValueError("cruise_speed and spacing must be > 0")
-
     @property
     def v_max(self) -> float:
         return 1.2 * self.cruise_speed

@@ -6,11 +6,13 @@ per-tick dropouts, additive bearing noise, and multiplicative range noise
 once per tick from the tick's pairwise geometry (`geometry.pairwise`): the
 range and field-of-view tests run on arrays, the noise stays scalar draws
 from each observer's own stream, and the result is one flat
-`tracking.Sightings`. VIO: drifting pose whose feature population starves
-with ground speed. Communication: an optional broadcast channel with
-latency and drops, one for the swarm, which queues one keep mask per
-broadcast and delivers `tracking.Velocities`. Everything is deterministic
-given the RNG streams handed in by the simulation engine.
+`tracking.Sightings`. VIO: a drifting position and a noisy velocity from a
+feature population that starves with ground speed; the feature count and
+track ages set the fusion weight's quality score. Communication: an
+optional broadcast channel with latency and drops, one for the swarm, which
+queues one keep mask per broadcast and delivers `tracking.Velocities`.
+Everything is deterministic given the RNG streams handed in by the
+simulation engine.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .ego_estimation import VioSample
-from .geometry import TWO_PI, bearings, wrap_angles
+from .geometry import bearings, wrap_angles
 from .tracking import Sightings, Velocities
 
 
@@ -39,7 +41,6 @@ class VioConfig:
 
     pos_sigma: float = 0.05
     vel_sigma: float = 0.1
-    accel_sigma: float = 0.2
     drift_rate: float = 0.05  # m / sqrt(s) random-walk intensity
     max_features: int = 150
     starve_speed: float = 10.0  # m/s at which the feature count reaches zero
@@ -87,12 +88,6 @@ class SensorConfig:
     target_sigma: float = 0.5
     vio: VioConfig = field(default_factory=VioConfig)
     comm: CommConfig = field(default_factory=CommConfig)
-
-    def __post_init__(self):
-        if not 0.0 < self.fov <= TWO_PI:
-            raise ValueError("fov must lie in (0, 2*pi]")
-        if self.heading_mode not in ("velocity", "goal"):
-            raise ValueError("heading_mode must be 'velocity' or 'goal'")
 
 
 def observe(
@@ -178,7 +173,6 @@ class VioEmulator:
         self,
         true_position: np.ndarray,
         true_velocity: np.ndarray,
-        true_acceleration: np.ndarray,
         dt: float,
     ) -> VioSample:
         config = self.config
@@ -189,9 +183,11 @@ class VioEmulator:
             0.0, config.pos_sigma, size=2
         )
         velocity = true_velocity + self.rng.normal(0.0, config.vel_sigma, size=2)
-        acceleration = true_acceleration + self.rng.normal(
-            0.0, config.accel_sigma, size=2
-        )
+        # Two standard normals are drawn and dropped: the stream reserves
+        # them, as `normal(0, s, 2)` takes exactly two for any s (0
+        # included), so that every later feature-count and pool draw, and
+        # with it each seed's flight, keeps its place in the stream.
+        self.rng.standard_normal(2)
 
         speed = float(np.linalg.norm(true_velocity))
         fraction = max(0.0, 1.0 - speed / config.starve_speed)
@@ -218,7 +214,6 @@ class VioEmulator:
         return VioSample(
             position=position,
             velocity=velocity,
-            acceleration=acceleration,
             feature_count=count,
             max_features=config.max_features,
             track_ages=ages,

@@ -52,7 +52,6 @@ class FusionState:
 
     position: np.ndarray
     velocity: np.ndarray
-    acceleration: np.ndarray
     vio_weight: float
     weight_target: float
 
@@ -76,10 +75,8 @@ class OdometryFusion:
         self,
         vio_position: np.ndarray,
         vio_velocity: np.ndarray,
-        vio_acceleration: np.ndarray,
         state_position: np.ndarray,
         state_velocity: np.ndarray,
-        state_acceleration: np.ndarray,
         weight: float,
     ) -> FusionState:
         """Blend one tick of both sources with a given weight."""
@@ -101,8 +98,6 @@ class OdometryFusion:
             position=self.position.copy(),
             velocity=weight * np.asarray(vio_velocity, float)
             + (1.0 - weight) * np.asarray(state_velocity, float),
-            acceleration=weight * np.asarray(vio_acceleration, float)
-            + (1.0 - weight) * np.asarray(state_acceleration, float),
             vio_weight=weight,
             weight_target=weight,
         )
@@ -114,10 +109,8 @@ class OdometryFusion:
         state = self.fuse(
             sample.position,
             sample.velocity,
-            sample.acceleration,
             own_state[:2],
             own_state[2:4],
-            own_state[4:6],
             weight,
         )
         state.weight_target = target

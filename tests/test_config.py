@@ -36,18 +36,22 @@ def test_defaults_validate():
 
 
 def test_errors_are_collected_not_first_only():
-    with pytest.raises(ConfigError) as excinfo:
-        scenario_from_dict(
-            {
-                "dt": -0.1,
-                "duration": 0,
-                "n_agents": 0,
-                "sensors": {"dropout_prob": 1.5},
-            }
-        )
-    message = str(excinfo.value)
-    for expected in ("dt", "duration", "n_agents", "dropout_prob"):
-        assert expected in message
+    cases = [
+        ({"dt": -0.1, "duration": 0, "n_agents": 0,
+          "sensors": {"dropout_prob": 1.5}},
+         ("dt", "duration", "n_agents", "dropout_prob")),
+        # Several broken rules within one section are each reported.
+        ({"sensors": {"fov": 9.0, "dropout_prob": 2.0, "heading_mode": "up"},
+          "gains": {**GAINS, "kp": -1, "d_min": 50}},
+         ("sensors.fov", "sensors.dropout_prob", "sensors.heading_mode",
+          "gains.kp", "gains.d_min")),
+    ]
+    for data, fields in cases:
+        with pytest.raises(ConfigError) as excinfo:
+            scenario_from_dict(data)
+        message = str(excinfo.value)
+        for expected in fields:
+            assert expected in message, (expected, message)
 
 
 @pytest.mark.parametrize("data, field", [
@@ -92,6 +96,8 @@ def test_errors_are_collected_not_first_only():
     # The self-state lag is the plant's, and the ranges derive from spacing.
     ({"filters": {"focal_tau": 0.5}}, "unknown field 'focal_tau'"),
     ({"gains": {**GAINS, "attract_range": 20.0}}, "unknown field 'attract_range'"),
+    # The VIO emulator draws no acceleration.
+    ({"sensors": {"vio": {"accel_sigma": 0.2}}}, "unknown field 'accel_sigma'"),
 ])
 def test_bad_values_raise_config_error(data, field):
     with pytest.raises(ConfigError) as excinfo:

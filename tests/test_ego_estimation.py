@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 from fastflock.config import FilterConfig, PlantConfig
 from fastflock.ego_estimation import (
     FocalParams,
-    FusionState,
     OdometryFusion,
     SelfStateFilter,
     VioSample,
@@ -39,7 +37,6 @@ def vio(c_f, ages, t_a=2.0, c_max=150):
     return VioSample(
         position=np.zeros(2),
         velocity=np.zeros(2),
-        acceleration=np.zeros(2),
         feature_count=c_f,
         max_features=c_max,
         track_ages=np.asarray(ages, dtype=float),
@@ -257,77 +254,94 @@ class TestSlewWeight:
         assert value == target
 
 
-def fuse_row(fusion, *vectors_and_weight):
-    """One-row call of `fusion.fuse` on one agent's vectors (2,) and weight;
-    returns that row of the result."""
-    *vectors, weight = vectors_and_weight
-    state = fusion.fuse(*(np.asarray(v, dtype=float)[None] for v in vectors),
-                        [weight])
-    return FusionState(*(getattr(state, f.name)[0]
-                         for f in dataclasses.fields(state)))
+def fuse_row(fusion, vio_position, vio_velocity, own_position, own_velocity,
+             weight):
+    """One-row `fusion.advance` on one agent's vectors (2,), from a sample
+    whose quality score is `weight`, over a step long enough for the weight
+    to reach it; returns the fusion's row of position and velocity."""
+    sample = VioSample(
+        position=np.asarray(vio_position, dtype=float),
+        velocity=np.asarray(vio_velocity, dtype=float),
+        feature_count=1.0,
+        max_features=1,
+        track_ages=np.array([weight]),
+        mean_track_age=1.0,
+    )
+    own = np.concatenate([own_position, own_velocity, np.zeros(2)])[None]
+    fusion.advance([sample], own, dt=1.0 / fusion.rate)
+    assert fusion.vio_weight[0] == fusion.weight_target[0] == weight
+    return fusion.position[0], fusion.velocity[0]
+
+
+def fusion_at(start=(0.0, 0.0)):
+    """A one-agent fusion at `start` with the default slew rate."""
+    return OdometryFusion([start], rate=FILTERS.fusion_rate)
 
 
 class TestFusion:
+    def test_starts_at_rest_at_the_start_positions(self):
+        starts = np.array([[1.0, 2.0], [-3.0, 4.0]])
+        fusion = OdometryFusion(starts, rate=FILTERS.fusion_rate)
+        assert np.array_equal(fusion.position, starts)
+        assert np.array_equal(fusion.velocity, np.zeros((2, 2)))
+        assert np.array_equal(fusion.vio_weight, [1.0, 1.0])
+
     def test_full_vio_weight_follows_vio_deltas(self):
-        fusion = OdometryFusion(1, rate=FILTERS.fusion_rate)
+        fusion = fusion_at()
         rng = np.random.default_rng(1)
         vio_pos = np.zeros(2)
         own_pos = np.zeros(2)
         for _ in range(20):
             vio_pos = vio_pos + rng.standard_normal(2)
             own_pos = own_pos + rng.standard_normal(2)
-            state = fuse_row(fusion, vio_pos, np.ones(2), np.zeros(2),
-                             own_pos, np.zeros(2), np.zeros(2), 1.0)
-        assert np.allclose(state.position, vio_pos)
-        assert np.allclose(state.velocity, [1.0, 1.0])
+            position, velocity = fuse_row(fusion, vio_pos, np.ones(2),
+                                          own_pos, np.zeros(2), 1.0)
+        assert np.allclose(position, vio_pos)
+        assert np.allclose(velocity, [1.0, 1.0])
 
     def test_zero_vio_weight_follows_own_deltas(self):
-        fusion = OdometryFusion(1, rate=FILTERS.fusion_rate)
+        fusion = fusion_at()
         rng = np.random.default_rng(2)
         vio_pos = np.zeros(2)
         own_pos = np.zeros(2)
         for _ in range(20):
             vio_pos = vio_pos + rng.standard_normal(2)
             own_pos = own_pos + rng.standard_normal(2)
-            state = fuse_row(fusion, vio_pos, np.zeros(2), np.zeros(2),
-                             own_pos, np.full(2, 3.0), np.ones(2), 0.0)
-        assert np.allclose(state.position, own_pos)
-        assert np.allclose(state.velocity, [3.0, 3.0])
-        assert np.allclose(state.acceleration, [1.0, 1.0])
+            position, velocity = fuse_row(fusion, vio_pos, np.zeros(2),
+                                          own_pos, np.full(2, 3.0), 0.0)
+        assert np.allclose(position, own_pos)
+        assert np.allclose(velocity, [3.0, 3.0])
 
     def test_midpoint_blend(self):
-        fusion = OdometryFusion(1, rate=FILTERS.fusion_rate)
-        fuse_row(fusion, np.zeros(2), np.zeros(2), np.zeros(2),
-                 np.zeros(2), np.zeros(2), np.zeros(2), 0.5)
-        state = fuse_row(fusion, np.array([1.0, 0.0]), np.zeros(2), np.zeros(2),
-                         np.array([0.0, 1.0]), np.zeros(2), np.zeros(2), 0.5)
-        assert np.allclose(state.position, [0.5, 0.5])
+        fusion = fusion_at()
+        fuse_row(fusion, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), 0.5)
+        position, _ = fuse_row(fusion, np.array([1.0, 0.0]), np.zeros(2),
+                               np.array([0.0, 1.0]), np.zeros(2), 0.5)
+        assert np.allclose(position, [0.5, 0.5])
 
     def test_identical_streams_pass_through(self):
         rng = np.random.default_rng(3)
         start = np.array([5.0, -1.0])
-        fusion = OdometryFusion(1, rate=FILTERS.fusion_rate)
+        fusion = fusion_at(start)
         pos = start.copy()
         for k in range(30):
             pos = pos + rng.standard_normal(2)
             vel = rng.standard_normal(2)
-            state = fuse_row(fusion, pos, vel, np.zeros(2), pos, vel, np.zeros(2),
-                             float(rng.uniform(0, 1)))
-            assert np.allclose(state.position, pos, atol=1e-9)
-            assert np.allclose(state.velocity, vel, rtol=0, atol=1e-12)
+            position, velocity = fuse_row(fusion, pos, vel, pos, vel,
+                                          float(rng.uniform(0, 1)))
+            assert np.allclose(position, pos, atol=1e-9)
+            assert np.allclose(velocity, vel, rtol=0, atol=1e-12)
 
     def test_translation_equivariance(self):
         shift = np.array([100.0, -50.0])
         rng = np.random.default_rng(4)
-        f1 = OdometryFusion(1, rate=FILTERS.fusion_rate)
-        f2 = OdometryFusion(1, rate=FILTERS.fusion_rate)
+        f1, f2 = fusion_at(), fusion_at()
         vio_pos, own_pos = np.zeros(2), np.zeros(2)
         for _ in range(15):
             vio_pos = vio_pos + rng.standard_normal(2)
             own_pos = own_pos + rng.standard_normal(2)
             lam = float(rng.uniform(0, 1))
-            s1 = fuse_row(f1, vio_pos, np.zeros(2), np.zeros(2),
-                          own_pos, np.zeros(2), np.zeros(2), lam)
-            s2 = fuse_row(f2, vio_pos + shift, np.zeros(2), np.zeros(2),
-                          own_pos + shift, np.zeros(2), np.zeros(2), lam)
-        assert np.allclose(s2.position - s1.position, shift, atol=1e-9)
+            p1, _ = fuse_row(f1, vio_pos, np.zeros(2), own_pos, np.zeros(2), lam)
+            p2, _ = fuse_row(f2, vio_pos + shift, np.zeros(2), own_pos + shift,
+                             np.zeros(2), lam)
+        assert np.allclose(p2 - p1, shift, atol=1e-9)

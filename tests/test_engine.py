@@ -13,7 +13,6 @@ from fastflock.engine import (
     AgentPlant,
     Simulation,
     SimulationFault,
-    StaticTarget,
     WaypointTarget,
     detect_collisions,
     read_log,
@@ -68,7 +67,7 @@ class TestAgentPlant:
 
 class TestTrajectories:
     def test_static(self):
-        target = StaticTarget([3.0, 4.0])
+        target = WaypointTarget([[3.0, 4.0]], speed=0.0)
         assert np.allclose(target.position(0.0), [3.0, 4.0])
         assert np.allclose(target.position(100.0), [3.0, 4.0])
 
@@ -123,6 +122,23 @@ class TestDetectCollisions:
         record = sim.tick()
         assert record["collisions"] == [[0, 2]]
         json.dumps(record)
+
+
+class TestTickRecord:
+    @pytest.mark.parametrize("comm", [True, False])
+    def test_fused_fields_are_the_fusions_rows(self, comm):
+        # The fusion is the one holder of the fused state: every record's
+        # est_p, est_v, vio_w and vio_w_target are its rows after the tick.
+        sim = Simulation(small_scenario(comm=comm))
+        for _ in range(3):
+            record = sim.tick()
+            fusion = sim.fusion
+            for i, fragment in record["agents"].items():
+                row = int(i)
+                assert fragment["est_p"] == fusion.position[row].tolist()
+                assert fragment["est_v"] == fusion.velocity[row].tolist()
+                assert fragment["vio_w"] == fusion.vio_weight[row]
+                assert fragment["vio_w_target"] == fusion.weight_target[row]
 
 
 class TestDeterminism:
@@ -236,7 +252,7 @@ class TestFaults:
     def test_nan_poisoning_names_agent_and_stage(self):
         sim = Simulation(small_scenario())
         sim.tick()
-        sim.fused_position[1] = [np.nan, 0.0]
+        sim.fusion.position[1] = [np.nan, 0.0]
         with pytest.raises(SimulationFault, match="agent 1"):
             for _ in range(10):
                 sim.tick()
@@ -256,9 +272,8 @@ class TestFaults:
         fuse = sim.fusion.advance
 
         def poisoned_fusion(*args):
-            fused = fuse(*args)
-            fused.position[bad_fused] = np.nan
-            return fused
+            fuse(*args)
+            sim.fusion.position[bad_fused] = np.nan
 
         def poisoned_command(*args):
             zeros = np.zeros((5, 2))

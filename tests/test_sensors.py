@@ -119,11 +119,10 @@ class TestObserve:
 
 class TestVioEmulator:
     def test_noiseless_pose_equals_truth(self):
-        config = VioConfig(pos_sigma=0.0, vel_sigma=0.0, accel_sigma=0.0,
-                           drift_rate=0.0, count_sigma=0.0)
+        config = VioConfig(pos_sigma=0.0, vel_sigma=0.0, drift_rate=0.0,
+                           count_sigma=0.0)
         emu = VioEmulator(config, np.random.default_rng(1))
-        sample = emu.sample(np.array([5.0, 6.0]), np.array([1.0, 0.0]),
-                            np.zeros(2), dt=0.1)
+        sample = emu.sample(np.array([5.0, 6.0]), np.array([1.0, 0.0]), dt=0.1)
         assert np.allclose(sample.position, [5.0, 6.0])
         assert np.allclose(sample.velocity, [1.0, 0.0])
 
@@ -132,7 +131,7 @@ class TestVioEmulator:
         emu = VioEmulator(config, np.random.default_rng(2))
         targets = []
         for _ in range(400):
-            sample = emu.sample(np.zeros(2), np.zeros(2), np.zeros(2), dt=0.05)
+            sample = emu.sample(np.zeros(2), np.zeros(2), dt=0.05)
             targets.append(vio_weight_target(sample))
         assert np.mean(targets[100:]) > 0.8
 
@@ -141,7 +140,7 @@ class TestVioEmulator:
         emu = VioEmulator(config, np.random.default_rng(3))
         vel = np.array([config.starve_speed + 1.0, 0.0])
         for _ in range(100):
-            sample = emu.sample(np.zeros(2), vel, np.zeros(2), dt=0.05)
+            sample = emu.sample(np.zeros(2), vel, dt=0.05)
         assert sample.feature_count == 0
         assert vio_weight_target(sample) == 0.0
 
@@ -158,7 +157,7 @@ class TestVioEmulator:
         for speed, ticks in profile:
             vel = np.array([speed, 0.0])
             for _ in range(ticks):
-                sample = emu.sample(np.zeros(2), vel, np.zeros(2), dt=dt)
+                sample = emu.sample(np.zeros(2), vel, dt=dt)
                 weight = slew_weight(weight, vio_weight_target(sample), rate, dt)
                 trace.append(weight)
         low = min(trace)
@@ -175,7 +174,7 @@ class TestVioEmulator:
             for k in range(50):
                 speed = 4.0 if k > 20 else 0.0
                 sample = emu.sample(np.zeros(2), np.array([speed, 0.0]),
-                                    np.zeros(2), dt=0.05)
+                                    dt=0.05)
                 out.append((sample.feature_count, float(np.sum(sample.track_ages)),
                             tuple(sample.position)))
             runs.append(out)
