@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import types
 import typing
 from collections.abc import Mapping
@@ -40,17 +41,12 @@ class PlantConfig:
 
 @dataclass
 class FilterConfig:
-    """Noise assumptions of the estimation stack: with `SensorConfig`, the one
-    source of each filter constant. The self-state lag is `plant.tau`."""
+    """The track bank's assumed noise of communicated and of inferred
+    velocities; the other filter constants live in the modules that use
+    them."""
 
-    track_q_rate: tuple[float, ...] = (1e-4, 1e-4, 0.05, 0.05, 0.6, 0.6)
-    track_pos_sigma_floor: float = 0.15
-    track_drop_after: float = 2.0
     vel_sigma_comm: float = 0.3
     vel_sigma_inferred: float = 0.8
-    focal_q_rate: tuple[float, ...] = (1e-4, 1e-4, 0.05, 0.05, 0.5, 0.5)
-    fix_sigma: float = 1.5
-    fusion_rate: float = 0.2
 
 
 @dataclass
@@ -59,7 +55,6 @@ class TargetConfig:
     position: tuple[float, float] = (0.0, 0.0)
     waypoints: list[tuple[float, float]] = field(default_factory=list)
     speed: float = 0.0
-    loop: bool = False
 
 
 @dataclass
@@ -245,15 +240,10 @@ def _semantic_errors(config: ScenarioConfig) -> list[str]:
                         ("target_sigma", sensors.target_sigma),
                         *((f"vio.{name}", getattr(vio, name)) for name in (
                             "pos_sigma", "vel_sigma", "drift_rate",
-                            "count_sigma", "max_features"))):
+                            "count_sigma"))):
         # numpy rejects a noise scale of -0.0 as negative.
         if math.copysign(1.0, value) < 0:
             errors.append(f"sensors.{name} must be >= 0 (and not -0)")
-    for name in ("starve_speed", "stable_life", "transient_life"):
-        if getattr(vio, name) <= 0:
-            errors.append(f"sensors.vio.{name} must be > 0")
-    if not 0.0 <= vio.stable_share <= 1.0:
-        errors.append("sensors.vio.stable_share must be in [0, 1]")
     for name, value in (("dropout_prob", sensors.dropout_prob),
                         ("comm.drop_prob", sensors.comm.drop_prob)):
         if not 0.0 <= value <= 1.0:
@@ -279,17 +269,9 @@ def _semantic_errors(config: ScenarioConfig) -> list[str]:
         # The self-state filter's command input would round to zero.
         errors.append("dt is too small against plant.tau: "
                       "1 - exp(-dt / plant.tau) rounds to 0")
-    filters = config.filters
-    if filters.fusion_rate <= 0:
-        errors.append("filters.fusion_rate must be > 0")
-    for name in ("track_pos_sigma_floor", "vel_sigma_comm",
-                 "vel_sigma_inferred", "fix_sigma"):
-        if getattr(filters, name) <= 0:
+    for name in ("vel_sigma_comm", "vel_sigma_inferred"):
+        if getattr(config.filters, name) <= 0:
             errors.append(f"filters.{name} must be > 0")
-    for name in ("track_q_rate", "focal_q_rate"):
-        rates = getattr(filters, name)
-        if len(rates) != 6 or min(rates) < 0:
-            errors.append(f"filters.{name} must hold six entries >= 0")
     if config.target.kind not in ("static", "waypoints"):
         errors.append("target.kind must be 'static' or 'waypoints'")
     elif config.target.kind == "waypoints":
@@ -354,14 +336,22 @@ def initial_positions(config: ScenarioConfig) -> list[np.ndarray]:
     return out
 
 
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, libyaml's when PyYAML has it, which also reads an
+    exponent float without a dot (5e-2) as a float: YAML 1.1 reads a
+    string."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?[0-9][0-9_]*(\.[0-9_]*)?[eE][-+]?[0-9]+$"), list("-+0123456789"))
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Read, build and validate a scenario file; an unreadable or malformed
-    file is a ConfigError like any invalid field. The file is parsed with
-    libyaml when PyYAML was built with it."""
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    file is a ConfigError like any invalid field."""
     try:
         with open(path) as handle:
-            data = yaml.load(handle, Loader=loader)
+            data = yaml.load(handle, Loader=_Loader)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
     if not isinstance(data, dict):

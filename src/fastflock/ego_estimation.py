@@ -4,13 +4,15 @@ The focal agent estimates its own lateral state by running a Kalman filter
 whose model is driven by the commanded velocity through the plant's lag,
 corrected with position fixes derived from the tracked neighborhood and with
 IMU accelerations. The result's position and velocity are blended with the
-visual-odometry stream using an adaptive weight that follows the VIO
-feature quality.
+visual-odometry stream using an adaptive weight that follows each VIO
+sample's quality score (`sensors.vio_quality`).
 
 The swarm's filters and fusion run as one call per tick over rows, one per
-agent (`SelfStateFilter`, `OdometryFusion`); the position fix, the VIO
-quality score and the weight's slew stay per agent. The fusion holds the
-swarm's fused state, which the rest of the tick reads.
+agent (`SelfStateFilter`, `OdometryFusion`); the position fix and the
+weight's slew stay per agent. The fusion holds the swarm's fused state,
+which the rest of the tick reads. The filter's process noise, initial
+variance and fix noise and the weight's slew rate are fixed here; the lag
+and the IMU noise come from the scenario.
 """
 
 from __future__ import annotations
@@ -22,6 +24,15 @@ from typing import Sequence
 import numpy as np
 
 from . import kalman
+
+# The self-state filter's per-second process-noise intensity of each state
+# (position, velocity, acceleration; x and y), its initial variances, and
+# the assumed deviation of a neighborhood position fix.
+Q_RATE = (1e-4, 1e-4, 0.05, 0.05, 0.5, 0.5)
+INIT_VAR = (0.01, 0.01, 0.25, 0.25, 0.25, 0.25)
+FIX_SIGMA = 1.5
+# The fusion weight's slew rate toward the quality score, per second.
+FUSION_RATE = 0.2
 
 
 def focal_model(dt: float, tau: float, q_diag) -> kalman.LkfModel:
@@ -36,38 +47,27 @@ def focal_model(dt: float, tau: float, q_diag) -> kalman.LkfModel:
     return kalman.LkfModel(a=base.a, b=b, q=base.q, dt=dt)
 
 
-@dataclass
-class FocalParams:
-    """Settings for the self-state filter. tau is the plant's lag; q_rate is
-    the per-second process-noise intensity; fix_sigma/accel_sigma are the
-    assumed deviations of neighborhood position fixes and IMU accelerations."""
-
-    tau: float
-    q_rate: tuple[float, ...]
-    fix_sigma: float
-    accel_sigma: float
-    init_var: tuple[float, ...] = (0.01, 0.01, 0.25, 0.25, 0.25, 0.25)
-
-
 class SelfStateFilter:
     """Kalman filters over each agent's own lateral state, one row per agent:
     `state` is (N, 6) and `cov` (N, 6, 6). The rows are independent, so a
     swarm's filters run as stacks; one agent's filter is the one-row case.
+    `tau` is the plant's lag, `accel_sigma` the assumed IMU noise.
 
     Also dead-reckons a velocity-integral position (`integral_position`,
     (N, 2)): the position obtained by integrating the velocity estimate
     alone, with no position corrections, kept as a degradation comparator.
     """
 
-    def __init__(self, params: FocalParams, dt: float, initial_positions):
+    def __init__(self, tau: float, accel_sigma: float, dt: float,
+                 initial_positions):
         positions = np.array(initial_positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ValueError("initial positions must be (N, 2)")
-        self.params = params
-        self.model = focal_model(dt, params.tau, np.asarray(params.q_rate) * dt)
+        self.accel_sigma = accel_sigma
+        self.model = focal_model(dt, tau, np.asarray(Q_RATE) * dt)
         self.state = np.zeros((len(positions), 6))
         self.state[:, :2] = positions
-        self.cov = np.repeat(np.diag(params.init_var).astype(float)[None],
+        self.cov = np.repeat(np.diag(INIT_VAR).astype(float)[None],
                              len(positions), axis=0)
         self.integral_position = positions
 
@@ -86,8 +86,8 @@ class SelfStateFilter:
                 self.state, self.cov, self.model,
                 np.asarray(commands, dtype=float), ["self-state"] * len(self.state),
             )
-        self._correct(kalman.H_POS, fixes, self.params.fix_sigma)
-        self._correct(kalman.H_ACC, accels, self.params.accel_sigma)
+        self._correct(kalman.H_POS, fixes, FIX_SIGMA)
+        self._correct(kalman.H_ACC, accels, self.accel_sigma)
         self.integral_position = (self.integral_position
                                   + self.state[:, 2:4] * self.model.dt)
         return self.state.copy()
@@ -127,28 +127,12 @@ def position_fix(
 
 @dataclass
 class VioSample:
-    """One visual-odometry output: pose and velocity plus the feature
-    bookkeeping that drives the fusion weight."""
+    """One visual-odometry output: pose and velocity, and the quality score
+    in [0, 1] that the fusion weight follows (`sensors.vio_quality`)."""
 
     position: np.ndarray
     velocity: np.ndarray
-    feature_count: float
-    max_features: int
-    track_ages: np.ndarray
-    mean_track_age: float
-
-
-def vio_weight_target(sample: VioSample) -> float:
-    """Quality score for the VIO stream in [0, 1]: feature count relative to
-    capacity times the age of the surviving tracks relative to nominal."""
-    if sample.mean_track_age <= 0.0 or sample.max_features <= 0:
-        return 0.0
-    value = (
-        sample.feature_count
-        * float(np.sum(sample.track_ages))
-        / (sample.mean_track_age * sample.max_features**2)
-    )
-    return min(max(value, 0.0), 1.0)
+    quality: float
 
 
 def slew_weight(current: float, target: float, rate: float, dt: float) -> float:
@@ -181,22 +165,21 @@ class OdometryFusion:
     anchors it.
     """
 
-    def __init__(self, positions, rate: float):
+    def __init__(self, positions):
         self.position = np.array(positions, dtype=float)
         self.velocity = np.zeros_like(self.position)
         self.vio_weight = np.full(len(self.position), INITIAL_VIO_WEIGHT)
         self.weight_target = self.vio_weight.copy()
-        self.rate = rate
         self._prev_vio: np.ndarray | None = None
         self._prev_state: np.ndarray | None = None
 
     def advance(self, samples: Sequence[VioSample], own_states: np.ndarray,
                 dt: float) -> None:
-        """Slew each row's weight toward its sample's quality score, then
-        blend row e's sample with its self-state `own_states[e]` (N, 6), row
-        e with weight `vio_weight[e]` on VIO."""
-        targets = [vio_weight_target(sample) for sample in samples]
-        weight = np.array([slew_weight(current, target, self.rate, dt)
+        """Slew each row's weight toward its sample's quality score at
+        `FUSION_RATE`, then blend row e's sample with its self-state
+        `own_states[e]` (N, 6), row e with weight `vio_weight[e]` on VIO."""
+        targets = [sample.quality for sample in samples]
+        weight = np.array([slew_weight(current, target, FUSION_RATE, dt)
                            for current, target in zip(self.vio_weight.tolist(),
                                                       targets)])
         w = weight[:, None]

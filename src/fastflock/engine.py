@@ -63,7 +63,6 @@ import numpy as np
 from . import metrics as metrics_mod
 from .config import ScenarioConfig, initial_positions, scenario_to_dict
 from .ego_estimation import (
-    FocalParams,
     OdometryFusion,
     SelfStateFilter,
     VioSample,
@@ -135,44 +134,34 @@ class AgentPlant:
 
 
 class WaypointTarget:
-    """Constant-speed piecewise-linear path; holds the last point, or loops.
-    One point is a static target."""
+    """Constant-speed piecewise-linear path that holds its last point. One
+    point is a static target."""
 
-    def __init__(self, points, speed: float, loop: bool = False):
+    def __init__(self, points, speed: float):
         self.points = [np.asarray(p, dtype=float) for p in points]
         self.speed = speed
-        self.loop = loop
         legs = [
             float(np.linalg.norm(b - a))
             for a, b in zip(self.points, self.points[1:])
         ]
-        if self.loop:
-            legs.append(float(np.linalg.norm(self.points[0] - self.points[-1])))
         self.cumulative = np.concatenate([[0.0], np.cumsum(legs)])
 
     def position(self, t: float) -> np.ndarray:
-        total = self.cumulative[-1]
-        if total == 0.0:
-            return self.points[0].copy()
         s = self.speed * t
-        if self.loop:
-            s = s % total
-        elif s >= total:
+        if s >= self.cumulative[-1]:
             return self.points[-1].copy()
         leg = int(np.searchsorted(self.cumulative, s, side="right") - 1)
-        leg = min(leg, len(self.cumulative) - 2)
         frac = (s - self.cumulative[leg]) / (
             self.cumulative[leg + 1] - self.cumulative[leg]
         )
-        a = self.points[leg]
-        b = self.points[(leg + 1) % len(self.points)]
+        a, b = self.points[leg], self.points[leg + 1]
         return a + frac * (b - a)
 
 
 def make_trajectory(config: ScenarioConfig) -> WaypointTarget:
     target = config.target
     points = [target.position] if target.kind == "static" else target.waypoints
-    return WaypointTarget(points, target.speed, target.loop)
+    return WaypointTarget(points, target.speed)
 
 
 @contextmanager
@@ -219,33 +208,26 @@ class Simulation:
             list(column) for column in zip(*streams))
         plant = config.plant
         self.plant = AgentPlant(plant.tau, plant.v_max, plant.a_max, positions)
-        self.fusion = OdometryFusion(positions, rate=config.filters.fusion_rate)
+        self.fusion = OdometryFusion(positions)
         self.vio = [VioEmulator(config.sensors.vio, rng) for rng in rng_vio]
         self.heading = bearings(self.trajectory.position(0.0) - positions)
         self.command_velocity = np.zeros((n, 2))
         filters, sensors = config.filters, config.sensors
         self.bank = TrackBank(
             TrackParams(
-                q_rate=filters.track_q_rate,
                 range_sigma_rel=sensors.range_sigma_rel,
                 bearing_sigma=sensors.bearing_sigma,
-                pos_sigma_floor=filters.track_pos_sigma_floor,
                 vel_sigma=(filters.vel_sigma_comm if config.comm
                            else filters.vel_sigma_inferred),
-                drop_after=filters.track_drop_after,
             ),
             config.dt,
             n,
         )
         self.self_filter = SelfStateFilter(
-            FocalParams(
-                tau=plant.tau,
-                q_rate=filters.focal_q_rate,
-                fix_sigma=filters.fix_sigma,
-                # Assumed measurement noise keeps a floor so noiseless
-                # configs still give the filter a valid covariance.
-                accel_sigma=max(sensors.imu_accel_sigma, 1e-3),
-            ),
+            plant.tau,
+            # Assumed measurement noise keeps a floor so noiseless configs
+            # still give the filter a valid covariance.
+            max(sensors.imu_accel_sigma, 1e-3),
             config.dt,
             positions,
         )

@@ -48,6 +48,8 @@ RATE_CUTOFF_HZ = 2.0
 # Velocity inference's replay tags the focal agent with this id when it sits
 # in the replayed neighbour's neighbourhood.
 FOCAL_MEMBER_ID = -2
+# Two neighbours whose bearings lie closer than this are a triangle pair.
+PAIR_ANGLE = math.pi / 3
 
 
 @dataclass
@@ -57,10 +59,10 @@ class ControllerGains:
     kp [1/s] and kv [-] are the position/velocity feedback gains;
     cruise_speed is the maximum group speed; d_min/d_max bound the
     feedforward ramp on distance-to-target; spacing is the desired
-    inter-agent distance; pair_angle is the bearing-separation threshold
-    below which two neighbors are treated as a triangle pair. Derived: the
-    speed cap v_max = 1.2 cruise_speed, and the ranges attract_range,
-    pair_band, repulse_range, crowd_range = 1.5, 0.35, 0.55, 0.8 spacing.
+    inter-agent distance; bearing_scale is the angular width of the
+    members' blend weights. Derived: the speed cap v_max = 1.2 cruise_speed,
+    and the ranges attract_range, pair_band, repulse_range, crowd_range =
+    1.5, 0.35, 0.55, 0.8 spacing.
     """
 
     kp: float
@@ -69,7 +71,6 @@ class ControllerGains:
     d_min: float
     d_max: float
     spacing: float
-    pair_angle: float = math.pi / 3
     bearing_scale: float = math.pi / 4
     max_neighbors: int = 4
 
@@ -280,7 +281,7 @@ def _pair_members(
     sep = np.abs(wrap_angles(bearing[e, i] - bearing[e, j]))
     candidates: dict[int, list] = {}
     for row, s, a, b in zip(e.tolist(), sep.tolist(), i.tolist(), j.tolist()):
-        if s < gains.pair_angle:
+        if s < PAIR_ANGLE:
             candidates.setdefault(row, []).append((s, a, b))
     for row, separations in candidates.items():
         mates = partner[row]

@@ -20,6 +20,8 @@ import numpy as np
 
 from .geometry import lengths
 
+# The width, s, of the window over which the swarm center's speed is taken.
+CVR_WINDOW_S = 1.0
 
 @dataclass
 class MetricsSummary:
@@ -84,18 +86,17 @@ def column(ticks: list[dict], agent_ids: list[str], key: str) -> np.ndarray:
         [[r["agents"][aid][key] for r in ticks] for aid in agent_ids], key)
 
 
-def compute_cvr(
-    center: np.ndarray, dt: float, cruise_speed: float, window: float = 1.0
-) -> np.ndarray:
+def compute_cvr(center: np.ndarray, dt: float, cruise_speed: float) -> np.ndarray:
     """Ratio of swarm-center speed to the commanded group speed.
 
-    The center velocity comes from centered finite differences over the
-    smoothing window (shrunk one-sidedly at the ends of the run).
+    The center velocity comes from centered finite differences over a
+    CVR_WINDOW_S smoothing window (shrunk one-sidedly at the ends of the
+    run).
     """
     n = len(center)
     if n < 2:
         raise ValueError("need at least two trajectory samples")
-    half = max(1, int(round(window / (2.0 * dt))))
+    half = max(1, int(round(CVR_WINDOW_S / (2.0 * dt))))
     k = np.arange(n)
     lo = np.maximum(k - half, 0)
     hi = np.minimum(k + half, n - 1)

@@ -7,10 +7,11 @@ once per tick from the tick's pairwise geometry (`geometry.pairwise`): the
 range and field-of-view tests run on arrays, the noise stays scalar draws
 from each observer's own stream, and the result is one flat
 `tracking.Sightings`. VIO: a drifting position and a noisy velocity from a
-feature population that starves with ground speed; the feature count and
-track ages set the fusion weight's quality score. Communication: an
-optional broadcast channel with latency and drops, one for the swarm, which
-queues one keep mask per broadcast and delivers `tracking.Velocities`.
+feature population, fixed here, that starves with ground speed; each sample
+carries its quality score (`vio_quality`), which the fusion weight follows.
+Communication: an optional broadcast channel with latency and drops, one
+for the swarm, which queues one keep mask per broadcast and delivers
+`tracking.Velocities`.
 Everything is deterministic given the RNG streams handed in by the
 simulation engine.
 """
@@ -28,36 +29,34 @@ from .geometry import bearings, wrap_angles
 from .tracking import Sightings, Velocities
 
 
+# The VIO feature population: at most MAX_FEATURES tracks, STABLE_CAP of
+# them long-lived (mean life STABLE_LIFE s), the rest transient (mean life
+# TRANSIENT_LIFE s). The count falls linearly with ground speed to 0 at
+# STARVE_SPEED m/s.
+MAX_FEATURES = 150
+STARVE_SPEED = 10.0
+STABLE_SHARE = 0.35
+STABLE_CAP = int(round(STABLE_SHARE * MAX_FEATURES))
+STABLE_LIFE = 30.0
+TRANSIENT_LIFE = 1.0
+# The quality score's reference age: the hover steady state's mean age times
+# AGE_MARGIN, so that hover saturates the score instead of jittering just
+# under 1.
+AGE_MARGIN = 0.8
+NOMINAL_TRACK_AGE = AGE_MARGIN * (
+    STABLE_SHARE * STABLE_LIFE + (1.0 - STABLE_SHARE) * TRANSIENT_LIFE
+)
+
+
 @dataclass
 class VioConfig:
-    """Visual-odometry emulation parameters.
-
-    Feature population is split into long-lived stable tracks and
-    short-lived transient ones; speed starvation removes transients first,
-    so the surviving features during fast flight are the old stable core.
-    nominal_track_age is the hover steady-state mean age and serves as the
-    reference age scale reported with every sample.
-    """
+    """Visual-odometry noise: the pose and velocity noise, the drift and the
+    feature count's jitter."""
 
     pos_sigma: float = 0.05
     vel_sigma: float = 0.1
     drift_rate: float = 0.05  # m / sqrt(s) random-walk intensity
-    max_features: int = 150
-    starve_speed: float = 10.0  # m/s at which the feature count reaches zero
     count_sigma: float = 3.0
-    stable_share: float = 0.35
-    stable_life: float = 30.0
-    transient_life: float = 1.0
-    # Reference age sits below the hover steady state so nominal operation
-    # saturates the quality score instead of jittering just under 1.
-    age_margin: float = 0.8
-
-    @property
-    def nominal_track_age(self) -> float:
-        return self.age_margin * (
-            self.stable_share * self.stable_life
-            + (1.0 - self.stable_share) * self.transient_life
-        )
 
 
 @dataclass
@@ -143,22 +142,31 @@ def observe(
     )
 
 
+def vio_quality(count: int, ages: np.ndarray) -> float:
+    """Quality score of a VIO sample in [0, 1]: the feature count relative
+    to capacity times the summed age of the surviving tracks relative to
+    capacity at the nominal age."""
+    value = count * float(np.sum(ages)) / (NOMINAL_TRACK_AGE * MAX_FEATURES**2)
+    return min(max(value, 0.0), 1.0)
+
+
 class VioEmulator:
     """Drifting pose source with speed-dependent feature-count dynamics.
 
-    The pool starts warm (ages sampled at the hover steady state) so the
-    reported quality begins near its nominal value, the way a converged
-    VIO behaves after initialization.
+    Speed starvation removes transient features first, so the surviving
+    features during fast flight are the old stable core. The pool starts
+    warm (ages sampled at the hover steady state) so the reported quality
+    begins near its nominal value, the way a converged VIO behaves after
+    initialization.
     """
 
     def __init__(self, config: VioConfig, rng: np.random.Generator):
         self.config = config
         self.rng = rng
         self.drift = np.zeros(2)
-        stable_cap = int(round(config.stable_share * config.max_features))
-        self._stable = rng.exponential(config.stable_life, size=stable_cap)
+        self._stable = rng.exponential(STABLE_LIFE, size=STABLE_CAP)
         self._transient = rng.exponential(
-            config.transient_life, size=config.max_features - stable_cap
+            TRANSIENT_LIFE, size=MAX_FEATURES - STABLE_CAP
         )
 
     def _resize(self, pool: np.ndarray, target: int) -> np.ndarray:
@@ -190,35 +198,27 @@ class VioEmulator:
         self.rng.standard_normal(2)
 
         speed = float(np.linalg.norm(true_velocity))
-        fraction = max(0.0, 1.0 - speed / config.starve_speed)
-        count = config.max_features * fraction + self.rng.normal(
+        fraction = max(0.0, 1.0 - speed / STARVE_SPEED)
+        count = MAX_FEATURES * fraction + self.rng.normal(
             0.0, config.count_sigma
         )
-        count = int(round(min(max(count, 0.0), config.max_features)))
+        count = int(round(min(max(count, 0.0), MAX_FEATURES)))
 
         # Age and churn the pools, then fit them to the starved capacity.
         self._stable = self._stable + dt
         self._transient = self._transient + dt
         self._stable = self._stable[
-            self.rng.random(len(self._stable)) > dt / config.stable_life
+            self.rng.random(len(self._stable)) > dt / STABLE_LIFE
         ]
         self._transient = self._transient[
-            self.rng.random(len(self._transient)) > dt / config.transient_life
+            self.rng.random(len(self._transient)) > dt / TRANSIENT_LIFE
         ]
-        stable_cap = int(round(config.stable_share * config.max_features))
-        stable_target = min(stable_cap, count)
+        stable_target = min(STABLE_CAP, count)
         self._stable = self._resize(self._stable, stable_target)
         self._transient = self._resize(self._transient, count - stable_target)
 
         ages = np.concatenate([self._stable, self._transient])
-        return VioSample(
-            position=position,
-            velocity=velocity,
-            feature_count=count,
-            max_features=config.max_features,
-            track_ages=ages,
-            mean_track_age=config.nominal_track_age,
-        )
+        return VioSample(position, velocity, vio_quality(count, ages))
 
 
 class CommChannel:

@@ -3,10 +3,12 @@
 Each observer runs one constant-acceleration filter per agent it can see,
 fed by bearing/range sightings (turned into world-frame positions from the
 observer's position and heading) and by communicated or inferred
-velocities, with the bank's one noise level `TrackParams.vel_sigma`. A
-tick's inputs arrive as flat arrays over the whole swarm, one row per input:
-`Sightings` (observer, id, body bearing, distance, stamp) and `Velocities`
-(observer, id, velocity). One bank holds the filters of the whole swarm as
+velocities. The scenario sets the measurement noise (`TrackParams`, with
+the bank's one velocity noise level `vel_sigma`); the process noise, the
+initial variances and the drop time are fixed here. A tick's inputs arrive
+as flat arrays over the whole swarm, one row per input: `Sightings`
+(observer, id, body bearing, distance, stamp) and `Velocities` (observer,
+id, velocity). One bank holds the filters of the whole swarm as
 one dense table indexed by (observer, agent id): `state` (N, N, 6), `cov`
 (N, N, 6, 6), `staleness` and `last_pos_stamp` (N, N), and the mask `tracks`
 (N, N), where tracks[e, j] means observer e tracks agent j. An observer's
@@ -36,6 +38,17 @@ from . import kalman
 from .geometry import heading_vectors, rotation
 
 log = logging.getLogger(__name__)
+
+# Per-second process-noise intensity of each tracked state (position,
+# velocity, acceleration; x and y): the per-step Q is Q_RATE * dt.
+Q_RATE = (1e-4, 1e-4, 0.05, 0.05, 0.6, 0.6)
+# The floor of a sighting's position deviation, m.
+POS_SIGMA_FLOOR = 0.15
+# A track unseen and uncorrected for longer than this, s, is dropped.
+DROP_AFTER = 2.0
+# A new track's velocity and acceleration variances.
+INIT_VEL_VAR = 25.0
+INIT_ACC_VAR = 10.0
 
 
 @dataclass(frozen=True)
@@ -108,28 +121,19 @@ def _check_sightings(sightings: Sightings) -> None:
 
 @dataclass
 class TrackParams:
-    """Noise model and lifecycle settings for the filter bank.
-
-    q_rate is the per-second process-noise intensity for each state; the
-    per-step Q is q_rate * dt. Position measurement noise grows with range:
-    sigma^2 = (d * range_sigma_rel)^2 + (d * bearing_sigma)^2, floored at
-    pos_sigma_floor.
+    """The bank's measurement noise. Position noise grows with range:
+    sigma^2 = (d * range_sigma_rel)^2 + (d * bearing_sigma)^2, with sigma
+    floored at POS_SIGMA_FLOOR; a velocity's deviation is vel_sigma.
     """
 
-    q_rate: tuple[float, ...]
     range_sigma_rel: float
     bearing_sigma: float
-    pos_sigma_floor: float
     vel_sigma: float
-    drop_after: float
-    init_vel_var: float = 25.0
-    init_acc_var: float = 10.0
 
     def pos_variances(self, distances: Sequence[float]) -> np.ndarray:
         """sigma^2 at each distance. Python's ** runs per element: numpy's
         square rounds some values apart from it."""
-        rs, bs, floor = (self.range_sigma_rel, self.bearing_sigma,
-                         self.pos_sigma_floor)
+        rs, bs, floor = self.range_sigma_rel, self.bearing_sigma, POS_SIGMA_FLOOR
         out = []
         for d in distances:
             sigma = math.sqrt((d * rs) ** 2 + (d * bs) ** 2)
@@ -145,7 +149,7 @@ class TrackBank:
     def __init__(self, params: TrackParams, dt: float, n_agents: int):
         self.params = params
         self.model = kalman.constant_acceleration_model(
-            dt, np.asarray(params.q_rate) * dt
+            dt, np.asarray(Q_RATE) * dt
         )
         self.state = np.zeros((n_agents, n_agents, 6))
         self.cov = np.zeros((n_agents, n_agents, 6, 6))
@@ -192,7 +196,7 @@ class TrackBank:
                     names=self._names[j],
                 )
             self.staleness[live] += self.model.dt
-        live[self.staleness > self.params.drop_after] = False
+        live[self.staleness > DROP_AFTER] = False
 
     def apply_tick(
         self,
@@ -284,10 +288,8 @@ class TrackBank:
         """New tracks (e, j) at positions z with zero velocity and
         acceleration: position variance `variances`, the initial velocity
         and acceleration variances for the rest."""
-        params = self.params
-        diag = np.repeat([[0.0, 0.0, params.init_vel_var, params.init_vel_var,
-                           params.init_acc_var, params.init_acc_var]],
-                         len(e), axis=0)
+        diag = np.repeat([[0.0, 0.0, INIT_VEL_VAR, INIT_VEL_VAR,
+                           INIT_ACC_VAR, INIT_ACC_VAR]], len(e), axis=0)
         diag[:, :2] = variances[:, None]
         self.state[e, j] = 0.0
         self.state[e, j, :2] = z

@@ -2,8 +2,8 @@
 kept verbatim as the bit-for-bit reference for `engine.AgentPlant` and
 `ego_estimation.OdometryFusion`.
 
-The weight's target and slew (`vio_weight_target`, `slew_weight`) stayed
-scalar and are imported."""
+The weight's slew (`slew_weight`) stayed scalar and is imported; its
+target is the sample's quality score."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fastflock.ego_estimation import VioSample, slew_weight, vio_weight_target
+from fastflock.ego_estimation import VioSample, slew_weight
 
 
 class AgentPlant:
@@ -104,7 +104,7 @@ class OdometryFusion:
 
     def advance(self, sample: VioSample, own_state: np.ndarray, dt: float) -> FusionState:
         """Slew the weight toward the sample's quality score, then fuse."""
-        target = vio_weight_target(sample)
+        target = sample.quality
         weight = slew_weight(self.vio_weight, target, self.rate, dt)
         state = self.fuse(
             sample.position,

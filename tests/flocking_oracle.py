@@ -20,6 +20,7 @@ import numpy as np
 
 TARGET_MEMBER_ID = -1
 FOCAL_MEMBER_ID = -2
+PAIR_ANGLE = math.pi / 3
 TWO_PI = 2.0 * math.pi
 
 
@@ -152,7 +153,7 @@ def _pair_members(
             ):
                 continue
             sep = abs(wrap_angle(members[i].bearing - members[j].bearing))
-            if sep < gains.pair_angle:
+            if sep < PAIR_ANGLE:
                 separations.append((sep, i, j))
     separations.sort()
     paired: dict[int, int] = {}

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fastflock import config
 from fastflock.config import (
     ConfigError,
     LayoutConfig,
@@ -20,6 +22,7 @@ from fastflock.config import (
 from fastflock.engine import Simulation
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+WORKLOAD_DIR = CONFIG_DIR.parent / "perfbench" / "workloads"
 GAINS = {"kp": 0.8, "kv": 0.5, "cruise_speed": 5.0, "d_min": 15.0,
          "d_max": 40.0, "spacing": 13.0}
 
@@ -29,6 +32,49 @@ def test_all_shipped_configs_valid():
     assert len(paths) == 5
     for path in paths:
         assert isinstance(load_scenario(path), ScenarioConfig)
+
+
+# The settable fields that no shipped config or benchmark workload writes,
+# each with the reason it stays settable.
+UNWRITTEN_FIELDS = {
+    "layout.positions": "the tests' explicit layouts",
+    "gains.bearing_scale": "a study arm of ROADMAP item 3",
+    "filters.vel_sigma_comm": "a study arm of ROADMAP item 7",
+    "filters.vel_sigma_inferred": "a study arm of ROADMAP item 2",
+    "sensors.comm.latency_ticks": "a study arm of ROADMAP item 7",
+    "sensors.comm.drop_prob": "a study arm of ROADMAP item 7",
+}
+
+
+def _settable(cls, prefix=""):
+    """The path of every settable leaf field of `cls`, into its sections."""
+    for entry in dataclasses.fields(cls):
+        path = f"{prefix}.{entry.name}" if prefix else entry.name
+        if path in config._SECTIONS:
+            yield from _settable(config._SECTIONS[path], path)
+        else:
+            yield path
+
+
+def _written(node, prefix=""):
+    """The path of every leaf a scenario mapping writes."""
+    for key, value in node.items():
+        path = f"{prefix}.{key}" if prefix else key
+        if isinstance(value, dict):
+            yield from _written(value, path)
+        else:
+            yield path
+
+
+def test_every_setting_is_written_or_allowed():
+    # A field that nothing sets is a constant; it belongs in the module
+    # that reads it.
+    written = set()
+    for path in [*CONFIG_DIR.glob("*.yaml"), *WORKLOAD_DIR.glob("*.yaml")]:
+        written.update(_written(yaml.safe_load(path.read_text())))
+    unwritten = {path for path in _settable(ScenarioConfig)
+                 if path not in written}
+    assert unwritten == set(UNWRITTEN_FIELDS)
 
 
 def test_defaults_validate():
@@ -75,11 +121,12 @@ def test_errors_are_collected_not_first_only():
     ({"sensors": {"bearing_sigma": "x"}}, "sensors.bearing_sigma"),
     ({"plant": {"tau": "x"}}, "plant.tau"),
     ({"sensors": {"comm": {"latency_ticks": "x"}}}, "latency_ticks"),
-    ({"filters": {"track_q_rate": [1, 2]}}, "filters.track_q_rate"),
-    ({"filters": {"focal_q_rate": [0, 0, 0, 0, 0, -1]}}, "filters.focal_q_rate"),
+    ({"filters": {"track_q_rate": [1, 2]}}, "unknown field 'track_q_rate'"),
+    ({"filters": {"focal_q_rate": [0, 0, 0, 0, 0, -1]}},
+     "unknown field 'focal_q_rate'"),
     ({"target": {"position": [1, 2, 3]}}, "target.position"),
     ({"gains": {**GAINS, "max_neighbors": 2.5}}, "gains.max_neighbors"),
-    ({"filters": {"fix_sigma": 0}}, "filters.fix_sigma"),
+    ({"filters": {"fix_sigma": 0}}, "unknown field 'fix_sigma'"),
     ({"filters": {"vel_sigma_comm": 0}}, "filters.vel_sigma_comm"),
     ({"gains": {**GAINS, "kp": math.nan}}, "gains.kp"),
     ({"sensors": {"max_range": "x"}}, "sensors.max_range"),
@@ -147,6 +194,19 @@ def test_malformed_yaml_raises_config_error(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ConfigError, match="bad.yaml"):
         load_scenario(path)
+
+
+def test_exponent_without_a_dot_loads_as_a_float(tmp_path):
+    path = tmp_path / "scenario.yaml"
+    path.write_text("dt: 5e-2\n")
+    assert load_scenario(path).dt == 0.05
+    path.write_text("n_agents: 1e3\n")
+    with pytest.raises(ConfigError, match="n_agents must be an integer"):
+        load_scenario(path)
+    # Scalars that are no such float load as the safe loader has them.
+    for text in ["0x1F", "yes", "~", "1_000", "12:30", "5e", "e5"]:
+        assert (yaml.load(f"v: {text}", Loader=config._Loader)
+                == yaml.safe_load(f"v: {text}")), text
 
 
 def test_missing_file_raises_config_error(tmp_path):

@@ -5,43 +5,38 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fastflock.config import FilterConfig, PlantConfig
+from fastflock.config import PlantConfig
 from fastflock.ego_estimation import (
-    FocalParams,
+    FIX_SIGMA,
+    FUSION_RATE,
     OdometryFusion,
     SelfStateFilter,
     VioSample,
     focal_model,
     position_fix,
     slew_weight,
-    vio_weight_target,
 )
-from fastflock.sensors import SensorConfig
+from fastflock.sensors import (
+    MAX_FEATURES,
+    NOMINAL_TRACK_AGE,
+    SensorConfig,
+    vio_quality,
+)
 from fastflock.tracking import Sightings, world_offsets
 
 from .kalman_oracle import oracle_correct, oracle_predict
 from .tracking_oracle import TrackView, table
 
 
-FILTERS = FilterConfig()
+def self_filter(dt, positions, tau=PlantConfig().tau):
+    """The self-state filter as a default scenario builds it, with the lag
+    `tau`."""
+    return SelfStateFilter(tau, SensorConfig().imu_accel_sigma, dt, positions)
 
 
-def focal_params(tau=PlantConfig().tau, q_rate=FILTERS.focal_q_rate):
-    """The self-state filter's settings as a default scenario builds them,
-    with the lag `tau` and process noise `q_rate`."""
-    return FocalParams(tau=tau, q_rate=q_rate, fix_sigma=FILTERS.fix_sigma,
-                       accel_sigma=SensorConfig().imu_accel_sigma)
-
-
-def vio(c_f, ages, t_a=2.0, c_max=150):
-    return VioSample(
-        position=np.zeros(2),
-        velocity=np.zeros(2),
-        feature_count=c_f,
-        max_features=c_max,
-        track_ages=np.asarray(ages, dtype=float),
-        mean_track_age=t_a,
-    )
+def vio(count, age):
+    """The quality score of `count` features, each `age` seconds old."""
+    return vio_quality(count, np.full(count, float(age)))
 
 
 def track(agent_id, x, y):
@@ -72,9 +67,7 @@ class TestFocalModel:
 
     def test_first_order_velocity_lag(self):
         dt, tau = 0.05, 0.3
-        filt = SelfStateFilter(
-            focal_params(tau, (0.0,) * 6), dt, np.zeros((1, 2))
-        )
+        filt = self_filter(dt, np.zeros((1, 2)), tau)
         cmd = np.array([1.0, 0.0])
         for k in range(1, 200):
             [state] = filt.step([cmd], [None], [None])
@@ -83,7 +76,7 @@ class TestFocalModel:
 
     def test_all_zero_fixpoint(self):
         dt = 0.1
-        filt = SelfStateFilter(focal_params(), dt, np.zeros((1, 2)))
+        filt = self_filter(dt, np.zeros((1, 2)))
         for _ in range(50):
             [state] = filt.step([np.zeros(2)], [np.zeros(2)], [np.zeros(2)])
         assert np.allclose(state, 0.0, atol=1e-12)
@@ -91,8 +84,7 @@ class TestFocalModel:
     def test_matches_oracle_recursion(self):
         rng = np.random.default_rng(21)
         dt = 0.1
-        params = focal_params(0.3, (0.01,) * 6)
-        filt = SelfStateFilter(params, dt, np.array([[1.0, -1.0]]))
+        filt = self_filter(dt, np.array([[1.0, -1.0]]), 0.3)
         model = filt.model
         ox = filt.state[0].copy()
         op = filt.cov[0].copy()
@@ -106,11 +98,11 @@ class TestFocalModel:
             ox, op = oracle_predict(ox, op, model.a, model.q, b=model.b, u=cmd)
             if fix is not None:
                 ox, op = oracle_correct(
-                    ox, op, fix, h_pos, params.fix_sigma**2 * np.eye(2)
+                    ox, op, fix, h_pos, FIX_SIGMA**2 * np.eye(2)
                 )
             if acc is not None:
                 ox, op = oracle_correct(
-                    ox, op, acc, h_acc, params.accel_sigma**2 * np.eye(2)
+                    ox, op, acc, h_acc, filt.accel_sigma**2 * np.eye(2)
                 )
             assert np.max(np.abs(state - ox)) < 1e-10
             assert np.max(np.abs(filt.cov[0] - op)) < 1e-10
@@ -122,10 +114,9 @@ class TestFocalModel:
         # and the textbook recursion to 1e-10.
         rng = np.random.default_rng(44)
         dt, n = 0.05, 4
-        params = focal_params(0.3, (0.01,) * 6)
         starts = rng.normal(0.0, 10.0, size=(n, 2))
-        swarm = SelfStateFilter(params, dt, starts)
-        singles = [SelfStateFilter(params, dt, starts[e:e + 1]) for e in range(n)]
+        swarm = self_filter(dt, starts, 0.3)
+        singles = [self_filter(dt, starts[e:e + 1], 0.3) for e in range(n)]
         model = swarm.model
         oracle = [(swarm.state[e].copy(), swarm.cov[e].copy()) for e in range(n)]
         h_pos = np.array([[1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0]])
@@ -146,18 +137,16 @@ class TestFocalModel:
                                         b=model.b, u=commands[e])
                 if fixes[e] is not None:
                     ox, op = oracle_correct(ox, op, fixes[e], h_pos,
-                                            params.fix_sigma**2 * np.eye(2))
+                                            FIX_SIGMA**2 * np.eye(2))
                 ox, op = oracle_correct(ox, op, accels[e], h_acc,
-                                        params.accel_sigma**2 * np.eye(2))
+                                        swarm.accel_sigma**2 * np.eye(2))
                 oracle[e] = (ox, op)
                 assert np.max(np.abs(states[e] - ox)) < 1e-10
                 assert np.max(np.abs(swarm.cov[e] - op)) < 1e-10
 
     def test_velocity_integral_tracks_velocity_only(self):
         dt = 0.1
-        filt = SelfStateFilter(
-            focal_params(0.3, (0.0,) * 6), dt, np.zeros((1, 2))
-        )
+        filt = self_filter(dt, np.zeros((1, 2)), 0.3)
         total = np.zeros(2)
         for _ in range(30):
             [state] = filt.step([np.array([1.0, 0.0])], [None], [None])
@@ -207,22 +196,16 @@ class TestPositionFix:
 
 class TestVioWeightTarget:
     def test_full_feature_set(self):
-        sample = vio(150, [2.0] * 150, t_a=2.0, c_max=150)
-        assert vio_weight_target(sample) == pytest.approx(1.0)
+        assert vio(MAX_FEATURES, NOMINAL_TRACK_AGE) == pytest.approx(1.0)
 
     def test_no_features(self):
-        assert vio_weight_target(vio(0, [], t_a=2.0)) == 0.0
+        assert vio(0, NOMINAL_TRACK_AGE) == 0.0
 
     def test_half_features(self):
-        sample = vio(75, [2.0] * 75, t_a=2.0, c_max=150)
-        assert vio_weight_target(sample) == pytest.approx(0.25)
+        assert vio(MAX_FEATURES // 2, NOMINAL_TRACK_AGE) == pytest.approx(0.25)
 
     def test_clamped_to_unit_interval(self):
-        sample = vio(150, [50.0] * 150, t_a=2.0, c_max=150)
-        assert vio_weight_target(sample) == 1.0
-
-    def test_zero_mean_age_means_no_trust(self):
-        assert vio_weight_target(vio(150, [2.0] * 150, t_a=0.0)) == 0.0
+        assert vio(MAX_FEATURES, 25 * NOMINAL_TRACK_AGE) == 1.0
 
 
 class TestSlewWeight:
@@ -262,26 +245,23 @@ def fuse_row(fusion, vio_position, vio_velocity, own_position, own_velocity,
     sample = VioSample(
         position=np.asarray(vio_position, dtype=float),
         velocity=np.asarray(vio_velocity, dtype=float),
-        feature_count=1.0,
-        max_features=1,
-        track_ages=np.array([weight]),
-        mean_track_age=1.0,
+        quality=weight,
     )
     own = np.concatenate([own_position, own_velocity, np.zeros(2)])[None]
-    fusion.advance([sample], own, dt=1.0 / fusion.rate)
+    fusion.advance([sample], own, dt=1.0 / FUSION_RATE)
     assert fusion.vio_weight[0] == fusion.weight_target[0] == weight
     return fusion.position[0], fusion.velocity[0]
 
 
 def fusion_at(start=(0.0, 0.0)):
-    """A one-agent fusion at `start` with the default slew rate."""
-    return OdometryFusion([start], rate=FILTERS.fusion_rate)
+    """A one-agent fusion at `start`."""
+    return OdometryFusion([start])
 
 
 class TestFusion:
     def test_starts_at_rest_at_the_start_positions(self):
         starts = np.array([[1.0, 2.0], [-3.0, 4.0]])
-        fusion = OdometryFusion(starts, rate=FILTERS.fusion_rate)
+        fusion = OdometryFusion(starts)
         assert np.array_equal(fusion.position, starts)
         assert np.array_equal(fusion.velocity, np.zeros((2, 2)))
         assert np.array_equal(fusion.vio_weight, [1.0, 1.0])

@@ -79,10 +79,6 @@ class TestTrajectories:
         assert np.allclose(target.position(6.0), [10.0, 2.0])
         assert np.allclose(target.position(100.0), [10.0, 5.0])  # holds the end
 
-    def test_waypoints_loop(self):
-        target = WaypointTarget([[0.0, 0.0], [10.0, 0.0]], speed=2.0, loop=True)
-        assert np.allclose(target.position(10.5), [1.0, 0.0])
-
 
 def brute_force_collisions(points, radius):
     return [

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastflock.flocking import (
+    PAIR_ANGLE,
     ControllerGains,
     FlockingCommand,
     FlockingController,
@@ -204,7 +205,7 @@ class TestDesiredOffset:
         # Two neighbors symmetric about the heading, both at spacing, with a
         # bearing separation below the pairing threshold: the focal agent
         # already sits at the triangle apex.
-        beta = GAINS.pair_angle / 2 - 0.05
+        beta = PAIR_ANGLE / 2 - 0.05
         row = [member(beta, GAINS.spacing, 1), member(-beta, GAINS.spacing, 2)]
         r = offset(row, 0.0)
         assert np.linalg.norm(r) < 1e-9

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastflock.flocking import (
+    PAIR_ANGLE,
     ControllerGains,
     FlockingController,
     desired_offset,
@@ -212,7 +213,7 @@ def test_triangle_apexes_round_like_scalar_law():
     rows = []
     for _ in range(4000):
         first = rng.uniform(-math.pi, math.pi)
-        second = first + rng.uniform(-GAINS.pair_angle, GAINS.pair_angle)
+        second = first + rng.uniform(-PAIR_ANGLE, PAIR_ANGLE)
         rows.append([NeighborInfo(1, first, rng.uniform(11.0, 15.0)),
                      NeighborInfo(2, second, rng.uniform(11.0, 15.0))])
     psi = rng.uniform(-math.pi, math.pi, len(rows))

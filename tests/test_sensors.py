@@ -4,9 +4,10 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from fastflock.ego_estimation import slew_weight, vio_weight_target
+from fastflock.ego_estimation import slew_weight
 from fastflock.geometry import pairwise, rotation, wrap_angle
 from fastflock.sensors import (
+    STARVE_SPEED,
     CommChannel,
     CommConfig,
     SensorConfig,
@@ -132,17 +133,18 @@ class TestVioEmulator:
         targets = []
         for _ in range(400):
             sample = emu.sample(np.zeros(2), np.zeros(2), dt=0.05)
-            targets.append(vio_weight_target(sample))
+            targets.append(sample.quality)
         assert np.mean(targets[100:]) > 0.8
 
     def test_starvation_speed_kills_features(self):
         config = VioConfig(count_sigma=0.0)
         emu = VioEmulator(config, np.random.default_rng(3))
-        vel = np.array([config.starve_speed + 1.0, 0.0])
+        vel = np.array([STARVE_SPEED + 1.0, 0.0])
         for _ in range(100):
             sample = emu.sample(np.zeros(2), vel, dt=0.05)
-        assert sample.feature_count == 0
-        assert vio_weight_target(sample) == 0.0
+        # The pools are fitted to the feature count.
+        assert len(emu._stable) + len(emu._transient) == 0
+        assert sample.quality == 0.0
 
     def test_cruise_dip_and_recovery(self):
         # Hover -> 5 m/s cruise -> hover: the slewed weight dips below 0.9
@@ -158,7 +160,7 @@ class TestVioEmulator:
             vel = np.array([speed, 0.0])
             for _ in range(ticks):
                 sample = emu.sample(np.zeros(2), vel, dt=dt)
-                weight = slew_weight(weight, vio_weight_target(sample), rate, dt)
+                weight = slew_weight(weight, sample.quality, rate, dt)
                 trace.append(weight)
         low = min(trace)
         assert 0.3 <= low <= 0.9
@@ -175,8 +177,7 @@ class TestVioEmulator:
                 speed = 4.0 if k > 20 else 0.0
                 sample = emu.sample(np.zeros(2), np.array([speed, 0.0]),
                                     dt=0.05)
-                out.append((sample.feature_count, float(np.sum(sample.track_ages)),
-                            tuple(sample.position)))
+                out.append((sample.quality, tuple(sample.position)))
             runs.append(out)
         assert runs[0] == runs[1]
 

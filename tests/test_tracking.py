@@ -1,11 +1,12 @@
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from fastflock import kalman
+from fastflock import kalman, tracking
 from fastflock.config import FilterConfig
 from fastflock.sensors import SensorConfig
 from fastflock.tracking import Sightings, TrackBank, TrackParams, Velocities
@@ -18,14 +19,22 @@ def track_params(**overrides):
     `overrides`."""
     filters, sensors = FilterConfig(), SensorConfig()
     return TrackParams(**{
-        "q_rate": filters.track_q_rate,
         "range_sigma_rel": sensors.range_sigma_rel,
         "bearing_sigma": sensors.bearing_sigma,
-        "pos_sigma_floor": filters.track_pos_sigma_floor,
         "vel_sigma": filters.vel_sigma_comm,
-        "drop_after": filters.track_drop_after,
         **overrides,
     })
+
+
+@dataclass
+class DictBankParams(TrackParams):
+    """`TrackParams` with the bank's fixed process noise, drop time and
+    initial variances as fields, where the dict bank reads them."""
+
+    q_rate: tuple[float, ...] = tracking.Q_RATE
+    drop_after: float = tracking.DROP_AFTER
+    init_vel_var: float = tracking.INIT_VEL_VAR
+    init_acc_var: float = tracking.INIT_ACC_VAR
 
 
 def make_bank(dt=0.1, n_agents=10, **overrides):
@@ -183,9 +192,11 @@ def test_step_empty_bank():
 
 
 def test_staleness_drop_threshold():
-    bank = make_bank(dt=0.125, drop_after=2.0)
+    dt = 0.125
+    bank = make_bank(dt=dt)
     bank.ingest_position(*obs(1, 0.0, 10.0), np.zeros(2), 0.0)
-    for _ in range(16):  # 2.0 s exactly: staleness == drop_after, kept
+    # Exactly DROP_AFTER s: staleness == DROP_AFTER, kept.
+    for _ in range(round(tracking.DROP_AFTER / dt)):
         bank.step()
     assert bank.tracks[0, 1]
     bank.step()  # crosses the threshold
@@ -294,20 +305,16 @@ def test_zero_velocity_sigma_rejected():
         bank.apply_tick(None, reports([[(1, np.ones(2))]]), [np.zeros(2)], [0.0])
 
 
-def test_constant_velocity_stream_recovers_velocity():
+def test_constant_velocity_stream_recovers_velocity(monkeypatch):
     # 100 noisy position observations of a constant-velocity neighbor,
     # sigma_pos = 1 m; final velocity estimate within 0.3 m/s of truth.
     # Tolerance sits above the Monte-Carlo 95th percentile (0.18) for this
     # configuration; constant-velocity regime, so process noise ~ 0.
+    monkeypatch.setattr(tracking, "Q_RATE", (0.0, 0.0, 0.0, 0.0, 1e-5, 1e-5))
+    monkeypatch.setattr(tracking, "POS_SIGMA_FLOOR", 1.0)
     rng = np.random.default_rng(12)
     dt = 0.2
-    bank = make_bank(
-        dt=dt,
-        q_rate=(0.0, 0.0, 0.0, 0.0, 1e-5, 1e-5),
-        range_sigma_rel=0.0,
-        bearing_sigma=0.0,
-        pos_sigma_floor=1.0,
-    )
+    bank = make_bank(dt=dt, range_sigma_rel=0.0, bearing_sigma=0.0)
     pos = np.array([20.0, 5.0])
     vel = np.array([2.0, -1.0])
     for k in range(100):
@@ -324,18 +331,15 @@ def test_constant_velocity_stream_recovers_velocity():
     assert err < 0.3
 
 
-def test_track_innovation_consistency():
+def test_track_innovation_consistency(monkeypatch):
     # Matched Q/R: mean 2-DoF innovation NEES stays in the 95% band.
     rng = np.random.default_rng(99)
     dt = 0.1
     sigma = 0.8
-    params = track_params(
-        range_sigma_rel=0.0, bearing_sigma=0.0, pos_sigma_floor=sigma
-    )
+    monkeypatch.setattr(tracking, "POS_SIGMA_FLOOR", sigma)
     samples = []
     for _ in range(60):
-        bank = make_bank(dt=dt, range_sigma_rel=0.0, bearing_sigma=0.0,
-                         pos_sigma_floor=sigma)
+        bank = make_bank(dt=dt, range_sigma_rel=0.0, bearing_sigma=0.0)
         truth = np.array([15.0, 5.0, 1.0, -0.5, 0.0, 0.0])
         first = truth[:2] + rng.normal(0.0, sigma, size=2)
         bank.ingest_position(
@@ -418,14 +422,16 @@ def test_swarm_bank_rows_equal_one_observer_banks():
 
 
 @pytest.mark.parametrize("seed", [3, 8, 13])
-def test_table_matches_dict_bank(seed):
+def test_table_matches_dict_bank(seed, monkeypatch):
     # The table against the dict bank it replaced, tick by tick: the same
     # live tracks, and bit for bit the same states, covariances, stamps,
-    # staleness and drop counters.
+    # staleness and drop counters. A short drop time lets tracks drop.
+    monkeypatch.setattr(tracking, "DROP_AFTER", 0.35)
     rng = np.random.default_rng(seed)
     n = 4
-    ours = make_bank(n_agents=10, drop_after=0.35)
-    ref = DictBank(track_params(drop_after=0.35), 0.1, 10)
+    ours = make_bank(n_agents=10)
+    ref = DictBank(DictBankParams(**vars(track_params()), drop_after=0.35),
+                   0.1, 10)
     for observations, velocities, positions, headings in random_ticks(rng, n, 25):
         ours.step()
         ours.apply_tick(sightings(observations), reports(velocities), positions,
