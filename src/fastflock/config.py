@@ -270,8 +270,10 @@ def _semantic_errors(config: ScenarioConfig) -> list[str]:
         errors.append("dt is too small against plant.tau: "
                       "1 - exp(-dt / plant.tau) rounds to 0")
     for name in ("vel_sigma_comm", "vel_sigma_inferred"):
-        if getattr(config.filters, name) <= 0:
-            errors.append(f"filters.{name} must be > 0")
+        # The bank's R = sigma^2 I needs a determinant sigma^4 in (0, inf).
+        sigma = getattr(config.filters, name)
+        if not (sigma > 0 and 0 < (sigma * sigma) * (sigma * sigma) < math.inf):
+            errors.append(f"filters.{name} must be > 0 with sigma^4 in (0, inf)")
     if config.target.kind not in ("static", "waypoints"):
         errors.append("target.kind must be 'static' or 'waypoints'")
     elif config.target.kind == "waypoints":
@@ -279,6 +281,8 @@ def _semantic_errors(config: ScenarioConfig) -> list[str]:
             errors.append("target.waypoints needs at least two points")
         if config.target.speed <= 0:
             errors.append("target.speed must be > 0 for a waypoint target")
+    elif config.target.speed < 0:
+        errors.append("target.speed must be >= 0")
     layout = config.layout
     if layout.kind not in ("grid", "ring", "explicit"):
         errors.append("layout.kind must be grid, ring, or explicit")

@@ -7,10 +7,10 @@ IMU accelerations. The result's position and velocity are blended with the
 visual-odometry stream using an adaptive weight that follows each VIO
 sample's quality score (`sensors.vio_quality`).
 
-The swarm's filters and fusion run as one call per tick over rows, one per
-agent (`SelfStateFilter`, `OdometryFusion`); the position fix and the
-weight's slew stay per agent. The fusion holds the swarm's fused state,
-which the rest of the tick reads. The filter's process noise, initial
+The swarm's position fixes, filters and fusion, the weight's slew included,
+run as one call per tick over rows, one per agent (`position_fix`,
+`SelfStateFilter`, `OdometryFusion`). The fusion holds the swarm's fused
+state, which the rest of the tick reads. The filter's process noise, initial
 variance and fix noise and the weight's slew rate are fixed here; the lag
 and the IMU noise come from the scenario.
 """
@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kalman
+from .tracking import Sightings
 
 # The self-state filter's per-second process-noise intensity of each state
 # (position, velocity, acceleration; x and y), its initial variances, and
@@ -71,58 +72,56 @@ class SelfStateFilter:
                              len(positions), axis=0)
         self.integral_position = positions
 
-    def step(
-        self,
-        commands: Sequence[np.ndarray],
-        fixes: Sequence[np.ndarray | None],
-        accels: Sequence[np.ndarray | None],
-    ) -> np.ndarray:
-        """Predict every row one step with its commanded velocity as input,
-        then correct with the position fixes and the IMU accelerations (in
-        that order), each over the rows whose input is not None. Returns a
-        copy of the states, (N, 6)."""
-        with kalman.owned_rows(range(len(self.state))):
+    def step(self, commands: np.ndarray, fixes: np.ndarray, fixed: np.ndarray,
+             accels: np.ndarray | None) -> np.ndarray:
+        """Predict every row one step with its commanded velocity (N, 2) as
+        input, then correct with the position fixes (N, 2) of the rows where
+        `fixed` (N,) holds and with the IMU accelerations (N, 2), unless
+        None, of every row. Returns a copy of the states, (N, 6)."""
+        rows = np.arange(len(self.state))
+        with kalman.owned_rows(rows):
             self.state, self.cov = kalman.predict_stack(
                 self.state, self.cov, self.model,
-                np.asarray(commands, dtype=float), ["self-state"] * len(self.state),
+                np.asarray(commands, dtype=float), ["self-state"] * len(rows),
             )
-        self._correct(kalman.H_POS, fixes, FIX_SIGMA)
-        self._correct(kalman.H_ACC, accels, self.accel_sigma)
+        fixed = np.flatnonzero(fixed)
+        self._correct(kalman.H_POS, fixed, fixes[fixed], FIX_SIGMA)
+        if accels is not None:
+            self._correct(kalman.H_ACC, rows, accels, self.accel_sigma)
         self.integral_position = (self.integral_position
                                   + self.state[:, 2:4] * self.model.dt)
         return self.state.copy()
 
-    def _correct(self, h: np.ndarray, zs, sigma: float) -> None:
-        """One stacked correction of the rows whose measurement is given,
-        with R = sigma^2 I."""
-        rows = [e for e, z in enumerate(zs) if z is not None]
-        if not rows:
+    def _correct(self, h: np.ndarray, rows: np.ndarray, z: np.ndarray,
+                 sigma: float) -> None:
+        """One stacked correction of the rows `rows` with measurements z
+        (len(rows), 2) and R = sigma^2 I."""
+        if not len(rows):
             return
         with kalman.owned_rows(rows):
             x, p = kalman.correct_stack(
-                self.state[rows], self.cov[rows], h,
-                np.array([zs[e] for e in rows], dtype=float),
+                self.state[rows], self.cov[rows], h, z,
                 np.full(len(rows), sigma**2), ["self-state"] * len(rows),
             )
         self.state[rows], self.cov[rows] = x, p
 
 
-def position_fix(
-    state: np.ndarray,
-    tracks: np.ndarray,
-    ids: np.ndarray,
-    offsets: np.ndarray,
-) -> np.ndarray | None:
-    """Own-position candidates from every neighbor that is both tracked and
-    freshly sighted: tracked position minus the sighted world-frame offset.
-    `state` and `tracks` are the observer's row of the track bank, indexed
-    by id; `ids` (k,) and `offsets` (k, 2) are the observer's rows of the
-    tick's sightings and their `tracking.world_offsets`. Returns the
-    candidates' mean, or None when no neighbor qualifies."""
-    seen = tracks[ids]
-    if not seen.any():
-        return None
-    return np.mean(state[ids[seen], :2] - offsets[seen], axis=0)
+def position_fix(states: np.ndarray, tracks: np.ndarray, sightings: Sightings,
+                 offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every agent's own-position fix from the neighbors it both tracks and
+    freshly sights: the mean of its candidates, tracked position minus the
+    sighted world-frame offset (`offsets` (K, 2)), on the track bank's table
+    `states` (N, N, 6) and `tracks` (N, N). Returns the fixes (N, 2) and the
+    mask (N,) of the agents that have one; the other rows mean nothing."""
+    seen = tracks[sightings.observer, sightings.ids]
+    e = sightings.observer[seen]
+    candidates = states[e, sightings.ids[seen], :2] - offsets[seen]
+    # The sums start from -0.0, the identity of +, and add each agent's
+    # candidates one after another, as np.mean over the agent's rows does.
+    total = np.full((len(tracks), 2), -0.0)
+    np.add.at(total, e, candidates)
+    count = np.bincount(e, minlength=len(tracks))
+    return total / np.maximum(count, 1)[:, None], count > 0
 
 
 @dataclass
@@ -135,17 +134,15 @@ class VioSample:
     quality: float
 
 
-def slew_weight(current: float, target: float, rate: float, dt: float) -> float:
-    """Move the fusion weight toward its target by rate*dt, stopping exactly
-    at the target (no limit-cycle chatter around it)."""
+def slew_weight(current: np.ndarray, target: np.ndarray, rate: float,
+                dt: float) -> np.ndarray:
+    """Move each fusion weight toward its target by rate*dt, stopping
+    exactly at the target (no limit-cycle chatter around it), then clip it
+    to [0, 1]."""
     step = rate * dt
-    if abs(current - target) <= step:
-        value = target
-    elif current > target:
-        value = current - step
-    else:
-        value = current + step
-    return min(max(value, 0.0), 1.0)
+    value = np.where(np.abs(current - target) <= step, target,
+                     np.where(current > target, current - step, current + step))
+    return np.clip(value, 0.0, 1.0)
 
 
 # Every agent starts out trusting VIO fully.
@@ -178,10 +175,8 @@ class OdometryFusion:
         """Slew each row's weight toward its sample's quality score at
         `FUSION_RATE`, then blend row e's sample with its self-state
         `own_states[e]` (N, 6), row e with weight `vio_weight[e]` on VIO."""
-        targets = [sample.quality for sample in samples]
-        weight = np.array([slew_weight(current, target, FUSION_RATE, dt)
-                           for current, target in zip(self.vio_weight.tolist(),
-                                                      targets)])
+        targets = np.array([sample.quality for sample in samples], dtype=float)
+        weight = slew_weight(self.vio_weight, targets, FUSION_RATE, dt)
         w = weight[:, None]
         vio_position = np.array([sample.position for sample in samples])
         state_position = np.array(own_states[:, :2], dtype=float)
@@ -196,4 +191,4 @@ class OdometryFusion:
         self.velocity = (w * np.array([sample.velocity for sample in samples])
                          + (1.0 - w) * own_states[:, 2:4])
         self.vio_weight = weight
-        self.weight_target = np.array(targets)
+        self.weight_target = targets

@@ -14,8 +14,8 @@ then runs in phases across the swarm:
    swarm's bank predict and correct every agent's neighbour tracks, which
    the bank keeps in one table indexed by (agent, neighbour id); the
    sightings' world-frame offsets come back from `apply_tick`;
-3. self-state: per agent, `ego_estimation.position_fix` on the agent's row
-   of that table and its rows of the sightings and offsets; then one
+3. self-state: one `ego_estimation.position_fix` on that table, the
+   sightings and their offsets gives every agent's fix; then one
    `SelfStateFilter.step` of the swarm's self-state filter;
 4. fusion: one `OdometryFusion.advance` of the swarm's fusion, which holds
    the swarm's fused position and velocity; the later phases, the tick
@@ -262,23 +262,15 @@ class Simulation:
         """The tracker, self-state and fusion phases: they update the swarm's
         bank, self-state filter and fusion."""
         bank = self.bank
-        n = self.config.n_agents
         with _fault(0, "tracker"):
             bank.step()
             offsets = bank.apply_tick(sightings, None, self.fusion.position,
                                       self.heading)
-        # Sightings are ordered by observer: agent a's are rows
-        # bounds[a]:bounds[a + 1].
-        bounds = np.searchsorted(sightings.observer, np.arange(n + 1)).tolist()
-        fixes = []
-        for agent in range(n):
-            rows = slice(bounds[agent], bounds[agent + 1])
-            with _fault(agent, "self-state"):
-                fixes.append(position_fix(bank.state[agent], bank.tracks[agent],
-                                          sightings.ids[rows], offsets[rows]))
         with _fault(0, "self-state"):
+            fixes, fixed = position_fix(bank.state, bank.tracks, sightings,
+                                        offsets)
             own_states = self.self_filter.step(self.command_velocity, fixes,
-                                               imu_accels)
+                                               fixed, np.array(imu_accels))
         with _fault(0, "fusion"):
             self.fusion.advance(vio_samples, own_states, self.config.dt)
 
@@ -443,10 +435,12 @@ def run_scenario(
     records = [header]
     for _ in range(n_ticks):
         records.append(sim.tick())
-    # Final collision check on the post-advance world.
+    # Final collision check on the post-advance world, logged so that a
+    # replay counts it too.
     _, final_dist = pairwise(sim.plant.position)
     final = detect_collisions(final_dist, config.safety_radius)
-    summary = metrics_mod.summarize(records, final_collisions=final)
+    records.append({"record": "final", "collisions": [list(p) for p in final]})
+    summary = metrics_mod.summarize(records)
     records.append(summary_record(summary))
     if log_path is not None:
         write_log(records, log_path)

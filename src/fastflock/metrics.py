@@ -156,10 +156,9 @@ def _velocity_estimate_pairs(ticks: list[dict],
     return _numbers(pairs, "vel_est").reshape(-1, 2, 2)
 
 
-def summarize(
-    records: list[dict], final_collisions: list | None = None
-) -> MetricsSummary:
-    """Compute the full metrics summary from log records."""
+def summarize(records: list[dict]) -> MetricsSummary:
+    """Compute the full metrics summary from log records; the collisions are
+    the tick records' and, where a log has one, the final record's."""
     header = header_record(records)
     config = header["config"]
     dt = config["dt"]
@@ -181,9 +180,8 @@ def summarize(
     gaps = np.linalg.norm(truth[first] - truth[second], axis=-1)
     min_pairwise = float(gaps.min()) if gaps.size else math.inf
 
-    collision_count = sum(len(r["collisions"]) for r in ticks)
-    if final_collisions:
-        collision_count += len(final_collisions)
+    collision_count = sum(len(r["collisions"]) for r in records
+                          if r.get("record") in ("tick", "final"))
 
     nd = neighbor_distance_stats(ticks)
 

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kalman
-from .geometry import heading_vectors, rotation
+from .geometry import heading_vectors
 
 log = logging.getLogger(__name__)
 
@@ -98,10 +98,11 @@ class Velocities:
 
 def world_offsets(sightings: Sightings, headings: Sequence[float]) -> np.ndarray:
     """Each sighted agent's offset from its observer in the world frame,
-    R(psi) (d cos b, d sin b) with psi the observer's entry of `headings`;
-    (K, 2)."""
+    R(psi) (d cos b, d sin b) with psi the observer's entry of `headings`
+    and R its `geometry.rotation`, built for all headings at once; (K, 2)."""
     local = sightings.distance[:, None] * heading_vectors(sightings.bearing)
-    turns = np.array([rotation(h) for h in headings]).reshape(-1, 2, 2)
+    c, s = heading_vectors(headings).T
+    turns = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
     return (turns[sightings.observer] @ local[..., None])[..., 0]
 
 

@@ -11,11 +11,11 @@ evaluated from the neighbor's estimated position.
 The replay runs on stacks: `VelocityEstimator.update`, the swarm's
 estimator, does the whole swarm's tick at once on the track bank's table
 (`states` (A, N, 6) and the mask `tracks` (A, N), indexed by (focal agent,
-neighbour id)), and returns the estimates as a table of the same shape. One
-stacked `geometry.pairwise` over each focal agent's own position and its row
-of track positions gives every member's offset, and one call of the stacked
-law (`flocking.neighborhood_heading`, then `flocking.flocking_command`)
-replays every tracked neighbour of every agent.
+neighbour id)), and returns the estimates as a table of the same shape.
+The members' offsets are taken over tracked pairs only: for agent a tracking
+both j and k, k's offset from j, and a's own offset from j. One call of the
+stacked law (`flocking.neighborhood_heading`, then
+`flocking.flocking_command`) replays every tracked neighbour of every agent.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .flocking import (FOCAL_MEMBER_ID, ControllerGains, Neighborhoods,
                        append_member, flocking_command, nearest,
                        neighborhood_heading, select_neighbors)
-from .geometry import bearings, lengths, pairwise, wrap_angles
+from .geometry import bearings, lengths, wrap_angles
 
 
 @dataclass
@@ -72,29 +72,34 @@ def _replay_neighborhoods(
     neighbor's actual sensor state are invisible from here.
     """
     present = np.asarray(tracks, dtype=bool)
-    agent = np.nonzero(present)[0]
-    # Agent a's own position, then its row of tracks: points (A, N + 1, 2).
-    points = np.concatenate(
-        [np.asarray(own_positions, dtype=float).reshape(-1, 1, 2),
-         states[..., :2]], axis=1)
-    velocity = states[present][:, 2:4]
-    rel, dist = pairwise(points)
-    heading = np.zeros(present.shape)
-    heading[present] = np.where(lengths(velocity) > 0.1, bearings(velocity),
-                                np.asarray(psis, dtype=float)[agent])
-    between = dist[:, 1:, 1:]
-    a, j, k = np.nonzero(present[:, :, None] & present[:, None, :]
-                         & ~np.eye(present.shape[1], dtype=bool)
-                         & (1e-9 <= between) & (between <= sensor_range))
-    angle = bearings(rel[a, 1 + j, 1 + k])
-    seen = np.abs(wrap_angles(angle - heading[a, j])) <= fov / 2.0
-    a, j, k, angle = a[seen], j[seen], k[seen], angle[seen]
-    row = np.zeros(present.shape, dtype=int)
-    row[present] = np.arange(len(agent))
-    hoods = nearest(row[a, j], k, angle, between[a, j, k], len(agent),
-                    max_neighbors)
-    return append_member(hoods, focal[present] & (dist[:, 1:, 0][present] > 1e-9),
-                         FOCAL_MEMBER_ID, rel[:, 1:, 0][present])
+    # Row r of the result is agent[r]'s track of tracked[r].
+    agent, tracked = np.nonzero(present)
+    track = states[present]
+    position, velocity = track[:, :2], track[:, 2:4]
+    heading = np.where(lengths(velocity) > 0.1, bearings(velocity),
+                       np.asarray(psis, dtype=float)[agent])
+    # Every pair of distinct rows r, m of one agent, in ascending (agent, r,
+    # m), and m's offset from r: agent a's rows fill the first slots of
+    # rows[a].
+    count = np.bincount(agent, minlength=len(present))
+    slot = np.arange(count.max(initial=0)) < count[:, None]
+    rows = np.zeros(slot.shape, dtype=int)
+    rows[slot] = np.arange(len(agent))
+    a, s, t = np.nonzero(slot[:, :, None] & slot[:, None, :]
+                         & ~np.eye(slot.shape[1], dtype=bool))
+    r, m = rows[a, s], rows[a, t]
+    rel = position[m] - position[r]
+    distance = lengths(rel)
+    near = (1e-9 <= distance) & (distance <= sensor_range)
+    r, m, rel, distance = r[near], m[near], rel[near], distance[near]
+    angle = bearings(rel)
+    seen = np.abs(wrap_angles(angle - heading[r])) <= fov / 2.0
+    hoods = nearest(r[seen], tracked[m[seen]], angle[seen], distance[seen],
+                    len(agent), max_neighbors)
+    # The focal agent's own offset from each of its tracks.
+    own = np.asarray(own_positions, dtype=float).reshape(-1, 2)[agent] - position
+    return append_member(hoods, focal[present] & (lengths(own) > 1e-9),
+                         FOCAL_MEMBER_ID, own)
 
 
 def estimate_velocities(

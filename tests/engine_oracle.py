@@ -2,8 +2,9 @@
 kept verbatim as the bit-for-bit reference for `engine.AgentPlant` and
 `ego_estimation.OdometryFusion`.
 
-The weight's slew (`slew_weight`) stayed scalar and is imported; its
-target is the sample's quality score."""
+The weight's slew (`slew_weight`) is the scalar one the array slew
+replaced, kept here so that the oracle does not share code with what it
+checks; its target is the sample's quality score."""
 
 from __future__ import annotations
 
@@ -12,7 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fastflock.ego_estimation import VioSample, slew_weight
+from fastflock.ego_estimation import VioSample
+
+
+def slew_weight(current: float, target: float, rate: float, dt: float) -> float:
+    """Move the fusion weight toward its target by rate*dt, stopping exactly
+    at the target (no limit-cycle chatter around it)."""
+    step = rate * dt
+    if abs(current - target) <= step:
+        value = target
+    elif current > target:
+        value = current - step
+    else:
+        value = current + step
+    return min(max(value, 0.0), 1.0)
 
 
 class AgentPlant:

@@ -1,7 +1,8 @@
 """The metrics that the columnar `fastflock.metrics` replaced, kept verbatim
 as the bit-for-bit reference for its `summarize`, `neighbor_distance_stats`
 and `export_plot_data`: they read each agent's fields one at a time from the
-records' dicts.
+records' dicts. Its collision count also reads the log's final record, the
+post-advance check that the live run once passed in separately.
 
 `MetricsSummary` itself is unchanged and imported."""
 
@@ -72,9 +73,7 @@ def neighbor_distance_stats(
     return float(data.mean()), float(data.std()), len(samples)
 
 
-def summarize(
-    records: list[dict], final_collisions: list | None = None
-) -> MetricsSummary:
+def summarize(records: list[dict]) -> MetricsSummary:
     """Compute the full metrics summary from log records."""
     header = header_record(records)
     config = header["config"]
@@ -103,8 +102,8 @@ def summarize(
         min_pairwise = math.inf
 
     collision_count = sum(len(r["collisions"]) for r in ticks)
-    if final_collisions:
-        collision_count += len(final_collisions)
+    collision_count += sum(len(r["collisions"]) for r in records
+                           if r.get("record") == "final")
 
     nd = neighbor_distance_stats(ticks)
 

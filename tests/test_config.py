@@ -145,6 +145,10 @@ def test_errors_are_collected_not_first_only():
     ({"gains": {**GAINS, "attract_range": 20.0}}, "unknown field 'attract_range'"),
     # The VIO emulator draws no acceleration.
     ({"sensors": {"vio": {"accel_sigma": 0.2}}}, "unknown field 'accel_sigma'"),
+    # A negative speed would run a static target's path backwards.
+    ({"target": {"kind": "static", "speed": -1.0}}, "target.speed"),
+    # R = sigma^2 I, whose determinant sigma^4 would round to 0.
+    ({"filters": {"vel_sigma_inferred": 4e-237}}, "filters.vel_sigma_inferred"),
 ])
 def test_bad_values_raise_config_error(data, field):
     with pytest.raises(ConfigError) as excinfo:

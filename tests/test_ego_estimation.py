@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastflock.config import PlantConfig
@@ -45,11 +45,22 @@ def track(agent_id, x, y):
 
 def fix_from(views, observations, heading):
     """`position_fix` on the one-row track table holding `views`, from
-    observer 0's sightings `observations` with heading `heading`."""
+    observer 0's sightings `observations` with heading `heading`: the fix,
+    or None when there is none."""
     states, tracks = table([views], width=10)
     sightings = Sightings.from_rows([(0, *o, 0.0) for o in observations])
-    return position_fix(states[0], tracks[0], sightings.ids,
-                        world_offsets(sightings, [heading]))
+    fixes, fixed = position_fix(states, tracks, sightings,
+                                world_offsets(sightings, [heading]))
+    return fixes[0] if fixed[0] else None
+
+
+def masked(fixes):
+    """A list of fixes, None for none, as `SelfStateFilter.step` takes them:
+    the fixes (N, 2), zero where there is none, and the mask (N,) of the
+    rows that have one."""
+    fixed = np.array([fix is not None for fix in fixes])
+    return np.array([np.zeros(2) if fix is None else fix for fix in fixes],
+                    dtype=float).reshape(-1, 2), fixed
 
 
 def obs(observed_id, bearing, distance):
@@ -70,7 +81,7 @@ class TestFocalModel:
         filt = self_filter(dt, np.zeros((1, 2)), tau)
         cmd = np.array([1.0, 0.0])
         for k in range(1, 200):
-            [state] = filt.step([cmd], [None], [None])
+            [state] = filt.step([cmd], np.zeros((1, 2)), [False], None)
             expected_err = math.exp(-k * dt / tau)
             assert abs(state[2] - 1.0) < expected_err + 1e-9
 
@@ -78,7 +89,8 @@ class TestFocalModel:
         dt = 0.1
         filt = self_filter(dt, np.zeros((1, 2)))
         for _ in range(50):
-            [state] = filt.step([np.zeros(2)], [np.zeros(2)], [np.zeros(2)])
+            [state] = filt.step([np.zeros(2)], np.zeros((1, 2)), [True],
+                                np.zeros((1, 2)))
         assert np.allclose(state, 0.0, atol=1e-12)
 
     def test_matches_oracle_recursion(self):
@@ -94,7 +106,8 @@ class TestFocalModel:
             cmd = rng.standard_normal(2)
             fix = rng.standard_normal(2) if rng.random() < 0.7 else None
             acc = rng.standard_normal(2) if rng.random() < 0.7 else None
-            [state] = filt.step([cmd], [fix], [acc])
+            [state] = filt.step([cmd], *masked([fix]),
+                                None if acc is None else acc[None])
             ox, op = oracle_predict(ox, op, model.a, model.q, b=model.b, u=cmd)
             if fix is not None:
                 ox, op = oracle_correct(
@@ -125,10 +138,11 @@ class TestFocalModel:
             commands = rng.standard_normal((n, 2))
             fixes = [None if k == 7 or rng.random() < 0.4
                      else starts[e] + rng.standard_normal(2) for e in range(n)]
-            accels = list(rng.standard_normal((n, 2)))
-            states = swarm.step(commands, fixes, accels)
+            accels = rng.standard_normal((n, 2))
+            states = swarm.step(commands, *masked(fixes), accels)
             for e, single in enumerate(singles):
-                [row] = single.step([commands[e]], [fixes[e]], [accels[e]])
+                [row] = single.step([commands[e]], *masked([fixes[e]]),
+                                    accels[e:e + 1])
                 assert np.array_equal(states[e], row)
                 assert np.array_equal(swarm.cov[e], single.cov[0])
                 assert np.array_equal(swarm.integral_position[e],
@@ -149,7 +163,8 @@ class TestFocalModel:
         filt = self_filter(dt, np.zeros((1, 2)), 0.3)
         total = np.zeros(2)
         for _ in range(30):
-            [state] = filt.step([np.array([1.0, 0.0])], [None], [None])
+            [state] = filt.step([np.array([1.0, 0.0])], np.zeros((1, 2)),
+                                [False], None)
             total = total + state[2:4] * dt
         assert np.allclose(filt.integral_position[0], total)
 
@@ -172,6 +187,34 @@ class TestPositionFix:
     def test_no_qualifying_neighbor(self):
         assert fix_from([track(1, 10.0, 0.0)], [obs(2, 0.0, 5.0)], 0.0) is None
         assert fix_from([], [obs(1, 0.0, 5.0)], 0.0) is None
+
+    def test_swarm_fixes_equal_each_agents_mean(self):
+        # Twelve observers, each tracking a random subset of the others and
+        # sighting most of them in a random order; one tracks no one. Each
+        # fix equals np.mean of the observer's candidates in sighting
+        # order, bit for bit, up to eleven candidates.
+        rng = np.random.default_rng(8)
+        n = 12
+        states = rng.normal(0.0, 20.0, size=(n, n, 6))
+        tracks = rng.random((n, n)) < 0.7
+        tracks[0] = True
+        tracks[3] = False
+        rows = [(e, j, float(rng.uniform(-3.0, 3.0)),
+                 float(rng.uniform(1.0, 30.0)), 0.0)
+                for e in range(n) for j in rng.permutation(n).tolist()
+                if j != e and (e == 0 or rng.random() < 0.8)]
+        sightings = Sightings.from_rows(rows)
+        offsets = world_offsets(sightings, rng.uniform(-3.0, 3.0, n))
+        fixes, fixed = position_fix(states, tracks, sightings, offsets)
+        for e in range(n):
+            mine = sightings.observer == e
+            seen = tracks[e, sightings.ids[mine]]
+            assert fixed[e] == seen.any()
+            if seen.any():
+                expected = np.mean(states[e, sightings.ids[mine][seen], :2]
+                                   - offsets[mine][seen], axis=0)
+                assert fixes[e].tobytes() == expected.tobytes()
+        assert not fixed[3] and fixed[0]
 
     def test_fix_error_bounded_under_noise(self):
         # 200 ticks, 3 neighbors, 1 m observation noise: fix RMS below 1 m.
@@ -221,6 +264,9 @@ class TestSlewWeight:
     def test_one_step_up(self):
         assert slew_weight(0.2, 0.9, 1.0, 0.1) == pytest.approx(0.3)
 
+    # An array call per step: a slow rate over a short step takes tens of
+    # thousands of steps, which outlasts hypothesis's default deadline.
+    @settings(deadline=None)
     @given(
         st.floats(0.0, 1.0),
         st.floats(0.0, 1.0),

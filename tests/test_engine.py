@@ -366,10 +366,11 @@ class TestSwarmFilters:
 
     @pytest.mark.parametrize("n_agents", [6, 24])
     def test_world_state_calls_per_tick(self, n_agents, monkeypatch):
-        # perfbench times the plant and the fusion per call and counts
-        # agent-ticks by `_stage` calls: the plant and the fusion advance
-        # once per tick, and the sense stage runs once per agent.
-        calls = {"plant": 0, "fusion": 0, "stage": 0}
+        # perfbench times the plant, the fusion and the position fix per
+        # call and counts agent-ticks by `_stage` calls: the plant and the
+        # fusion advance once per tick, one position fix serves the swarm,
+        # and the sense stage runs once per agent.
+        calls = {"plant": 0, "fusion": 0, "position_fix": 0, "stage": 0}
 
         def counting(kind, fn):
             def wrapped(*args, **kwargs):
@@ -382,6 +383,8 @@ class TestSwarmFilters:
         monkeypatch.setattr(ego_estimation.OdometryFusion, "advance",
                             counting("fusion",
                                      ego_estimation.OdometryFusion.advance))
+        monkeypatch.setattr(engine, "position_fix",
+                            counting("position_fix", engine.position_fix))
         monkeypatch.setattr(Simulation, "_stage",
                             counting("stage", Simulation._stage))
         sim = Simulation(small_scenario(
@@ -389,7 +392,8 @@ class TestSwarmFilters:
         for _ in range(3):
             calls.update(dict.fromkeys(calls, 0))
             sim.tick()
-            assert calls == {"plant": 1, "fusion": 1, "stage": n_agents}
+            assert calls == {"plant": 1, "fusion": 1, "position_fix": 1,
+                             "stage": n_agents}
 
     @pytest.mark.parametrize("latency", [0, 1, 2, 3])
     def test_inputs_never_repeat_a_pair(self, latency, monkeypatch):
@@ -463,7 +467,8 @@ class TestResponseModel:
         derived = run_scenario(small_scenario(comm=False, duration=0.1)).records
 
         def estimates(records):
-            return [fragment["vel_est"] for r in records[1:-1]
+            return [fragment["vel_est"] for r in records
+                    if r["record"] == "tick"
                     for fragment in r["agents"].values()]
 
         assert estimates(flown) != estimates(derived)

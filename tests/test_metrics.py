@@ -158,6 +158,24 @@ class TestSummarize:
         assert art.summary.collisions == 0
         assert replayed.as_dict() == art.summary.as_dict()
 
+    def test_replay_counts_the_post_advance_collision(self, tmp_path):
+        # Two agents that close in on each other: the first logged
+        # collision is at tick k, so a flight of k ticks collides only in
+        # the check after its last advance, which the final record holds.
+        overrides = {"n_agents": 2, "safety_radius": 25.0,
+                     "layout": {"kind": "explicit",
+                                "positions": [[0.0, 0.0], [30.0, 0.0]]}}
+        longer = run_scenario(small_scenario(duration=30.0, **overrides))
+        k = next(r["k"] for r in tick_records(longer.records)
+                 if r["collisions"])
+        art = run_scenario(small_scenario(duration=k * 0.05, **overrides),
+                           log_path=tmp_path / "log.jsonl")
+        replayed = summarize(read_log(tmp_path / "log.jsonl"))
+        assert replayed.as_dict() == art.summary.as_dict()
+        assert not any(r["collisions"] for r in tick_records(art.records))
+        assert art.records[-2] == {"record": "final", "collisions": [[0, 1]]}
+        assert art.summary.collisions == 1
+
     def test_velocity_estimate_rmse_only_without_comm(self):
         with_comm = run_scenario(small_scenario()).summary
         without = run_scenario(small_scenario(comm=False)).summary
